@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .contact import ContactError, ContactStructure, HOperator
-from .curvature import CurvatureTables
+from .curvature import CurvatureTables, ricci_operator_of
 from .expr import Expr, PoleError
-from .frame import OneForm, VectorField
+from .frame import FrameManifold, OneForm, VectorField, coordinates_in
 
 SCOPE_GLOBAL = "global"
 SCOPE_LOCAL = "local"
@@ -184,10 +184,7 @@ class _AffineSolver:
 
 
 def _is_parameter_only(m, e: Expr | None) -> bool:
-    if e is None:
-        return True
-    coords = {s.name for s in m.symbols.coordinates()}
-    return not (e.variables() & coords)
+    return e is None or not coordinates_in(e, m.symbols)
 
 
 def _sample_le_one(e: Expr) -> bool | None:
@@ -383,37 +380,25 @@ def solve_phi_recurrence(curv: CurvatureTables, structure: ContactStructure,
                              A=OneForm(comps))
 
 
-def check_3d_decomposition(curv: CurvatureTables, ricci_override=None) -> bool:
+def check_3d_decomposition(curv: CurvatureTables) -> bool:
+    """The dimension-3 curvature reconstruction on the computed tables."""
+    return reconstruction_holds(curv.manifold, curv.riemann, curv.ricci)
+
+
+def reconstruction_holds(manifold: FrameManifold, riemann_basis,
+                         ricci) -> bool:
     """Verify the dimension-3 curvature reconstruction
 
         R(X,Y)Z = g(Y,Z)QX - g(X,Z)QY + S(Y,Z)X - S(X,Z)Y
                   + (r/2)(g(X,Z)Y - g(Y,Z)X)
 
-    componentwise.  ricci_override substitutes a Ricci matrix (Q and r
-    are recomputed from it), which gives the tests a corruption knob.
+    componentwise, with riemann_basis(i, j, k) = R(e_i, e_j)e_k and Q and
+    r recomputed from the Ricci matrix S.
     """
-    m = curv.manifold
+    m = manifold
     if m.dim != 3:
         raise ClassifyError("the curvature reconstruction check needs dim 3")
-    if ricci_override is None:
-        ricci = curv.ricci
-        q_rows = curv.ricci_operator
-        scalar = curv.scalar
-    else:
-        ricci = ricci_override
-        ginv = m.metric_inverse()
-        q_rows = []
-        for i in range(3):
-            comps = []
-            for j in range(3):
-                acc = Expr.zero()
-                for k in range(3):
-                    acc = acc + ricci[i][k] * ginv[k][j]
-                comps.append(acc)
-            q_rows.append(VectorField(tuple(comps)))
-        scalar = Expr.zero()
-        for i in range(3):
-            scalar = scalar + q_rows[i].components[i]
+    q_rows, scalar = ricci_operator_of(m, ricci)
     half_r = Expr.rational(1, 2) * scalar
     for i in range(1, 4):
         for j in range(1, 4):
@@ -425,7 +410,7 @@ def check_3d_decomposition(curv: CurvatureTables, ricci_override=None) -> bool:
                          - m.basis(j).scale(ricci[i - 1][k - 1])
                          + (m.basis(j).scale(gik)
                             - m.basis(i).scale(gjk)).scale(half_r))
-                if not (curv.riemann(i, j, k) - recon).is_zero():
+                if not (riemann_basis(i, j, k) - recon).is_zero():
                     return False
     return True
 
@@ -523,6 +508,7 @@ __all__ = [
     "is_locally_symmetric",
     "is_sasakian",
     "phi_symmetry",
+    "reconstruction_holds",
     "solve_kappa_mu",
     "solve_phi_recurrence",
 ]

@@ -28,7 +28,8 @@ from .frame import FrameError
 from .linalg import SingularMatrixError
 from .manifest import (ManifestError, entry_from_ingest, export_entry,
                        load_manifest, manifest_to_json)
-from .report import ReportError, build_report, render_json, render_text
+from .report import (ReportError, build_report, failed_self_checks,
+                     render_json, render_text)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,8 +93,7 @@ def _emit_report(entry: CatalogEntry, args, out) -> int:
     if args.lint:
         for d in report["diagnostics"]:
             print(f"lint: {d}", file=sys.stderr)
-    failed_checks = [k for k, v in report["self_check"].items()
-                     if v is False]
+    failed_checks = failed_self_checks(report)
     if failed_checks:
         print("internal self-check failure: " + ", ".join(failed_checks),
               file=sys.stderr)
@@ -118,19 +118,12 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    try:
-        entry = build(args.id)
-    except CatalogError as exc:
-        raise CliError(str(exc)) from None
-    entry = _apply_set(entry, _parse_set(args.set))
+    entry = _apply_set(build(args.id), _parse_set(args.set))
     return _emit_report(entry, args, sys.stdout)
 
 
 def _cmd_export(args) -> int:
-    try:
-        entry = build(args.id)
-    except CatalogError as exc:
-        raise CliError(str(exc)) from None
+    entry = build(args.id)
     text = manifest_to_json(export_entry(entry))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -268,7 +261,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
+    except (CliError, CatalogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ManifestError as exc:

@@ -46,13 +46,7 @@ class HOperator:
     rows: tuple[VectorField, ...]
 
     def apply(self, x: VectorField) -> VectorField:
-        dim = len(self.rows)
-        out = VectorField.zero(dim)
-        for i in range(dim):
-            c = x.components[i]
-            if not c.is_zero():
-                out = out + self.rows[i].scale(c)
-        return out
+        return VectorField.combination(x.components, self.rows)
 
     def matrix(self):
         return tuple(row.components for row in self.rows)
@@ -92,12 +86,7 @@ class ContactStructure:
             manifold.g(manifold.basis(i), xi) for i in range(1, dim + 1)))
 
     def apply_phi(self, x: VectorField) -> VectorField:
-        out = VectorField.zero(self.manifold.dim)
-        for i in range(self.manifold.dim):
-            c = x.components[i]
-            if not c.is_zero():
-                out = out + self.phi_rows[i].scale(c)
-        return out
+        return VectorField.combination(x.components, self.phi_rows)
 
     def substitute_parameters(self, bindings: dict) -> "ContactStructure":
         """Same structure over the parameter-substituted manifold."""

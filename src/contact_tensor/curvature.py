@@ -58,7 +58,6 @@ def koszul(manifold: FrameManifold) -> ConnectionTable:
     """Levi-Civita connection of the frame metric via the Koszul formula."""
     m = manifold
     dim = m.dim
-    ginv = m.metric_inverse()
     half = Expr.rational(1, 2)
     rows = []
     for i in range(1, dim + 1):
@@ -74,14 +73,7 @@ def koszul(manifold: FrameManifold) -> ConnectionTable:
                        - m.g(ej, m.bracket_basis(i, k))
                        + m.g(ek, m.bracket_basis(i, j)))
                 rhs.append(half * val)  # rhs[k-1] = g(nabla_{e_i} e_j, e_k)
-            # raise the free index: Gamma^l_ij = sum_k rhs_k (g^{-1})_kl
-            comps = []
-            for l in range(dim):
-                acc = Expr.zero()
-                for k in range(dim):
-                    acc = acc + rhs[k] * ginv[k][l]
-                comps.append(acc)
-            row.append(VectorField(tuple(comps)))
+            row.append(m.raise_index(rhs))
         rows.append(tuple(row))
     return ConnectionTable(m, tuple(rows))
 
@@ -116,21 +108,8 @@ class CurvatureTables:
         self.ricci = tuple(
             tuple(self._ricci_entry(j, k) for k in range(1, dim + 1))
             for j in range(1, dim + 1))
-        ginv = manifold.metric_inverse()
-        q_rows = []
-        for i in range(dim):
-            comps = [Expr.zero()] * dim
-            for j in range(dim):
-                acc = Expr.zero()
-                for k in range(dim):
-                    acc = acc + self.ricci[i][k] * ginv[k][j]
-                comps[j] = acc
-            q_rows.append(VectorField(tuple(comps)))
-        self.ricci_operator = tuple(q_rows)
-        scalar = Expr.zero()
-        for i in range(dim):
-            scalar = scalar + q_rows[i].components[i]
-        self.scalar = scalar
+        self.ricci_operator, self.scalar = ricci_operator_of(manifold,
+                                                             self.ricci)
         self._nabla_r_cache: dict[tuple[int, int, int, int], VectorField] = {}
 
     def _riemann_basis(self, i: int, j: int, k: int) -> VectorField:
@@ -198,6 +177,16 @@ class CurvatureTables:
         out = out - self.riemann_apply(ei, ej, conn.nabla_basis(w, k))
         self._nabla_r_cache[key] = out
         return out
+
+
+def ricci_operator_of(manifold: FrameManifold,
+                      ricci) -> tuple[tuple[VectorField, ...], Expr]:
+    """Rows Q e_i of the Ricci operator, g(Q X, Y) = S(X, Y), and the
+    scalar curvature r = tr Q, from a Ricci matrix S."""
+    q_rows = tuple(manifold.raise_index(row) for row in ricci)
+    scalar = sum((q.components[i] for i, q in enumerate(q_rows)),
+                 Expr.zero())
+    return q_rows, scalar
 
 
 def riemann(manifold: FrameManifold, connection: ConnectionTable) -> CurvatureTables:
@@ -396,6 +385,7 @@ __all__ = [
     "metric_compat_residuals",
     "nabla_structure_tensors",
     "reeb_curvature_identity_residuals",
+    "ricci_operator_of",
     "riemann",
     "riemann_symmetry_residuals",
     "second_bianchi_residuals",

@@ -73,6 +73,20 @@ class VectorField:
         c = as_expr(c)
         return VectorField(tuple(c * a for a in self.components))
 
+    @staticmethod
+    def combination(coeffs, vectors) -> "VectorField":
+        """sum_i coeffs[i] * vectors[i], skipping zero coefficients; the
+        zero field of the vectors' dimension when every coefficient is 0."""
+        total = None
+        for c, v in zip(coeffs, vectors):
+            if c.is_zero():
+                continue
+            term = v.scale(c)
+            total = term if total is None else total + term
+        if total is None:
+            return VectorField.zero(len(vectors[0].components))
+        return total
+
 
 @dataclass(frozen=True)
 class OneForm:
@@ -182,6 +196,11 @@ class FrameManifold:
             self._metric_inverse = tuple(tuple(row) for row in inv)
         return self._metric_inverse
 
+    def raise_index(self, lowered) -> VectorField:
+        """The vector field w with g(w, e_k) = lowered[k-1] for every k."""
+        rows = [VectorField(row) for row in self.metric_inverse()]
+        return VectorField.combination(lowered, rows)
+
     def g(self, x: VectorField, y: VectorField) -> Expr:
         total = Expr.zero()
         for i in range(self.dim):
@@ -230,8 +249,8 @@ class FrameManifold:
         if self.mode != MODE_CHART:
             raise FrameError("brackets_from_chart requires chart mode")
         if self._chart_brackets is None:
-            coords = self.coordinates()
-            finv = self.chart_inverse()
+            inv_rows = [VectorField(tuple(row))
+                        for row in self.chart_inverse()]
             table: dict[tuple[int, int], VectorField] = {}
             for i in range(1, self.dim + 1):
                 for j in range(i + 1, self.dim + 1):
@@ -243,13 +262,7 @@ class FrameManifold:
                         fb = self.directional_derivative(
                             j, self.chart_frame[i - 1].components[a])
                         v.append(fa - fb)
-                    comps = [Expr.zero()] * self.dim
-                    for k in range(self.dim):
-                        acc = Expr.zero()
-                        for a in range(self.dim):
-                            acc = acc + v[a] * finv[a][k]
-                        comps[k] = acc
-                    table[(i, j)] = VectorField(tuple(comps))
+                    table[(i, j)] = VectorField.combination(v, inv_rows)
             self._chart_brackets = table
         return self._chart_brackets
 
@@ -348,9 +361,13 @@ def _as_vector(components, dim: int) -> VectorField:
     return vf
 
 
+def coordinates_in(e: Expr, symbols: SymbolTable) -> frozenset[str]:
+    """Names of the coordinate symbols that e depends on."""
+    return e.variables() & {s.name for s in symbols.coordinates()}
+
+
 def _require_parameter_only(e: Expr, symbols: SymbolTable, what: str):
-    coords = {s.name for s in symbols.coordinates()}
-    bad = e.variables() & coords
+    bad = coordinates_in(e, symbols)
     if bad:
         raise FrameError(f"{what} must be parameter-only, found "
                          f"coordinate {sorted(bad)[0]!r} in {e}")
@@ -401,4 +418,5 @@ __all__ = [
     "OneForm",
     "VectorField",
     "as_expr",
+    "coordinates_in",
 ]

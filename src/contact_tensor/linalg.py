@@ -78,15 +78,4 @@ def invert(matrix, context: str = "matrix") -> Matrix:
     return [row[n:] for row in rows]
 
 
-def solve_right(matrix, rhs, context: str = "linear system") -> Matrix:
-    """Solve X * matrix = rhs exactly for X (rows of rhs are row vectors)."""
-    inv = invert(matrix, context)
-    n = len(matrix)
-    out = []
-    for row in rhs:
-        out.append([sum((row[k] * inv[k][j] for k in range(n)), Expr.zero())
-                    for j in range(n)])
-    return out
-
-
-__all__ = ["SingularMatrixError", "determinant", "invert", "solve_right"]
+__all__ = ["SingularMatrixError", "determinant", "invert"]

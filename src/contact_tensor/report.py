@@ -36,13 +36,7 @@ def _matrix(rows) -> list[list[str]]:
     return [[str(e) for e in row] for row in rows]
 
 
-def _sasakian_dict(v: SasakianVerdict | None):
-    if v is None:
-        return None
-    return {"ok": v.ok, "witness": list(v.witness) if v.witness else None}
-
-
-def _symmetry_dict(v: SymmetryVerdict | None):
+def _witness_dict(v: SasakianVerdict | SymmetryVerdict | None):
     if v is None:
         return None
     return {"ok": v.ok, "witness": list(v.witness) if v.witness else None}
@@ -79,14 +73,14 @@ def _recurrence_dict(v: RecurrenceVerdict | None):
 def _classification_dict(c: ClassificationReport) -> dict:
     return {
         "contact_valid": c.contact_valid,
-        "sasakian": _sasakian_dict(c.sasakian),
+        "sasakian": _witness_dict(c.sasakian),
         "kappa_mu": _kappa_mu_dict(c.kappa_mu),
         "flat": c.flat,
         "constant_curvature": (str(c.constant_curvature)
                                if c.constant_curvature is not None else None),
-        "locally_symmetric": _symmetry_dict(c.locally_symmetric),
-        "phi_symmetric": _symmetry_dict(c.phi_symmetric),
-        "locally_phi_symmetric": _symmetry_dict(c.locally_phi_symmetric),
+        "locally_symmetric": _witness_dict(c.locally_symmetric),
+        "phi_symmetric": _witness_dict(c.phi_symmetric),
+        "locally_phi_symmetric": _witness_dict(c.locally_phi_symmetric),
         "phi_recurrent": _recurrence_dict(c.phi_recurrent),
         "locally_phi_recurrent": _recurrence_dict(c.locally_phi_recurrent),
     }
@@ -177,8 +171,9 @@ def build_report(entry: CatalogEntry) -> dict:
     }
 
 
-def self_check_passed(report: dict) -> bool:
-    return all(v is not False for v in report["self_check"].values())
+def failed_self_checks(report: dict) -> list[str]:
+    """Names of the report's self checks that came out false."""
+    return [k for k, v in report["self_check"].items() if v is False]
 
 
 def render_json(report: dict) -> str:
@@ -327,8 +322,7 @@ def render_text(report: dict, color: bool = False) -> str:
         for d in report["diagnostics"]:
             lines.append(f"  - {d}")
 
-    checks = report["self_check"]
-    failed = [k for k, v in checks.items() if v is False]
+    failed = failed_self_checks(report)
     lines.append("")
     status = "ok" if not failed else "FAILED: " + ", ".join(failed)
     line = f"self-check: {status}"
@@ -343,7 +337,7 @@ __all__ = [
     "REPORT_SCHEMA_VERSION",
     "ReportError",
     "build_report",
+    "failed_self_checks",
     "render_json",
     "render_text",
-    "self_check_passed",
 ]

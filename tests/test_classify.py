@@ -23,6 +23,7 @@ from contact_tensor.classify import (
     is_locally_symmetric,
     is_sasakian,
     phi_symmetry,
+    reconstruction_holds,
     solve_kappa_mu,
     solve_phi_recurrence,
 )
@@ -317,7 +318,8 @@ def test_reconstruction_check():
     curv = riemann(ent.manifold, koszul(ent.manifold))
     bad = [list(row) for row in curv.ricci]
     bad[0][0] = bad[0][0] + Expr.one()
-    assert check_3d_decomposition(curv, ricci_override=bad) is False
+    assert reconstruction_holds(curv.manifold, curv.riemann, curv.ricci)
+    assert reconstruction_holds(curv.manifold, curv.riemann, bad) is False
     flat5 = build("flat5")
     curv5 = riemann(flat5.manifold, koszul(flat5.manifold))
     with pytest.raises(ClassifyError):

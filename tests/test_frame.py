@@ -223,3 +223,25 @@ def test_metric_defaults_to_identity():
     m = abstract_heisenberg()
     assert m.g(m.basis(1), m.basis(1)) == Expr.one()
     assert m.g(m.basis(1), m.basis(2)).is_zero()
+
+
+def test_raise_index_inverts_lowering():
+    t = SymbolTable()
+    a = Expr.symbol(t.add("a", KIND_PARAMETER))
+    metric = ((a, 1, 0), (1, 2, a), (0, a, 3))
+    m = FrameManifold.abstract(3, t, {}, metric=metric)
+    for lowered in ((Expr.one(), a, Expr.rational(3, 2)),
+                    (Expr.zero(), Expr.integer(-2), Expr.zero())):
+        w = m.raise_index(lowered)
+        for k in range(1, 4):
+            assert m.g(w, m.basis(k)) == lowered[k - 1]
+
+
+def test_combination_of_zero_coefficients_is_zero_field():
+    vectors = [VectorField.basis(5, i) for i in range(1, 6)]
+    out = VectorField.combination([Expr.zero()] * 5, vectors)
+    assert len(out.components) == 5
+    assert out.is_zero()
+    coeffs = [Expr.zero(), Expr.integer(2)] + [Expr.zero()] * 3
+    out = VectorField.combination(coeffs, vectors)
+    assert out == VectorField.basis(5, 2).scale(2)

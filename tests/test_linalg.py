@@ -16,7 +16,6 @@ from contact_tensor.linalg import (
     SingularMatrixError,
     determinant,
     invert,
-    solve_right,
 )
 
 
@@ -94,19 +93,6 @@ def test_invert_singular_raises_with_context():
         invert(rows, context="metric")
     assert "metric" in str(info.value)
     assert "determinant is identically zero" in str(info.value)
-
-
-def test_solve_right():
-    # find X with M X = B, exact entries
-    m = [[E(2), E(1)], [E(1), E(1)]]
-    b = [[E(1), E(0)], [E(0), E(1)]]
-    x = solve_right(m, b, context="system")
-    for i in range(2):
-        for j in range(2):
-            acc = Expr.zero()
-            for k in range(2):
-                acc = acc + m[i][k] * x[k][j]
-            assert acc == b[i][j]
 
 
 def test_non_square_rejected():

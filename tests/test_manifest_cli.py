@@ -157,8 +157,9 @@ def test_cli_demo_text(capsys):
     assert "\x1b[" not in out
 
 
-def test_cli_demo_unknown_id(capsys):
-    assert cli.main(["demo", "nope"]) == 1
+@pytest.mark.parametrize("command", ["demo", "export"])
+def test_cli_demo_unknown_id(command, capsys):
+    assert cli.main([command, "nope"]) == 1
     assert "error:" in capsys.readouterr().err
 
 
