@@ -10,8 +10,7 @@ attached structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .contact import ContactStructure
 from .expr import (Expr, KIND_COORDINATE, KIND_PARAMETER, SymbolTable,
@@ -26,23 +25,17 @@ class CatalogError(Exception):
 @dataclass(frozen=True)
 class CatalogEntry:
     id: str
-    title: str
     manifold: FrameManifold
     structure: ContactStructure | None
-    params: dict = field(default_factory=dict)
-    tags: tuple[str, ...] = ()
-    notes: str = ""
 
     def substitute(self, bindings: dict) -> "CatalogEntry":
-        manifold = self.manifold.substitute_parameters(bindings)
-        structure = None
-        if self.structure is not None:
-            structure = self.structure.substitute_parameters(bindings)
-            manifold = structure.manifold
-        params = dict(self.params)
-        params.update({str(k): str(Fraction(v)) for k, v in bindings.items()})
-        return CatalogEntry(self.id, self.title, manifold, structure,
-                            params, self.tags, self.notes)
+        if self.structure is None:
+            return CatalogEntry(self.id,
+                                self.manifold.substitute_parameters(bindings),
+                                None)
+        # the structure carries its own substituted manifold
+        structure = self.structure.substitute_parameters(bindings)
+        return CatalogEntry(self.id, structure.manifold, structure)
 
 
 def _rotation_structure(manifold: FrameManifold, xi_index: int,
@@ -77,14 +70,7 @@ def build_example_41() -> CatalogEntry:
     )
     manifold = FrameManifold.chart(3, table, frame)
     structure = _rotation_structure(manifold, xi_index=3, plane=(1, 2))
-    return CatalogEntry(
-        id="example41",
-        title="chart frame on x != 0 with a refutable nullity claim",
-        manifold=manifold,
-        structure=structure,
-        notes=("orthonormal global frame on the half-space x != 0; the "
-               "attached structure claims kappa = mu = -2/x, which the "
-               "curvature tables refute"))
+    return CatalogEntry("example41", manifold, structure)
 
 
 def _parameter_table() -> SymbolTable:
@@ -94,15 +80,14 @@ def _parameter_table() -> SymbolTable:
     return table
 
 
-def build_kmu_frame(lam=None, mu=None) -> CatalogEntry:
+def build_kmu_frame() -> CatalogEntry:
     """Abstract orthonormal frame with [e2,e3] = 2e1, [e3,e1] = c2 e2,
     [e1,e2] = c3 e3 for c2 = 1 - lambda - mu/2, c3 = 1 + lambda - mu/2.
 
     xi = e1, phi(e2) = e3, phi(e3) = -e2; h = diag(0, lambda, -lambda)
     and the nullity condition solves to kappa = 1 - lambda^2 exactly.
-    Symbolic by default; pass rationals to instantiate.  lambda must not
-    be identically zero (the h-eigenframe construction needs kappa < 1),
-    and a numeric lambda must be positive.
+    Symbolic; CatalogEntry.substitute instantiates it.  lambda must not
+    be zero (the h-eigenframe construction needs kappa < 1).
     """
     table = _parameter_table()
     e = lambda s: parse(s, table)
@@ -114,22 +99,7 @@ def build_kmu_frame(lam=None, mu=None) -> CatalogEntry:
     }
     manifold = FrameManifold.abstract(3, table, brackets)
     structure = _rotation_structure(manifold, xi_index=1, plane=(2, 3))
-    entry = CatalogEntry(
-        id="kmu",
-        title="two-parameter nullity frame (kappa = 1 - lambda^2)",
-        manifold=manifold,
-        structure=structure,
-        notes="eigenframe of h; lambda is the positive h-eigenvalue")
-    bindings = {}
-    if lam is not None:
-        lam = Fraction(lam)
-        if lam <= 0:
-            raise CatalogError("lambda must be positive (it is the h-"
-                               f"eigenvalue sqrt(1-kappa)), got {lam}")
-        bindings["lambda"] = lam
-    if mu is not None:
-        bindings["mu"] = Fraction(mu)
-    return entry.substitute(bindings) if bindings else entry
+    return CatalogEntry("kmu", manifold, structure)
 
 
 def build_sasakian_sphere() -> CatalogEntry:
@@ -146,12 +116,7 @@ def build_sasakian_sphere() -> CatalogEntry:
     }
     manifold = FrameManifold.abstract(3, table, brackets)
     structure = _rotation_structure(manifold, xi_index=1, plane=(2, 3))
-    return CatalogEntry(
-        id="sphere",
-        title="cyclic bracket frame of the unit sphere",
-        manifold=manifold,
-        structure=structure,
-        notes="Sasakian benchmark: constant curvature 1, h = 0")
+    return CatalogEntry("sphere", manifold, structure)
 
 
 def build_flat_euclidean(dim: int = 3) -> CatalogEntry:
@@ -159,13 +124,7 @@ def build_flat_euclidean(dim: int = 3) -> CatalogEntry:
     if dim % 2 == 0 or dim < 3:
         raise CatalogError(f"dimension must be odd and >= 3, got {dim}")
     manifold = FrameManifold.abstract(dim, SymbolTable(), {})
-    return CatalogEntry(
-        id=f"flat{dim}",
-        title=f"abelian flat frame in dimension {dim}",
-        manifold=manifold,
-        structure=None,
-        tags=("invalid-fixture",),
-        notes="curvature baseline; carries no phi, xi, eta")
+    return CatalogEntry(f"flat{dim}", manifold, None)
 
 
 _BUILDERS = {

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .contact import ContactError, ContactStructure, HOperator
 from .curvature import CurvatureTables, ricci_operator_of
@@ -119,6 +120,15 @@ def _scope_indices(structure: ContactStructure, scope: str) -> tuple[int, ...]:
     raise ClassifyError(f"unknown scope {scope!r}")
 
 
+def _nullity_sides(curv: CurvatureTables, structure: ContactStructure,
+                   i: int, j: int) -> tuple[VectorField, VectorField]:
+    """R(e_i, e_j)xi and eta(e_j)e_i - eta(e_i)e_j."""
+    m = curv.manifold
+    eta = structure.eta.components
+    return (curv.riemann_apply(m.basis(i), m.basis(j), structure.xi),
+            m.basis(i).scale(eta[j - 1]) - m.basis(j).scale(eta[i - 1]))
+
+
 def is_sasakian(curv: CurvatureTables, structure: ContactStructure) -> SasakianVerdict:
     """Check R(e_i, e_j)xi = eta(e_j)e_i - eta(e_i)e_j for all i, j.
 
@@ -126,14 +136,11 @@ def is_sasakian(curv: CurvatureTables, structure: ContactStructure) -> SasakianV
     a nullity-shaped failure names the R(e_i, e_j)xi display directly.
     """
     m = curv.manifold
-    eta = structure.eta
     for j in range(1, m.dim + 1):
         for i in range(1, m.dim + 1):
             if i == j:
                 continue
-            lhs = curv.riemann_apply(m.basis(i), m.basis(j), structure.xi)
-            rhs = (m.basis(i).scale(eta.components[j - 1])
-                   - m.basis(j).scale(eta.components[i - 1]))
+            lhs, rhs = _nullity_sides(curv, structure, i, j)
             if not (lhs - rhs).is_zero():
                 return SasakianVerdict(False, (i, j))
     return SasakianVerdict(True)
@@ -214,26 +221,22 @@ def solve_kappa_mu(curv: CurvatureTables, structure: ContactStructure,
     inconsistency witness.
     """
     m = curv.manifold
-    eta = structure.eta
+    eta = structure.eta.components
     xi_idx = _basis_index(m, structure.xi)
     solver = _AffineSolver()
     for i in range(1, m.dim + 1):
         for j in range(i + 1, m.dim + 1):
-            lhs = curv.riemann_apply(m.basis(i), m.basis(j), structure.xi)
-            a_vec = (m.basis(i).scale(eta.components[j - 1])
-                     - m.basis(j).scale(eta.components[i - 1]))
-            b_vec = (h.apply(m.basis(i)).scale(eta.components[j - 1])
-                     - h.apply(m.basis(j)).scale(eta.components[i - 1]))
-            for l in range(1, m.dim + 1):
-                tag = (i, j, l)
-                if not solver.feed(a_vec.components[l - 1],
-                                   b_vec.components[l - 1],
-                                   lhs.components[l - 1], tag):
-                    i0, j0, l0 = solver.witness
+            lhs, a_vec = _nullity_sides(curv, structure, i, j)
+            b_vec = (h.apply(m.basis(i)).scale(eta[j - 1])
+                     - h.apply(m.basis(j)).scale(eta[i - 1]))
+            for l, (a, b, c) in enumerate(zip(a_vec.components,
+                                              b_vec.components,
+                                              lhs.components), 1):
+                if not solver.feed(a, b, c, (i, j, l)):
                     return KappaMuVerdict(
                         status="inconsistent",
-                        witness=(i0, j0, xi_idx) if xi_idx else (i0, j0),
-                        witness_component=l0)
+                        witness=(i, j, xi_idx) if xi_idx else (i, j),
+                        witness_component=l)
     if solver.state == "point":
         kappa, mu = solver.point
         const = (_is_parameter_only(m, kappa) and _is_parameter_only(m, mu))
@@ -287,36 +290,35 @@ def constant_curvature(curv: CurvatureTables) -> Expr | None:
     return cand if cand is not None else Expr.zero()
 
 
+def _slots(idxs) -> list[tuple[int, int, int]]:
+    """(i, j, k) over idxs with i < j, in lexicographic order."""
+    return [(i, j, k) for i, j in combinations(idxs, 2) for k in idxs]
+
+
+def _first_nonzero(curv: CurvatureTables, idxs, transform) -> SymmetryVerdict:
+    """Witness the first nonzero component of
+    transform((nabla_{e_w} R)(e_i, e_j)e_k) over w and i < j, k in idxs."""
+    slots = _slots(idxs)
+    for w in idxs:
+        for i, j, k in slots:
+            val = transform(curv.nabla_r(w, i, j, k))
+            for l, c in enumerate(val.components, 1):
+                if not c.is_zero():
+                    return SymmetryVerdict(False, (w, i, j, k, l))
+    return SymmetryVerdict(True)
+
+
 def is_locally_symmetric(curv: CurvatureTables) -> SymmetryVerdict:
     """nabla R = 0, scanned at i < j (the j > i half is its negative)."""
-    m = curv.manifold
-    for w in range(1, m.dim + 1):
-        for i in range(1, m.dim + 1):
-            for j in range(i + 1, m.dim + 1):
-                for k in range(1, m.dim + 1):
-                    val = curv.nabla_r(w, i, j, k)
-                    for l in range(1, m.dim + 1):
-                        if not val.components[l - 1].is_zero():
-                            return SymmetryVerdict(False, (w, i, j, k, l))
-    return SymmetryVerdict(True)
+    return _first_nonzero(curv, range(1, curv.manifold.dim + 1),
+                          lambda v: v)
 
 
 def phi_symmetry(curv: CurvatureTables, structure: ContactStructure,
                  scope: str) -> SymmetryVerdict:
     """phi^2((nabla_{e_w} R)(e_i, e_j) e_k) = 0 over the scope indices."""
-    idxs = _scope_indices(structure, scope)
-    m = curv.manifold
-    for w in idxs:
-        for i in idxs:
-            for j in idxs:
-                if j <= i:
-                    continue
-                for k in idxs:
-                    val = _phi_square(structure, curv.nabla_r(w, i, j, k))
-                    for l in range(1, m.dim + 1):
-                        if not val.components[l - 1].is_zero():
-                            return SymmetryVerdict(False, (w, i, j, k, l))
-    return SymmetryVerdict(True)
+    return _first_nonzero(curv, _scope_indices(structure, scope),
+                          lambda v: _phi_square(structure, v))
 
 
 def solve_phi_recurrence(curv: CurvatureTables, structure: ContactStructure,
@@ -329,50 +331,36 @@ def solve_phi_recurrence(curv: CurvatureTables, structure: ContactStructure,
     in-scope component to count as recurrent.
     """
     idxs = _scope_indices(structure, scope)
-    m = curv.manifold
-
-    def equations():
-        for i in idxs:
-            for j in idxs:
-                if j <= i:
-                    continue
-                for k in idxs:
-                    rhs = curv.riemann(i, j, k)
-                    for l in range(1, m.dim + 1):
-                        yield i, j, k, l, rhs.components[l - 1]
-
-    curvature_seen = any(not rhs.is_zero() for *_, rhs in equations())
+    slots = _slots(idxs)
     components: dict[int, Expr] = {}
     for w in idxs:
         a_w = None
-        for i, j, k, l, rhs in equations():
-            lhs = _phi_square(structure,
-                              curv.nabla_r(w, i, j, k)).components[l - 1]
-            if rhs.is_zero():
-                if not lhs.is_zero():
+        for i, j, k in slots:
+            lhs_vec = _phi_square(structure, curv.nabla_r(w, i, j, k))
+            rhs_vec = curv.riemann(i, j, k)
+            for l, (lhs, rhs) in enumerate(
+                    zip(lhs_vec.components, rhs_vec.components), 1):
+                if rhs.is_zero():
+                    holds = lhs.is_zero()
+                elif a_w is None:
+                    a_w, holds = lhs / rhs, True
+                else:
+                    holds = (lhs - a_w * rhs).is_zero()
+                if not holds:
                     index = (w, i, j, k, l)
                     return RecurrenceVerdict(
                         status="not_recurrent", scope=scope,
                         obstruction=(f"component {index}: lhs {lhs}, "
-                                     f"curvature coefficient 0"),
+                                     f"curvature coefficient {rhs}"),
                         obstruction_index=index)
-            elif a_w is None:
-                a_w = lhs / rhs
-            elif not (lhs - a_w * rhs).is_zero():
-                index = (w, i, j, k, l)
-                return RecurrenceVerdict(
-                    status="not_recurrent", scope=scope,
-                    obstruction=(f"component {index}: lhs {lhs}, "
-                                 f"curvature coefficient {rhs}"),
-                    obstruction_index=index)
         if a_w is not None:
             components[w] = a_w
-    if not curvature_seen:
+    if not components:
         # both sides vanish identically: any nonzero A works
         return RecurrenceVerdict(status="trivially_recurrent", scope=scope,
                                  A=OneForm(structure.eta.components))
     comps = tuple(components.get(idx, Expr.zero())
-                  for idx in range(1, m.dim + 1))
+                  for idx in range(1, curv.manifold.dim + 1))
     if all(c.is_zero() for c in comps):
         return RecurrenceVerdict(status="not_recurrent", scope=scope,
                                  obstruction="only A=0")

@@ -78,14 +78,7 @@ def _apply_set(entry: CatalogEntry, bindings: dict[str, Fraction]) -> CatalogEnt
 
 
 def _emit_report(entry: CatalogEntry, args, out) -> int:
-    try:
-        report = build_report(entry)
-    except (ReportError, SingularMatrixError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SelfCheckError as exc:
-        print(f"internal self-check failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    report = build_report(entry)
     if args.format == "json":
         out.write(render_json(report))
     else:
@@ -163,8 +156,10 @@ def _sweep_row(entry: CatalogEntry, lam: Fraction, mu: Fraction) -> dict:
             row[key] = None
         return row
     row["skipped"] = False
-    point = entry.substitute({"lambda": lam, "mu": mu})
-    report = build_report(point)
+    report = build_report(_apply_set(entry, {"lambda": lam, "mu": mu}))
+    failed_checks = failed_self_checks(report)
+    if failed_checks:
+        raise SelfCheckError(", ".join(failed_checks))
     c = report["classification"]
     rec = c["phi_recurrent"]
     row["kappa"] = c["kappa_mu"]["kappa"]
@@ -187,6 +182,9 @@ def _cmd_sweep(args) -> int:
     if missing:
         raise CliError("sweep needs a manifest with parameters 'lambda' "
                        f"and 'mu'; missing {sorted(missing)}")
+    if entry.structure is None:
+        raise CliError("sweep needs a manifest with a contact structure "
+                       "(phi and xi)")
     lams = _parse_grid(args.lam, "--lambda")
     mus = _parse_grid(args.mu, "--mu")
     rows = [_sweep_row(entry, lam, mu) for lam in lams for mu in mus]
@@ -261,7 +259,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, CatalogError) as exc:
+    except (CliError, CatalogError, ReportError,
+            SingularMatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ManifestError as exc:

@@ -111,7 +111,7 @@ def _parse_matrix(rows, dim: int, table: SymbolTable, path: str,
     return out if ok else None
 
 
-def ingest_manifest(doc: dict, default_name: str = "manifest") -> IngestResult:
+def ingest_manifest(doc: dict) -> IngestResult:
     """Validate a parsed manifest document and build the objects.
 
     Problems are collected exhaustively, each prefixed with the field
@@ -127,10 +127,10 @@ def ingest_manifest(doc: dict, default_name: str = "manifest") -> IngestResult:
     if version != SCHEMA_VERSION:
         errors.append(f"schema_version: expected {SCHEMA_VERSION}, "
                       f"got {version!r}")
-    name = doc.get("name", default_name)
+    name = doc.get("name", "manifest")
     if not isinstance(name, str) or not name:
         errors.append("name: expected a non-empty string")
-        name = default_name
+        name = "manifest"
     dim = doc.get("dimension")
     if not isinstance(dim, int) or dim < 3 or dim % 2 == 0:
         errors.append(f"dimension: expected an odd integer >= 3, got {dim!r}")
@@ -246,14 +246,12 @@ def load_manifest(path: str) -> IngestResult:
         raise ManifestError(
             [f"{path}: invalid JSON at line {exc.lineno}, "
              f"column {exc.colno}: {exc.msg}"]) from None
-    return ingest_manifest(doc, default_name="manifest")
+    return ingest_manifest(doc)
 
 
 def entry_from_ingest(result: IngestResult) -> CatalogEntry:
     """Repackage ingested objects so reporting code sees one shape."""
-    return CatalogEntry(id=result.name, title=result.name,
-                        manifold=result.manifold,
-                        structure=result.structure)
+    return CatalogEntry(result.name, result.manifold, result.structure)
 
 
 __all__ = [

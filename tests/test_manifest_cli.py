@@ -263,6 +263,29 @@ def test_cli_sweep_lambda_zero_is_skipped(tmp_path, capsys):
     assert line.startswith("0,0,true,")
 
 
+@pytest.mark.parametrize("hostile, message", [
+    ("pole", "denominator of 2/(mu-1) identically zero"),
+    ("singular-metric", "metric is singular"),
+    ("no-structure", "sweep needs a manifest with a contact structure"),
+], ids=["pole", "singular-metric", "no-structure"])
+def test_cli_sweep_hostile_manifest_is_an_input_error(hostile, message,
+                                                      tmp_path, capsys):
+    doc = export_entry(build("kmu"))
+    if hostile == "pole":
+        doc["brackets"][2]["components"][0] = "2/(mu-1)"
+    elif hostile == "singular-metric":
+        doc["metric"][0][0] = "mu-1"
+    else:
+        del doc["phi"], doc["xi"]
+    path = tmp_path / "hostile.json"
+    path.write_text(manifest_to_json(doc))
+    assert cli.main(["sweep", str(path), "--lambda", "1", "--mu", "0,1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_cli_sweep_needs_parameters(tmp_path, capsys):
     path = write_manifest(tmp_path, "sphere")
     assert cli.main(["sweep", path]) == 1
@@ -303,11 +326,14 @@ def test_cli_color_env(tmp_path, capsys, monkeypatch):
     assert "\x1b[" in capsys.readouterr().out
 
 
-def test_cli_self_check_exit_code(capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["demo", "sweep"])
+def test_cli_self_check_exit_code(command, tmp_path, capsys, monkeypatch):
+    argv = (["demo", "sphere"] if command == "demo"
+            else ["sweep", write_manifest(tmp_path, "kmu")])
     real = build_report(build("sphere"))
     real["self_check"]["second_bianchi"] = False
     monkeypatch.setattr(cli, "build_report", lambda entry: real)
-    assert cli.main(["demo", "sphere"]) == 3
+    assert cli.main(argv) == 3
     assert "internal self-check failure: second_bianchi" \
         in capsys.readouterr().err
 
