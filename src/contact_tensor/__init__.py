@@ -21,7 +21,7 @@ from .frame import (FrameError, FrameManifold, JacobiReport, OneForm,
                     VectorField)
 from .manifest import (ManifestError, export_entry, ingest_manifest,
                        load_manifest, manifest_to_json)
-from .report import ReportError, build_report, render_json, render_text
+from .report import build_report, render_json, render_text
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "OneForm",
     "PoleError",
     "RecurrenceVerdict",
-    "ReportError",
     "SasakianVerdict",
     "SelfCheckError",
     "Symbol",

@@ -28,8 +28,8 @@ from .frame import FrameError
 from .linalg import SingularMatrixError
 from .manifest import (ManifestError, entry_from_ingest, export_entry,
                        load_manifest, manifest_to_json)
-from .report import (ReportError, build_report, failed_self_checks,
-                     render_json, render_text)
+from .report import (build_report, failed_self_checks, render_json,
+                     render_text)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -156,7 +156,10 @@ def _sweep_row(entry: CatalogEntry, lam: Fraction, mu: Fraction) -> dict:
             row[key] = None
         return row
     row["skipped"] = False
-    report = build_report(_apply_set(entry, {"lambda": lam, "mu": mu}))
+    try:
+        report = build_report(_apply_set(entry, {"lambda": lam, "mu": mu}))
+    except (CliError, SingularMatrixError) as exc:
+        raise CliError(f"lambda={lam}, mu={mu}: {exc}") from None
     failed_checks = failed_self_checks(report)
     if failed_checks:
         raise SelfCheckError(", ".join(failed_checks))
@@ -259,8 +262,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, CatalogError, ReportError,
-            SingularMatrixError) as exc:
+    except (CliError, CatalogError, SingularMatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ManifestError as exc:

@@ -48,9 +48,6 @@ class HOperator:
     def apply(self, x: VectorField) -> VectorField:
         return VectorField.combination(x.components, self.rows)
 
-    def matrix(self):
-        return tuple(row.components for row in self.rows)
-
     def is_zero(self) -> bool:
         return all(row.is_zero() for row in self.rows)
 

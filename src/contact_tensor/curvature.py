@@ -6,12 +6,12 @@ connection comes from the Koszul formula
     2 g(nabla_X Y, Z) = X g(Y,Z) + Y g(Z,X) - Z g(X,Y)
                         - g(X,[Y,Z]) - g(Y,[X,Z]) + g(Z,[X,Y])
 
-on basis triples; with a parameter-only metric the derivative terms vanish
-but they are kept in the implementation so the formula stays literal.  The
-curvature convention is R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
-- nabla_[X,Y] Z, and the Ricci tensor is the trace of X -> R(X,Y)Z over the
-first slot, which agrees with the orthonormal-frame contraction for every
-metric while staying inside exact rational arithmetic.
+on basis triples.  Frame construction keeps the metric parameter-only, so
+the three derivative terms vanish and are not computed.  The curvature
+convention is R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z,
+and the Ricci tensor is the trace of X -> R(X,Y)Z over the first slot,
+which agrees with the orthonormal-frame contraction for every metric while
+staying inside exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -66,12 +66,9 @@ def koszul(manifold: FrameManifold) -> ConnectionTable:
             rhs = []
             for k in range(1, dim + 1):
                 ei, ej, ek = m.basis(i), m.basis(j), m.basis(k)
-                val = (m.directional_derivative(i, m.metric_entry(j, k))
-                       + m.directional_derivative(j, m.metric_entry(k, i))
-                       - m.directional_derivative(k, m.metric_entry(i, j))
+                val = (m.g(ek, m.bracket_basis(i, j))
                        - m.g(ei, m.bracket_basis(j, k))
-                       - m.g(ej, m.bracket_basis(i, k))
-                       + m.g(ek, m.bracket_basis(i, j)))
+                       - m.g(ej, m.bracket_basis(i, k)))
                 rhs.append(half * val)  # rhs[k-1] = g(nabla_{e_i} e_j, e_k)
             row.append(m.raise_index(rhs))
         rows.append(tuple(row))

@@ -678,11 +678,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# deeper parentheses raise ExprParseError instead of exhausting the stack
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens, table: SymbolTable):
         self.tokens = tokens
         self.table = table
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -733,11 +738,12 @@ class _Parser:
                 return e
 
     def factor(self) -> Expr:
-        kind, text, _ = self.peek()
-        if kind == _T_OP and text == "-":
+        negate = False
+        while self.peek()[:2] == (_T_OP, "-"):
             self.take()
-            return -self.factor()
-        return self.power()
+            negate = not negate
+        e = self.power()
+        return -e if negate else e
 
     def power(self) -> Expr:
         e = self.atom()
@@ -768,8 +774,13 @@ class _Parser:
                 raise ExprParseError(f"unknown symbol {text!r}", pos)
             return Expr.symbol(self.table.get(text))
         if kind == _T_OP and text == "(":
+            if self.depth == _MAX_NESTING:
+                raise ExprParseError("parentheses nested deeper than "
+                                     f"{_MAX_NESTING}", pos)
+            self.depth += 1
             e = self.sum()
             self.expect_op(")")
+            self.depth -= 1
             return e
         raise ExprParseError(
             f"unexpected {text!r}" if text else "unexpected end of input", pos)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import Expr, ExprError, KIND_COORDINATE, Symbol, SymbolTable
-from .linalg import determinant, invert
+from .linalg import invert
 
 MODE_ABSTRACT = "abstract"
 MODE_CHART = "chart"
@@ -321,22 +321,17 @@ class FrameManifold:
     # -- validation and substitution ----------------------------------------
 
     def validate(self) -> list[str]:
-        """Exhaustive structural validation; returns human-readable issues."""
-        issues = []
-        if determinant([list(row) for row in self.metric]).is_zero():
-            issues.append("metric is singular")
+        """Structural validation; returns human-readable issues.  A singular
+        metric or chart frame matrix raises SingularMatrixError from the
+        (cached) inverse that the connection and the brackets need."""
+        self.metric_inverse()
         if self.mode == MODE_CHART:
-            mat = [list(row.components) for row in self.chart_frame]
-            if determinant(mat).is_zero():
-                issues.append("chart frame matrix is singular: the frame "
-                              "fields are linearly dependent")
-                # brackets need the inverse frame, so Jacobi is unreachable
-                return issues
+            self.chart_inverse()
         jac = self.check_jacobi()
-        if not jac.ok:
-            triples = ", ".join(str(v.triple) for v in jac.violations)
-            issues.append(f"Jacobi identity fails on triples {triples}")
-        return issues
+        if jac.ok:
+            return []
+        triples = ", ".join(str(v.triple) for v in jac.violations)
+        return [f"Jacobi identity fails on triples {triples}"]
 
     def substitute_parameters(self, bindings: dict) -> "FrameManifold":
         """New manifold with parameter symbols replaced by rationals."""

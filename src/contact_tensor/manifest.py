@@ -17,7 +17,7 @@ from .contact import ContactStructure
 from .expr import (Expr, ExprError, ExprParseError, KIND_COORDINATE,
                    KIND_PARAMETER, SymbolTable, parse)
 from .frame import (FrameError, FrameManifold, MODE_ABSTRACT, MODE_CHART,
-                    VectorField)
+                    VectorField, coordinates_in)
 
 SCHEMA_VERSION = 1
 
@@ -79,20 +79,27 @@ _TOP_KEYS = {"schema_version", "name", "dimension", "mode", "symbols",
              "frame", "brackets", "metric", "phi", "xi"}
 
 
-def _parse_expr(text, table: SymbolTable, path: str, errors: list[str]):
+def _parse_expr(text, table: SymbolTable, path: str, errors: list[str],
+                parameter_only: bool = False):
     if not isinstance(text, str):
         errors.append(f"{path}: expected an expression string, got "
                       f"{type(text).__name__}")
         return None
     try:
-        return parse(text, table)
+        e = parse(text, table)
     except (ExprParseError, ExprError) as exc:
         errors.append(f"{path}: {exc}")
         return None
+    bad = coordinates_in(e, table) if parameter_only else ()
+    if bad:
+        errors.append(f"{path}: must be parameter-only in abstract mode, "
+                      f"found coordinate {sorted(bad)[0]!r} in {e}")
+        return None
+    return e
 
 
 def _parse_matrix(rows, dim: int, table: SymbolTable, path: str,
-                  errors: list[str]):
+                  errors: list[str], parameter_only: bool = False):
     if not isinstance(rows, list) or len(rows) != dim:
         errors.append(f"{path}: expected {dim} rows")
         return None
@@ -103,7 +110,8 @@ def _parse_matrix(rows, dim: int, table: SymbolTable, path: str,
             errors.append(f"{path}[{r}]: expected {dim} entries")
             ok = False
             continue
-        parsed = [_parse_expr(cell, table, f"{path}[{r}][{c}]", errors)
+        parsed = [_parse_expr(cell, table, f"{path}[{r}][{c}]", errors,
+                              parameter_only)
                   for c, cell in enumerate(row)]
         if any(p is None for p in parsed):
             ok = False
@@ -214,13 +222,17 @@ def ingest_manifest(doc: dict) -> IngestResult:
     if has_phi != has_xi:
         errors.append("phi/xi: phi and xi must be given together")
     elif has_phi:
-        phi_rows = _parse_matrix(doc["phi"], dim, table, "phi", errors)
+        # abstract mode cannot differentiate coordinate functions
+        parameter_only = mode == MODE_ABSTRACT
+        phi_rows = _parse_matrix(doc["phi"], dim, table, "phi", errors,
+                                 parameter_only)
         xi_raw = doc["xi"]
         xi = None
         if not isinstance(xi_raw, list) or len(xi_raw) != dim:
             errors.append(f"xi: expected {dim} entries")
         else:
-            parsed = [_parse_expr(c, table, f"xi[{k}]", errors)
+            parsed = [_parse_expr(c, table, f"xi[{k}]", errors,
+                                  parameter_only)
                       for k, c in enumerate(xi_raw)]
             if all(p is not None for p in parsed):
                 xi = VectorField(tuple(parsed))

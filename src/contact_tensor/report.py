@@ -8,94 +8,52 @@ CONTACT_TENSOR_COLOR environment variable (unset means plain).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from .catalog import CatalogEntry
-from .classify import (ClassificationReport, KappaMuVerdict,
-                       RecurrenceVerdict, SasakianVerdict, SymmetryVerdict,
-                       check_3d_decomposition, classify_structure)
+from .classify import check_3d_decomposition, classify_structure
 from .contact import ContactError, h_eigenstructure
 from .curvature import (first_bianchi_residuals, koszul,
                         metric_compat_residuals, riemann,
                         riemann_symmetry_residuals, second_bianchi_residuals,
                         torsion_residuals)
+from .expr import Expr
+from .frame import OneForm, VectorField
 from .manifest import export_entry
 
 REPORT_SCHEMA_VERSION = 1
-
-
-class ReportError(Exception):
-    """Fatal data problem: the pipeline cannot run on this input."""
 
 
 def _vf(v) -> list[str]:
     return [str(c) for c in v.components]
 
 
-def _matrix(rows) -> list[list[str]]:
-    return [[str(e) for e in row] for row in rows]
+_RENAMED = {"constant_flag": "constant", "lam": "lambda"}
 
 
-def _witness_dict(v: SasakianVerdict | SymmetryVerdict | None):
-    if v is None:
-        return None
-    return {"ok": v.ok, "witness": list(v.witness) if v.witness else None}
-
-
-def _kappa_mu_dict(v: KappaMuVerdict | None):
-    if v is None:
-        return None
-    return {
-        "status": v.status,
-        "kappa": str(v.kappa) if v.kappa is not None else None,
-        "mu": str(v.mu) if v.mu is not None else None,
-        "relation": v.relation,
-        "witness": list(v.witness) if v.witness else None,
-        "witness_component": v.witness_component,
-        "constant": v.constant_flag,
-        "kappa_le_one": v.kappa_le_one,
-    }
-
-
-def _recurrence_dict(v: RecurrenceVerdict | None):
-    if v is None:
-        return None
-    return {
-        "status": v.status,
-        "scope": v.scope,
-        "A": _vf(v.A) if v.A is not None else None,
-        "obstruction": v.obstruction,
-        "obstruction_index": (list(v.obstruction_index)
-                              if v.obstruction_index else None),
-    }
-
-
-def _classification_dict(c: ClassificationReport) -> dict:
-    return {
-        "contact_valid": c.contact_valid,
-        "sasakian": _witness_dict(c.sasakian),
-        "kappa_mu": _kappa_mu_dict(c.kappa_mu),
-        "flat": c.flat,
-        "constant_curvature": (str(c.constant_curvature)
-                               if c.constant_curvature is not None else None),
-        "locally_symmetric": _witness_dict(c.locally_symmetric),
-        "phi_symmetric": _witness_dict(c.phi_symmetric),
-        "locally_phi_symmetric": _witness_dict(c.locally_phi_symmetric),
-        "phi_recurrent": _recurrence_dict(c.phi_recurrent),
-        "locally_phi_recurrent": _recurrence_dict(c.locally_phi_recurrent),
-    }
+def _json(value):
+    """JSON form of a verdict or structure value: dataclass fields in
+    declaration order, expressions as strings, vector fields and one-forms
+    as component lists, tuples as lists."""
+    if isinstance(value, (VectorField, OneForm)):
+        return _vf(value)
+    if isinstance(value, Expr):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {_RENAMED.get(f.name, f.name): _json(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    return value
 
 
 def build_report(entry: CatalogEntry) -> dict:
     """Full pipeline: brackets, structure tensors, connection, curvature,
-    classification, self checks.  Raises ReportError when the frame data
-    is degenerate (singular metric or chart matrix)."""
+    classification, self checks.  Raises SingularMatrixError when the
+    metric or the chart frame matrix is singular."""
     m = entry.manifold
-    issues = m.validate()
-    fatal = [s for s in issues if "singular" in s]
-    if fatal:
-        raise ReportError("; ".join(fatal))
-    diagnostics = list(issues)
+    diagnostics = m.validate()
 
     conn = koszul(m)
     curv = riemann(m, conn)
@@ -111,20 +69,14 @@ def build_report(entry: CatalogEntry) -> dict:
         except ContactError as exc:
             diagnostics.append(f"h operator: {exc}")
         structure_section = {
-            "eta": [str(c) for c in s.eta.components],
+            "eta": _vf(s.eta),
             "xi": _vf(s.xi),
-            "phi": [_vf(row) for row in s.phi_rows],
+            "phi": _json(s.phi_rows),
         }
         if h is not None:
-            structure_section["h"] = _matrix(h.matrix())
+            structure_section["h"] = _json(h.rows)
             try:
-                eig = h_eigenstructure(h)
-                structure_section["h_eigen"] = {
-                    "lambda": str(eig.lam),
-                    "d_plus": list(eig.d_plus),
-                    "d_minus": list(eig.d_minus),
-                    "d_zero": list(eig.d_zero),
-                }
+                structure_section["h_eigen"] = _json(h_eigenstructure(h))
             except ContactError:
                 structure_section["h_eigen"] = None
 
@@ -140,6 +92,8 @@ def build_report(entry: CatalogEntry) -> dict:
                               if m.dim == 3 else None),
     }
 
+    verdicts = _json(classification)
+    del verdicts["diagnostics"]  # already in the top-level list
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "name": entry.id,
@@ -156,8 +110,8 @@ def build_report(entry: CatalogEntry) -> dict:
                 {"i": i, "j": j, "k": k,
                  "components": _vf(curv.riemann(i, j, k))}
                 for i, j in pairs for k in range(1, m.dim + 1)],
-            "ricci": _matrix(curv.ricci),
-            "ricci_operator": [_vf(q) for q in curv.ricci_operator],
+            "ricci": _json(curv.ricci),
+            "ricci_operator": _json(curv.ricci_operator),
             "scalar": str(curv.scalar),
             "nabla_riemann": [
                 {"w": w, "i": i, "j": j, "k": k,
@@ -165,7 +119,7 @@ def build_report(entry: CatalogEntry) -> dict:
                 for w in range(1, m.dim + 1)
                 for i, j in pairs for k in range(1, m.dim + 1)],
         },
-        "classification": _classification_dict(classification),
+        "classification": verdicts,
         "diagnostics": diagnostics,
         "self_check": self_check,
     }
@@ -335,7 +289,6 @@ def render_text(report: dict, color: bool = False) -> str:
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
-    "ReportError",
     "build_report",
     "failed_self_checks",
     "render_json",

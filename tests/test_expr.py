@@ -82,6 +82,17 @@ def test_parse_errors_carry_positions():
         assert info.value.position == pos
 
 
+def test_deep_nesting_is_a_parse_error_not_a_recursion_error():
+    t = make_table()
+    assert parse("-" * 1000 + "x", t) == parse("x", t)
+    assert parse("-" * 999 + "x", t) == parse("-x", t)
+    assert parse("(" * 100 + "x" + ")" * 100, t) == parse("x", t)
+    with pytest.raises(ExprParseError) as info:
+        parse("(" * 200 + "x" + ")" * 200, t)
+    assert "parentheses nested deeper than 100" in str(info.value)
+    assert info.value.position == 100
+
+
 def test_eval_bindings_and_poles():
     t = make_table()
     e = parse("(x+1)/(y-2)", t)

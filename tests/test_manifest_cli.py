@@ -264,8 +264,10 @@ def test_cli_sweep_lambda_zero_is_skipped(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("hostile, message", [
-    ("pole", "denominator of 2/(mu-1) identically zero"),
-    ("singular-metric", "metric is singular"),
+    ("pole", "lambda=1, mu=1: substituting mu makes the denominator of "
+             "2/(mu-1) identically zero"),
+    ("singular-metric", "lambda=1, mu=1: metric: determinant is "
+                        "identically zero"),
     ("no-structure", "sweep needs a manifest with a contact structure"),
 ], ids=["pole", "singular-metric", "no-structure"])
 def test_cli_sweep_hostile_manifest_is_an_input_error(hostile, message,
@@ -283,6 +285,49 @@ def test_cli_sweep_hostile_manifest_is_an_input_error(hostile, message,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message in err
+    assert "Traceback" not in err
+
+
+def _abstract_3d(**fields):
+    doc = {"schema_version": 1, "name": "m", "dimension": 3,
+           "mode": "abstract",
+           "symbols": [{"name": "x", "kind": "coordinate"}],
+           "brackets": [{"i": 1, "j": 2, "components": ["0", "0", "2"]}],
+           "phi": [["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]],
+           "xi": ["1", "0", "0"]}
+    doc.update(fields)
+    return doc
+
+
+def _chart_3d(frame):
+    return {"schema_version": 1, "name": "m", "dimension": 3,
+            "mode": "chart",
+            "symbols": [{"name": n, "kind": "coordinate"}
+                        for n in ("x", "y", "z")],
+            "frame": frame}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_abstract_3d(metric=[["1", "0", "0"], ["0", "0", "0"], ["0", "0", "1"]]),
+     "error: metric: determinant is identically zero"),
+    (_chart_3d([["1", "x", "0"], ["1", "x", "0"], ["0", "0", "1"]]),
+     "error: chart frame matrix: determinant is identically zero"),
+    (_abstract_3d(phi=[["0", "0", "0"], ["0", "0", "-1"], ["0", "x", "0"]]),
+     "error: phi[2][1]: must be parameter-only in abstract mode, found "
+     "coordinate 'x' in x"),
+    (_abstract_3d(xi=["x", "0", "0"]),
+     "error: xi[0]: must be parameter-only in abstract mode, found "
+     "coordinate 'x' in x"),
+    (_abstract_3d(xi=["(" * 200 + "1" + ")" * 200, "0", "0"]),
+     "error: xi[0]: parentheses nested deeper than 100 at"),
+], ids=["singular-metric", "singular-chart", "coordinate-phi", "coordinate-xi", "deep-parens"])
+def test_cli_report_hostile_manifest_is_an_input_error(doc, message,
+                                                       tmp_path, capsys):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message)
     assert "Traceback" not in err
 
 
