@@ -132,17 +132,14 @@ def _nullity_sides(curv: CurvatureTables, structure: ContactStructure,
 def is_sasakian(curv: CurvatureTables, structure: ContactStructure) -> SasakianVerdict:
     """Check R(e_i, e_j)xi = eta(e_j)e_i - eta(e_i)e_j for all i, j.
 
-    The scan runs the xi-like slot j in the outer loop so the witness on
-    a nullity-shaped failure names the R(e_i, e_j)xi display directly.
+    Both sides are antisymmetric in (i, j), so one lexicographic scan over
+    i < j decides it.  The first failing pair is the witness (j, i), xi-like
+    slot first: the pair a scan over both orders, j outer, meets first.
     """
-    m = curv.manifold
-    for j in range(1, m.dim + 1):
-        for i in range(1, m.dim + 1):
-            if i == j:
-                continue
-            lhs, rhs = _nullity_sides(curv, structure, i, j)
-            if not (lhs - rhs).is_zero():
-                return SasakianVerdict(False, (i, j))
+    for i, j in combinations(range(1, curv.manifold.dim + 1), 2):
+        lhs, rhs = _nullity_sides(curv, structure, i, j)
+        if not (lhs - rhs).is_zero():
+            return SasakianVerdict(False, (j, i))
     return SasakianVerdict(True)
 
 

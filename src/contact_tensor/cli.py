@@ -15,7 +15,6 @@ controlled by CONTACT_TENSOR_COLOR=0|1 (default off).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -92,7 +91,7 @@ def _emit_report(entry: CatalogEntry, args, out) -> int:
               file=sys.stderr)
         return EXIT_INTERNAL
     if args.strict:
-        problems = [d for d in report["diagnostics"]]
+        problems = report["diagnostics"]
         invalid_contact = report["classification"]["contact_valid"] is False
         if problems or invalid_contact:
             for p in problems:
@@ -165,7 +164,7 @@ def _sweep_row(entry: CatalogEntry, lam: Fraction, mu: Fraction) -> dict:
         raise SelfCheckError(", ".join(failed_checks))
     c = report["classification"]
     rec = c["phi_recurrent"]
-    row["kappa"] = c["kappa_mu"]["kappa"]
+    row["kappa"] = c["kappa_mu"] and c["kappa_mu"]["kappa"]
     row["flat"] = c["flat"]
     row["locally_symmetric"] = c["locally_symmetric"]["ok"]
     row["phi_symmetric"] = c["phi_symmetric"]["ok"]
@@ -198,16 +197,14 @@ def _cmd_sweep(args) -> int:
                "rows": rows}
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     else:
-        out = io.StringIO()
-        out.write(",".join(_SWEEP_COLUMNS) + "\n")
+        sys.stdout.write(",".join(_SWEEP_COLUMNS) + "\n")
         for row in rows:
             cells = []
             for key in _SWEEP_COLUMNS:
                 val = row[key]
                 cells.append("" if val is None else str(val).lower()
                              if isinstance(val, bool) else str(val))
-            out.write(",".join(cells) + "\n")
-        sys.stdout.write(out.getvalue())
+            sys.stdout.write(",".join(cells) + "\n")
     return EXIT_OK
 
 

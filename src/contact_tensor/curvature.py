@@ -17,6 +17,7 @@ staying inside exact rational arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .expr import Expr
 from .frame import FrameManifold, VectorField
@@ -87,21 +88,24 @@ class StructureDerivatives:
 class CurvatureTables:
     """Riemann, Ricci and scalar curvature plus lazily memoized nabla R.
 
-    All eager tables are computed at construction and never mutated.  The
-    nabla R cache only grows and each entry is a pure function of the index,
-    so concurrent readers at worst duplicate a computation.
+    R(e_i, e_j)e_k and (nabla_w R)(e_i, e_j)e_k are computed for i < j
+    only; i > j negates the i < j entry and i = j is the zero field.  The
+    eager tables are never mutated.  The nabla R cache only grows and each
+    entry is a pure function of the index, so concurrent readers at worst
+    duplicate a computation.
     """
 
     def __init__(self, manifold: FrameManifold, connection: ConnectionTable):
         self.manifold = manifold
         self.connection = connection
         dim = manifold.dim
-        self._riemann = tuple(
-            tuple(
-                tuple(self._riemann_basis(i, j, k)
-                      for k in range(1, dim + 1))
-                for j in range(1, dim + 1))
-            for i in range(1, dim + 1))
+        self._zero = VectorField.zero(dim)
+        self._riemann: dict[tuple[int, int, int], VectorField] = {}
+        for i, j in combinations(range(1, dim + 1), 2):
+            for k in range(1, dim + 1):
+                r = self._riemann_basis(i, j, k)
+                self._riemann[i, j, k] = r
+                self._riemann[j, i, k] = -r
         self.ricci = tuple(
             tuple(self._ricci_entry(j, k) for k in range(1, dim + 1))
             for j in range(1, dim + 1))
@@ -111,8 +115,6 @@ class CurvatureTables:
 
     def _riemann_basis(self, i: int, j: int, k: int) -> VectorField:
         m, conn = self.manifold, self.connection
-        if i == j:
-            return VectorField.zero(m.dim)
         ei, ek = m.basis(i), m.basis(k)
         first = conn.covariant_derivative(ei, conn.nabla_basis(j, k))
         second = conn.covariant_derivative(m.basis(j), conn.nabla_basis(i, k))
@@ -121,39 +123,38 @@ class CurvatureTables:
 
     def riemann(self, i: int, j: int, k: int) -> VectorField:
         """R(e_i, e_j) e_k as a frame vector field."""
-        return self._riemann[i - 1][j - 1][k - 1]
+        return self._zero if i == j else self._riemann[i, j, k]
 
     def riemann_apply(self, x: VectorField, y: VectorField,
                       z: VectorField) -> VectorField:
         """Tensor contraction R(X, Y)Z, function-linear in all slots."""
         m = self.manifold
         out = VectorField.zero(m.dim)
-        for i in range(m.dim):
-            xi = x.components[i]
+        for i in range(1, m.dim + 1):
+            xi = x.components[i - 1]
             if xi.is_zero():
                 continue
-            for j in range(m.dim):
-                yj = y.components[j]
+            for j in range(1, m.dim + 1):
+                yj = y.components[j - 1]
                 if yj.is_zero() or i == j:
                     continue
-                for k in range(m.dim):
-                    zk = z.components[k]
+                for k in range(1, m.dim + 1):
+                    zk = z.components[k - 1]
                     if zk.is_zero():
                         continue
-                    out = out + self._riemann[i][j][k].scale(xi * yj * zk)
+                    out = out + self._riemann[i, j, k].scale(xi * yj * zk)
         return out
 
     def _ricci_entry(self, j: int, k: int) -> Expr:
         # trace over the first slot: sum_l component l of R(e_l, e_j) e_k
         total = Expr.zero()
         for l in range(1, self.manifold.dim + 1):
-            total = total + self._riemann[l - 1][j - 1][k - 1].components[l - 1]
+            if l != j:
+                total = total + self._riemann[l, j, k].components[l - 1]
         return total
 
     def is_flat(self) -> bool:
-        dim = self.manifold.dim
-        return all(self._riemann[i][j][k].is_zero()
-                   for i in range(dim) for j in range(dim) for k in range(dim))
+        return all(r.is_zero() for r in self._riemann.values())
 
     def nabla_r(self, w: int, i: int, j: int, k: int) -> VectorField:
         """(nabla_{e_w} R)(e_i, e_j) e_k, lazily computed and memoized:
@@ -161,14 +162,18 @@ class CurvatureTables:
         nabla_w (R(e_i,e_j)e_k) - R(nabla_w e_i, e_j)e_k
         - R(e_i, nabla_w e_j)e_k - R(e_i,e_j)(nabla_w e_k).
         """
+        if i >= j:
+            return self._zero if i == j else -self._nabla_r_pair(w, j, i, k)
+        return self._nabla_r_pair(w, i, j, k)
+
+    def _nabla_r_pair(self, w: int, i: int, j: int, k: int) -> VectorField:
         key = (w, i, j, k)
         cached = self._nabla_r_cache.get(key)
         if cached is not None:
             return cached
         m, conn = self.manifold, self.connection
-        ew = m.basis(w)
         ei, ej, ek = m.basis(i), m.basis(j), m.basis(k)
-        out = conn.covariant_derivative(ew, self.riemann(i, j, k))
+        out = conn.covariant_derivative(m.basis(w), self._riemann[i, j, k])
         out = out - self.riemann_apply(conn.nabla_basis(w, i), ej, ek)
         out = out - self.riemann_apply(ei, conn.nabla_basis(w, j), ek)
         out = out - self.riemann_apply(ei, ej, conn.nabla_basis(w, k))

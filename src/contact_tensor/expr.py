@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 
 KIND_COORDINATE = "coordinate"
@@ -268,13 +269,8 @@ class Poly:
 
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
         # graded lex, descending; deterministic render order
-        terms = list(self.terms.items())
-        for i in range(1, len(terms)):
-            j = i
-            while j > 0 and _mono_cmp(terms[j - 1][0], terms[j][0]) < 0:
-                terms[j - 1], terms[j] = terms[j], terms[j - 1]
-                j -= 1
-        return terms
+        return [(m, self.terms[m]) for m in
+                sorted(self.terms, key=cmp_to_key(_mono_cmp), reverse=True)]
 
     def __repr__(self) -> str:
         return f"Poly({_poly_str(self)})"
@@ -678,8 +674,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-# deeper parentheses raise ExprParseError instead of exhausting the stack
+# deeper parentheses raise ExprParseError instead of exhausting the stack,
+# larger exponents instead of multiplying for as many steps
 _MAX_NESTING = 100
+_MAX_EXPONENT = 100
 
 
 class _Parser:
@@ -760,6 +758,9 @@ class _Parser:
                 raise ExprParseError("expected an integer exponent", pos)
             self.take()
             k = sign * int(text)
+            if abs(k) > _MAX_EXPONENT:
+                raise ExprParseError("exponent larger than "
+                                     f"{_MAX_EXPONENT}", pos)
             if k < 0 and e.is_zero():
                 raise ExprParseError("negative power of zero", pos)
             e = e ** k

@@ -93,6 +93,15 @@ def test_numeric_family_witnesses():
     assert rep.locally_phi_recurrent.obstruction == "only A=0"
 
 
+def test_sasakian_witness_past_the_first_pair():
+    # at lambda = mu the pair (1, 2) meets the Sasakian equation, so the
+    # witness is the next failing pair, its xi-like slot first
+    ent, curv, _ = classified("kmu", {"lambda": 2, "mu": 2})
+    verdict = is_sasakian(curv, ent.structure)
+    assert verdict.ok is False
+    assert verdict.witness == (3, 1)
+
+
 def test_flat_member_of_the_family():
     ent, curv, rep = classified("kmu", {"lambda": 1, "mu": 0})
     assert rep.flat is True

@@ -74,6 +74,8 @@ def test_parse_errors_carry_positions():
         ("1/(x-x)", "division by zero", 1),
         ("1/0", "division by zero", 1),
         ("x^y", "expected an integer exponent", 2),
+        ("x^101", "exponent larger than 100", 2),
+        ("x^-101", "exponent larger than 100", 3),
     ]
     for text, fragment, pos in cases:
         with pytest.raises(ExprParseError) as info:

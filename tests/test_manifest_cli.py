@@ -288,6 +288,20 @@ def test_cli_sweep_hostile_manifest_is_an_input_error(hostile, message,
     assert "Traceback" not in err
 
 
+def test_cli_sweep_without_nullity_solution_leaves_kappa_empty(tmp_path,
+                                                              capsys):
+    # a phi that breaks the contact metric axioms skips the nullity solver
+    doc = export_entry(build("kmu"))
+    doc["phi"] = [["0", "0", "0"], ["1", "1", "0"], ["1", "0", "0"]]
+    path = tmp_path / "broken-phi.json"
+    path.write_text(manifest_to_json(doc))
+    assert cli.main(["sweep", str(path), "--lambda", "1", "--mu", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip().split("\n")[1].split(",")[:4] \
+        == ["1", "0", "false", ""]
+    assert "Traceback" not in captured.err
+
+
 def _abstract_3d(**fields):
     doc = {"schema_version": 1, "name": "m", "dimension": 3,
            "mode": "abstract",
@@ -320,7 +334,12 @@ def _chart_3d(frame):
      "coordinate 'x' in x"),
     (_abstract_3d(xi=["(" * 200 + "1" + ")" * 200, "0", "0"]),
      "error: xi[0]: parentheses nested deeper than 100 at"),
-], ids=["singular-metric", "singular-chart", "coordinate-phi", "coordinate-xi", "deep-parens"])
+    (_abstract_3d(brackets=[{"i": 1, "j": 2,
+                             "components": ["0", "0", "x^101"]}]),
+     "error: brackets[0].components[2]: exponent larger than 100 at "
+     "position 2"),
+], ids=["singular-metric", "singular-chart", "coordinate-phi", "coordinate-xi",
+        "deep-parens", "huge-exponent"])
 def test_cli_report_hostile_manifest_is_an_input_error(doc, message,
                                                        tmp_path, capsys):
     path = tmp_path / "hostile.json"
