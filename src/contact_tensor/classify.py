@@ -101,7 +101,7 @@ class ClassificationReport:
 
 def _basis_index(m, v: VectorField) -> int | None:
     for idx in range(1, m.dim + 1):
-        if (v - VectorField.basis(m.dim, idx)).is_zero():
+        if v == VectorField.basis(m.dim, idx):
             return idx
     return None
 
@@ -226,10 +226,8 @@ def solve_kappa_mu(curv: CurvatureTables, structure: ContactStructure,
             lhs, a_vec = _nullity_sides(curv, structure, i, j)
             b_vec = (h.apply(m.basis(i)).scale(eta[j - 1])
                      - h.apply(m.basis(j)).scale(eta[i - 1]))
-            for l, (a, b, c) in enumerate(zip(a_vec.components,
-                                              b_vec.components,
-                                              lhs.components), 1):
-                if not solver.feed(a, b, c, (i, j, l)):
+            for l in range(1, m.dim + 1):
+                if not solver.feed(a_vec[l], b_vec[l], lhs[l], (i, j, l)):
                     return KappaMuVerdict(
                         status="inconsistent",
                         witness=(i, j, xi_idx) if xi_idx else (i, j),
@@ -275,8 +273,8 @@ def constant_curvature(curv: CurvatureTables) -> Expr | None:
                 shape = (m.basis(i).scale(m.metric_entry(j, k))
                          - m.basis(j).scale(m.metric_entry(i, k)))
                 actual = curv.riemann(i, j, k)
-                for l in range(m.dim):
-                    s, a = shape.components[l], actual.components[l]
+                for l in range(1, m.dim + 1):
+                    s, a = shape[l], actual[l]
                     if s.is_zero():
                         if not a.is_zero():
                             return None
@@ -299,9 +297,8 @@ def _first_nonzero(curv: CurvatureTables, idxs, transform) -> SymmetryVerdict:
     for w in idxs:
         for i, j, k in slots:
             val = transform(curv.nabla_r(w, i, j, k))
-            for l, c in enumerate(val.components, 1):
-                if not c.is_zero():
-                    return SymmetryVerdict(False, (w, i, j, k, l))
+            if not val.is_zero():
+                return SymmetryVerdict(False, (w, i, j, k, min(val.terms)))
     return SymmetryVerdict(True)
 
 
@@ -335,8 +332,8 @@ def solve_phi_recurrence(curv: CurvatureTables, structure: ContactStructure,
         for i, j, k in slots:
             lhs_vec = _phi_square(structure, curv.nabla_r(w, i, j, k))
             rhs_vec = curv.riemann(i, j, k)
-            for l, (lhs, rhs) in enumerate(
-                    zip(lhs_vec.components, rhs_vec.components), 1):
+            for l in range(1, curv.manifold.dim + 1):
+                lhs, rhs = lhs_vec[l], rhs_vec[l]
                 if rhs.is_zero():
                     holds = lhs.is_zero()
                 elif a_w is None:

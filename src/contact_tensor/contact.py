@@ -46,7 +46,7 @@ class HOperator:
     rows: tuple[VectorField, ...]
 
     def apply(self, x: VectorField) -> VectorField:
-        return VectorField.combination(x.components, self.rows)
+        return VectorField.combination(x, self.rows)
 
     def is_zero(self) -> bool:
         return all(row.is_zero() for row in self.rows)
@@ -66,33 +66,33 @@ class ContactStructure:
     """phi, xi and the metric-dual eta over a frame manifold.
 
     phi is supplied as frame images: phi_rows[i] = phi(e_(i+1)).  eta is
-    computed as eta(e_i) = g(e_i, xi), never taken from input.
+    computed as eta(e_i) = g(e_i, xi), never taken from input.  h is
+    computed on first use and cached write-once.
     """
 
     def __init__(self, manifold: FrameManifold, phi_rows, xi: VectorField):
         dim = manifold.dim
         rows = tuple(phi_rows)
-        if len(rows) != dim or any(len(r.components) != dim for r in rows):
+        if len(rows) != dim or any(r.dim != dim for r in rows):
             raise ContactError(f"phi needs {dim} frame images of length {dim}")
-        if len(xi.components) != dim:
+        if xi.dim != dim:
             raise ContactError(f"xi needs {dim} components")
         self.manifold = manifold
         self.phi_rows = rows
         self.xi = xi
         self.eta = OneForm(tuple(
             manifold.g(manifold.basis(i), xi) for i in range(1, dim + 1)))
+        self._h = None
 
     def apply_phi(self, x: VectorField) -> VectorField:
-        return VectorField.combination(x.components, self.phi_rows)
+        return VectorField.combination(x, self.phi_rows)
 
     def substitute_parameters(self, bindings: dict) -> "ContactStructure":
         """Same structure over the parameter-substituted manifold."""
         sub = _make_substituter(self.manifold.symbols, bindings)
         manifold = self.manifold.substitute_parameters(bindings)
-        rows = tuple(VectorField(tuple(sub(c) for c in r.components))
-                     for r in self.phi_rows)
-        xi = VectorField(tuple(sub(c) for c in self.xi.components))
-        return ContactStructure(manifold, rows, xi)
+        rows = tuple(r.map(sub) for r in self.phi_rows)
+        return ContactStructure(manifold, rows, self.xi.map(sub))
 
     # -- axioms -------------------------------------------------------------
 
@@ -165,8 +165,11 @@ class ContactStructure:
 
         The defining invariants h(xi) = 0, h phi = -phi h, tr h = 0 and
         self-adjointness are verified; a failure means the input structure
-        is not a contact metric structure and raises ContactError.
+        is not a contact metric structure and raises ContactError on every
+        call.  A verified h is cached.
         """
+        if self._h is not None:
+            return self._h
         m = self.manifold
         dim = m.dim
         rows = []
@@ -186,7 +189,7 @@ class ContactStructure:
                 problems.append(f"(h phi + phi h)(e{i}) != 0")
         tr = Expr.zero()
         for i in range(dim):
-            tr = tr + rows[i].components[i]
+            tr = tr + rows[i][i + 1]
         if not tr.is_zero():
             problems.append(f"tr h = {tr} != 0")
         for i in range(1, dim + 1):
@@ -197,6 +200,7 @@ class ContactStructure:
         if problems:
             raise ContactError("h operator invariants fail, the structure "
                                "is not contact metric: " + "; ".join(problems))
+        self._h = h
         return h
 
 
@@ -210,13 +214,12 @@ def h_eigenstructure(h: HOperator) -> HEigenstructure:
     a symbolic lambda is preferred over -lambda.
     """
     dim = len(h.rows)
-    for i in range(dim):
-        for j in range(dim):
-            if i != j and not h.rows[i].components[j].is_zero():
-                raise ContactError(
-                    "h is not diagonal in this frame; re-express the frame "
-                    "in an h-eigenbasis before asking for the eigenstructure")
-    diag = [h.rows[i].components[i] for i in range(dim)]
+    for i, row in enumerate(h.rows, 1):
+        if any(j != i for j in row.terms):
+            raise ContactError(
+                "h is not diagonal in this frame; re-express the frame "
+                "in an h-eigenbasis before asking for the eigenstructure")
+    diag = [row[i] for i, row in enumerate(h.rows, 1)]
     values = [d for d in diag if not d.is_zero()]
     if not values:
         return HEigenstructure(Expr.zero(), (), (),

@@ -35,23 +35,17 @@ class ConnectionTable:
 
     def gamma(self, i: int, j: int, k: int) -> Expr:
         """Component Gamma^k_ij of nabla_{e_i} e_j along e_k."""
-        return self._rows[i - 1][j - 1].components[k - 1]
+        return self._rows[i - 1][j - 1][k]
 
     def covariant_derivative(self, x: VectorField, y: VectorField) -> VectorField:
         """nabla_x y, including the derivative terms on y's components."""
         m = self.manifold
         out = VectorField.zero(m.dim)
-        for i in range(1, m.dim + 1):
-            xi = x.components[i - 1]
-            if xi.is_zero():
-                continue
-            deriv = VectorField(tuple(
-                m.directional_derivative(i, c) for c in y.components))
-            out = out + deriv.scale(xi)
-            for j in range(1, m.dim + 1):
-                yj = y.components[j - 1]
-                if not yj.is_zero():
-                    out = out + self._rows[i - 1][j - 1].scale(xi * yj)
+        for i, xi in x.items():
+            out = out + m.derivative(i, y).scale(xi)
+            row = self._rows[i - 1]
+            for j, yj in y.items():
+                out = out + row[j - 1].scale(xi * yj)
         return out
 
 
@@ -128,20 +122,12 @@ class CurvatureTables:
     def riemann_apply(self, x: VectorField, y: VectorField,
                       z: VectorField) -> VectorField:
         """Tensor contraction R(X, Y)Z, function-linear in all slots."""
-        m = self.manifold
-        out = VectorField.zero(m.dim)
-        for i in range(1, m.dim + 1):
-            xi = x.components[i - 1]
-            if xi.is_zero():
-                continue
-            for j in range(1, m.dim + 1):
-                yj = y.components[j - 1]
-                if yj.is_zero() or i == j:
+        out = VectorField.zero(self.manifold.dim)
+        for i, xi in x.items():
+            for j, yj in y.items():
+                if i == j:
                     continue
-                for k in range(1, m.dim + 1):
-                    zk = z.components[k - 1]
-                    if zk.is_zero():
-                        continue
+                for k, zk in z.items():
                     out = out + self._riemann[i, j, k].scale(xi * yj * zk)
         return out
 
@@ -150,7 +136,7 @@ class CurvatureTables:
         total = Expr.zero()
         for l in range(1, self.manifold.dim + 1):
             if l != j:
-                total = total + self._riemann[l, j, k].components[l - 1]
+                total = total + self._riemann[l, j, k][l]
         return total
 
     def is_flat(self) -> bool:
@@ -186,8 +172,7 @@ def ricci_operator_of(manifold: FrameManifold,
     """Rows Q e_i of the Ricci operator, g(Q X, Y) = S(X, Y), and the
     scalar curvature r = tr Q, from a Ricci matrix S."""
     q_rows = tuple(manifold.raise_index(row) for row in ricci)
-    scalar = sum((q.components[i] for i, q in enumerate(q_rows)),
-                 Expr.zero())
+    scalar = sum((q[i] for i, q in enumerate(q_rows, 1)), Expr.zero())
     return q_rows, scalar
 
 
@@ -260,10 +245,9 @@ def riemann_symmetry_residuals(curv: CurvatureTables) -> list:
     m = curv.manifold
     dim = m.dim
     out = []
-
-    def lowered(i, j, k, l):
-        return m.g(curv.riemann(i, j, k), m.basis(l))
-
+    idx = range(1, dim + 1)
+    lowered = {(i, j, k, l): m.g(curv.riemann(i, j, k), m.basis(l))
+               for i in idx for j in idx for k in idx for l in idx}
     for i in range(1, dim + 1):
         for j in range(1, dim + 1):
             for k in range(1, dim + 1):
@@ -274,10 +258,10 @@ def riemann_symmetry_residuals(curv: CurvatureTables) -> list:
         for j in range(1, dim + 1):
             for k in range(1, dim + 1):
                 for l in range(1, dim + 1):
-                    r = lowered(i, j, k, l) + lowered(i, j, l, k)
+                    r = lowered[i, j, k, l] + lowered[i, j, l, k]
                     if not r.is_zero():
                         out.append((("second-pair", i, j, k, l), r))
-                    r = lowered(i, j, k, l) - lowered(k, l, i, j)
+                    r = lowered[i, j, k, l] - lowered[k, l, i, j]
                     if not r.is_zero():
                         out.append((("interchange", i, j, k, l), r))
     return out

@@ -37,54 +37,85 @@ def as_expr(value) -> Expr:
 
 @dataclass(frozen=True)
 class VectorField:
-    """A vector field given by its frame components."""
+    """A vector field given by its nonzero frame components.
 
-    components: tuple[Expr, ...]
+    `terms` maps a 1-based frame index to a nonzero component; an absent
+    index is a zero component, and no operation stores a zero.  `terms`
+    is a dict, so a VectorField cannot be hashed.
+    """
+
+    dim: int
+    terms: dict[int, Expr]
 
     @staticmethod
     def make(components) -> "VectorField":
-        return VectorField(tuple(as_expr(c) for c in components))
+        comps = [as_expr(c) for c in components]
+        return VectorField(len(comps), {k: c for k, c in enumerate(comps, 1)
+                                        if not c.is_zero()})
 
     @staticmethod
     def zero(dim: int) -> "VectorField":
-        return VectorField(tuple(Expr.zero() for _ in range(dim)))
+        return VectorField(dim, {})
 
     @staticmethod
     def basis(dim: int, i: int) -> "VectorField":
         # i is 1-based
-        return VectorField(tuple(Expr.one() if k == i - 1 else Expr.zero()
-                                 for k in range(dim)))
+        return VectorField(dim, {i: Expr.one()})
+
+    @property
+    def components(self) -> tuple[Expr, ...]:
+        """All dim components, zeros included, for rendering."""
+        return tuple(self[k] for k in range(1, self.dim + 1))
+
+    def __getitem__(self, i: int) -> Expr:
+        return self.terms.get(i, Expr.zero())
+
+    def items(self):
+        return self.terms.items()
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
+        return not self.terms
+
+    def map(self, f) -> "VectorField":
+        """f applied to each nonzero component, zero results dropped."""
+        terms = {}
+        for k, c in self.terms.items():
+            v = f(c)
+            if not v.is_zero():
+                terms[k] = v
+        return VectorField(self.dim, terms)
 
     def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(tuple(a + b for a, b in
-                                 zip(self.components, other.components)))
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            total = terms[k] + c if k in terms else c
+            if total.is_zero():
+                del terms[k]
+            else:
+                terms[k] = total
+        return VectorField(self.dim, terms)
 
     def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(tuple(a - b for a, b in
-                                 zip(self.components, other.components)))
+        return self + -other
 
     def __neg__(self) -> "VectorField":
-        return VectorField(tuple(-a for a in self.components))
+        return VectorField(self.dim, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c) -> "VectorField":
         c = as_expr(c)
-        return VectorField(tuple(c * a for a in self.components))
+        if c.is_zero():
+            return VectorField.zero(self.dim)
+        return self.map(lambda a: c * a)
 
     @staticmethod
     def combination(coeffs, vectors) -> "VectorField":
-        """sum_i coeffs[i] * vectors[i], skipping zero coefficients; the
-        zero field of the vectors' dimension when every coefficient is 0."""
-        total = None
-        for c, v in zip(coeffs, vectors):
-            if c.is_zero():
-                continue
-            term = v.scale(c)
-            total = term if total is None else total + term
-        if total is None:
-            return VectorField.zero(len(vectors[0].components))
+        """sum_k c_k * vectors[k-1], with c_k the k-th coefficient (1-based)
+        of coeffs: a sequence of scalars or a VectorField."""
+        pairs = (coeffs.items() if isinstance(coeffs, VectorField)
+                 else enumerate(coeffs, 1))
+        total = VectorField.zero(vectors[0].dim)
+        for k, c in pairs:
+            total = total + vectors[k - 1].scale(c)
         return total
 
 
@@ -100,8 +131,8 @@ class OneForm:
 
     def apply(self, x: VectorField) -> Expr:
         total = Expr.zero()
-        for a, b in zip(self.components, x.components):
-            total = total + a * b
+        for k, c in x.items():
+            total = total + self.components[k - 1] * c
         return total
 
     def is_zero(self) -> bool:
@@ -156,7 +187,7 @@ class FrameManifold:
                 raise FrameError(f"bracket pair ({i}, {j}) must satisfy "
                                  f"1 <= i < j <= {dim}")
             vf = _as_vector(comps, dim)
-            for c in vf.components:
+            for c in vf.terms.values():
                 _require_parameter_only(c, symbols,
                                         f"structure constant of [e{i},e{j}]")
             structure[(i, j)] = vf
@@ -198,17 +229,15 @@ class FrameManifold:
 
     def raise_index(self, lowered) -> VectorField:
         """The vector field w with g(w, e_k) = lowered[k-1] for every k."""
-        rows = [VectorField(row) for row in self.metric_inverse()]
+        rows = [VectorField.make(row) for row in self.metric_inverse()]
         return VectorField.combination(lowered, rows)
 
     def g(self, x: VectorField, y: VectorField) -> Expr:
         total = Expr.zero()
-        for i in range(self.dim):
-            xi = x.components[i]
-            if xi.is_zero():
-                continue
-            for j in range(self.dim):
-                total = total + self.metric[i][j] * xi * y.components[j]
+        for i, xi in x.items():
+            row = self.metric[i - 1]
+            for j, yj in y.items():
+                total = total + row[j - 1] * xi * yj
         return total
 
     # -- differentiation and brackets ---------------------------------------
@@ -225,21 +254,23 @@ class FrameManifold:
                     f"coordinate-dependent scalar {f} cannot be "
                     "differentiated in abstract mode")
             return Expr.zero()
-        row = self.chart_frame[i - 1]
+        coords = self.coordinates()
         total = Expr.zero()
-        for a, coord in enumerate(self.coordinates()):
-            fa = row.components[a]
-            if fa.is_zero():
-                continue
-            total = total + fa * f.diff(coord)
+        for a, fa in self.chart_frame[i - 1].items():
+            total = total + fa * f.diff(coords[a - 1])
         return total
+
+    def derivative(self, i: int, v: VectorField) -> VectorField:
+        """e_i applied to each frame component of v."""
+        return v.map(lambda c: self.directional_derivative(i, c))
 
     def chart_inverse(self):
         """Inverse of the chart coefficient matrix (rows = frame fields)."""
         if self.mode != MODE_CHART:
             raise FrameError("chart_inverse is defined in chart mode only")
         if self._chart_inverse is None:
-            mat = [list(row.components) for row in self.chart_frame]
+            mat = [[row[a] for a in range(1, self.dim + 1)]
+                   for row in self.chart_frame]
             self._chart_inverse = invert(mat, "chart frame matrix")
         return self._chart_inverse
 
@@ -249,20 +280,16 @@ class FrameManifold:
         if self.mode != MODE_CHART:
             raise FrameError("brackets_from_chart requires chart mode")
         if self._chart_brackets is None:
-            inv_rows = [VectorField(tuple(row))
+            inv_rows = [VectorField.make(row)
                         for row in self.chart_inverse()]
+            rows = self.chart_frame
             table: dict[tuple[int, int], VectorField] = {}
             for i in range(1, self.dim + 1):
                 for j in range(i + 1, self.dim + 1):
                     # coordinate components of [e_i, e_j]
-                    v = []
-                    for a in range(self.dim):
-                        fa = self.directional_derivative(
-                            i, self.chart_frame[j - 1].components[a])
-                        fb = self.directional_derivative(
-                            j, self.chart_frame[i - 1].components[a])
-                        v.append(fa - fb)
-                    table[(i, j)] = VectorField.combination(v, inv_rows)
+                    coord = (self.derivative(i, rows[j - 1])
+                             - self.derivative(j, rows[i - 1]))
+                    table[(i, j)] = VectorField.combination(coord, inv_rows)
             self._chart_brackets = table
         return self._chart_brackets
 
@@ -279,29 +306,14 @@ class FrameManifold:
     def bracket(self, x: VectorField, y: VectorField) -> VectorField:
         """Lie bracket of two frame vector fields, with the Leibniz terms
         from non-constant components."""
-        out = [Expr.zero()] * self.dim
-        for k in range(self.dim):
-            acc = Expr.zero()
-            for i in range(1, self.dim + 1):
-                xi = x.components[i - 1]
-                if not xi.is_zero():
-                    acc = acc + xi * self.directional_derivative(
-                        i, y.components[k])
-                yi = y.components[i - 1]
-                if not yi.is_zero():
-                    acc = acc - yi * self.directional_derivative(
-                        i, x.components[k])
-            out[k] = acc
-        total = VectorField(tuple(out))
-        for i in range(1, self.dim + 1):
-            xi = x.components[i - 1]
-            if xi.is_zero():
-                continue
-            for j in range(1, self.dim + 1):
-                yj = y.components[j - 1]
-                if yj.is_zero() or i == j:
-                    continue
-                total = total + self.bracket_basis(i, j).scale(xi * yj)
+        total = VectorField.zero(self.dim)
+        for i, xi in x.items():
+            total = total + self.derivative(i, y).scale(xi)
+            for j, yj in y.items():
+                if i != j:
+                    total = total + self.bracket_basis(i, j).scale(xi * yj)
+        for j, yj in y.items():
+            total = total - self.derivative(j, x).scale(yj)
         return total
 
     def check_jacobi(self) -> JacobiReport:
@@ -338,21 +350,19 @@ class FrameManifold:
         sub = _make_substituter(self.symbols, bindings)
         metric = tuple(tuple(sub(e) for e in row) for row in self.metric)
         if self.mode == MODE_ABSTRACT:
-            structure = {pair: VectorField(tuple(sub(c) for c in vf.components))
+            structure = {pair: vf.map(sub)
                          for pair, vf in self._structure.items()}
             return FrameManifold(self.mode, self.dim, self.symbols, metric,
                                  structure, None)
-        frame = tuple(VectorField(tuple(sub(c) for c in row.components))
-                      for row in self.chart_frame)
+        frame = tuple(row.map(sub) for row in self.chart_frame)
         return FrameManifold(self.mode, self.dim, self.symbols, metric,
                              None, frame)
 
 
 def _as_vector(components, dim: int) -> VectorField:
     vf = VectorField.make(components)
-    if len(vf.components) != dim:
-        raise FrameError(f"expected {dim} components, got "
-                         f"{len(vf.components)}")
+    if vf.dim != dim:
+        raise FrameError(f"expected {dim} components, got {vf.dim}")
     return vf
 
 

@@ -235,11 +235,11 @@ def ingest_manifest(doc: dict) -> IngestResult:
                                   parameter_only)
                       for k, c in enumerate(xi_raw)]
             if all(p is not None for p in parsed):
-                xi = VectorField(tuple(parsed))
+                xi = VectorField.make(parsed)
         if manifold is not None and phi_rows is not None and xi is not None:
             structure = ContactStructure(
                 manifold,
-                tuple(VectorField(tuple(r)) for r in phi_rows), xi)
+                tuple(VectorField.make(r) for r in phi_rows), xi)
 
     if errors:
         raise ManifestError(errors)
@@ -254,10 +254,14 @@ def load_manifest(path: str) -> IngestResult:
             doc = json.load(fh)
     except OSError as exc:
         raise ManifestError([f"{path}: {exc}"]) from None
+    except UnicodeDecodeError as exc:
+        raise ManifestError([f"{path}: not UTF-8 text: {exc}"]) from None
     except json.JSONDecodeError as exc:
         raise ManifestError(
             [f"{path}: invalid JSON at line {exc.lineno}, "
              f"column {exc.colno}: {exc.msg}"]) from None
+    except RecursionError:
+        raise ManifestError([f"{path}: JSON nested too deeply"]) from None
     return ingest_manifest(doc)
 
 

@@ -100,6 +100,14 @@ def test_h_invariant_violations_are_reported():
     msg = str(info.value)
     assert "h operator invariants fail" in msg
     assert "h is not self-adjoint at (e1,e2)" in msg
+    # a failed h is not cached: every call raises again
+    with pytest.raises(ContactError, match="h operator invariants fail"):
+        broken.compute_h()
+
+
+def test_h_is_computed_once_per_structure():
+    st = build("kmu").structure
+    assert st.compute_h() is st.compute_h()
 
 
 def test_h_eigenstructure_cases():

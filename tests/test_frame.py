@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from contact_tensor.catalog import build
+from contact_tensor.curvature import koszul, riemann
 from contact_tensor.expr import (
     Expr,
     KIND_COORDINATE,
@@ -248,3 +250,34 @@ def test_combination_of_zero_coefficients_is_zero_field():
     coeffs = [Expr.zero(), Expr.integer(2)] + [Expr.zero()] * 3
     out = VectorField.combination(coeffs, vectors)
     assert out == VectorField.basis(5, 2).scale(2)
+
+
+def test_vector_field_stores_only_nonzero_components():
+    t = SymbolTable()
+    x = Expr.symbol(t.add("x", KIND_PARAMETER))
+    v = VectorField.make((0, x, 0))
+    assert v == VectorField.basis(3, 2).scale(x)
+    assert v.terms == {2: x}
+    assert (v - v).terms == {}
+    assert v.scale(0).is_zero()
+    assert len(v.components) == v.dim == 3
+    assert v[1].is_zero() and v[2] == x
+    assert v.map(lambda c: c - x).terms == {}
+    # c2 = 1 - lambda - mu/2 vanishes, so [e1, e3] = -c2 e2 stores nothing
+    kmu = build("kmu").substitute({"lambda": 1, "mu": 0})
+    assert kmu.manifold.bracket_basis(1, 3).terms == {}
+
+
+def test_curvature_tables_store_no_zero_component():
+    # H^5: [e2, e3] = [e4, e5] = 2 e1
+    two = (2, 0, 0, 0, 0)
+    h5 = FrameManifold.abstract(5, SymbolTable(), {(2, 3): two, (4, 5): two})
+    for m in (h5, build("kmu").manifold):
+        curv = riemann(m, koszul(m))
+        idx = range(1, m.dim + 1)
+        stored = [curv.riemann(i, j, k) for i in idx for j in idx for k in idx]
+        stored += [curv.nabla_r(w, i, j, k)
+                   for w in idx for i in idx for j in idx for k in idx]
+        assert any(not v.is_zero() for v in stored)
+        for v in stored:
+            assert all(not c.is_zero() for c in v.terms.values())

@@ -142,6 +142,14 @@ def test_load_manifest_errors(tmp_path):
     with pytest.raises(ManifestError) as info:
         load_manifest(str(bad))
     assert "invalid JSON at line 1" in info.value.errors[0]
+    bad.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ManifestError) as info:
+        load_manifest(str(bad))
+    assert info.value.errors[0].startswith(f"{bad}: not UTF-8 text: ")
+    bad.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(ManifestError) as info:
+        load_manifest(str(bad))
+    assert info.value.errors == [f"{bad}: JSON nested too deeply"]
 
 
 def write_manifest(tmp_path, name):
@@ -222,6 +230,15 @@ def test_cli_report_file_errors(tmp_path, capsys):
     bad.write_text("[")
     assert cli.main(["report", str(bad)]) == 1
     assert "invalid JSON" in capsys.readouterr().err
+    bad.write_bytes(b"\xff\xfe{}")
+    assert cli.main(["report", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8 text: ")
+    assert "Traceback" not in err
+    bad.write_text("[" * 100000 + "]" * 100000)
+    assert cli.main(["report", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: JSON nested too deeply\n"
 
 
 def test_cli_sweep_golden_grid(tmp_path, capsys):
