@@ -125,7 +125,7 @@ def _nullity_sides(curv: CurvatureTables, structure: ContactStructure,
     """R(e_i, e_j)xi and eta(e_j)e_i - eta(e_i)e_j."""
     m = curv.manifold
     eta = structure.eta.components
-    return (curv.riemann_apply(m.basis(i), m.basis(j), structure.xi),
+    return (curv.riemann_pair_apply(i, j, structure.xi),
             m.basis(i).scale(eta[j - 1]) - m.basis(j).scale(eta[i - 1]))
 
 

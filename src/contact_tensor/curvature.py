@@ -106,6 +106,7 @@ class CurvatureTables:
         self.ricci_operator, self.scalar = ricci_operator_of(manifold,
                                                              self.ricci)
         self._nabla_r_cache: dict[tuple[int, int, int, int], VectorField] = {}
+        self._pair_apply_cache: dict[tuple, VectorField] = {}
 
     def _riemann_basis(self, i: int, j: int, k: int) -> VectorField:
         m, conn = self.manifold, self.connection
@@ -130,6 +131,15 @@ class CurvatureTables:
                 for k, zk in z.items():
                     out = out + self._riemann[i, j, k].scale(xi * yj * zk)
         return out
+
+    def riemann_pair_apply(self, i: int, j: int, z: VectorField) -> VectorField:
+        """R(e_i, e_j)Z, memoized: the Sasakian and nullity scans share it."""
+        key = (i, j, tuple(z.items()))
+        if key not in self._pair_apply_cache:
+            m = self.manifold
+            self._pair_apply_cache[key] = self.riemann_apply(
+                m.basis(i), m.basis(j), z)
+        return self._pair_apply_cache[key]
 
     def _ricci_entry(self, j: int, k: int) -> Expr:
         # trace over the first slot: sum_l component l of R(e_l, e_j) e_k

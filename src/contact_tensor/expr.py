@@ -206,11 +206,7 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
+            out[m] = out[m] + c if m in out else c
         return Poly(out)
 
     def __neg__(self) -> "Poly":
@@ -224,11 +220,10 @@ class Poly:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = _mono_mul(ma, mb)
-                v = out.get(m, 0) + ca * cb
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
+                v = ca * cb
+                if m in out:
+                    v += out[m]
+                out[m] = v
         return Poly(out)
 
     def __pow__(self, k: int) -> "Poly":
@@ -250,12 +245,8 @@ class Poly:
                 exps.pop(name)
             else:
                 exps[name] = e - 1
-            key = tuple(sorted(exps.items()))
-            v = out.get(key, 0) + c * e
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+            # distinct monomials stay distinct, so no two terms collide
+            out[tuple(sorted(exps.items()))] = c * e
         return Poly(out)
 
     def eval(self, bindings: dict[str, Fraction]) -> Fraction:
@@ -367,6 +358,8 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         r = _prem(pf, pg, name)
         pf = pg
         pg = _content_primitive(r, name)[1] if r else _P_ZERO
+        if pg:      # monic, or the rational coefficients grow exponentially
+            pg = pg.scale(1 / pg.leading()[1])
     return c * _content_primitive(pf, name)[1]
 
 
@@ -439,6 +432,13 @@ class Expr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.num.terms:
+            return self
+        if not self.num.terms:
+            return other
+        if self.den == other.den:
+            return Expr(self.num + other.num, self.den,
+                        _trusted=self.den == _P_ONE)
         return Expr(self.num * other.den + other.num * self.den,
                     self.den * other.den)
 
@@ -463,7 +463,14 @@ class Expr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Expr(self.num * other.num, self.den * other.den)
+        if not self.num.terms or not other.num.terms:
+            return _E_ZERO
+        if self.den == _P_ONE and other.den == _P_ONE:
+            return Expr(self.num * other.num, _P_ONE, _trusted=True)
+        # Henrici: cancelling across canonical operands leaves a coprime product
+        a, d = _cancel(self.num, other.den)
+        c, b = _cancel(other.num, self.den)
+        return Expr(*_monic(a * c, b * d), _trusted=True)
 
     __rmul__ = __mul__
 
@@ -473,7 +480,7 @@ class Expr:
             return NotImplemented
         if other.is_zero():
             raise ExprError("division by an identically zero expression")
-        return Expr(self.num * other.den, self.den * other.num)
+        return self * Expr(*_monic(other.den, other.num), _trusted=True)
 
     def __rtruediv__(self, other) -> "Expr":
         other = _coerce(other)
@@ -486,11 +493,13 @@ class Expr:
             return NotImplemented
         if k == 0:
             return _E_ONE
+        # powers of coprime polynomials stay coprime
         if k < 0:
             if self.is_zero():
                 raise ExprError("negative power of zero")
-            return Expr(self.den ** (-k), self.num ** (-k))
-        return Expr(self.num ** k, self.den ** k)
+            return Expr(*_monic(self.den ** -k, self.num ** -k),
+                        _trusted=True)
+        return Expr(self.num ** k, self.den ** k, _trusted=True)
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -562,16 +571,24 @@ def _canonical(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         raise ExprError("zero denominator")
     if num.is_zero():
         return _P_ZERO, _P_ONE
-    if not den.is_constant():
-        g = poly_gcd(num, den)
-        if not g.is_constant():
-            num = _poly_divexact(num, g)
-            den = _poly_divexact(den, g)
-    lc = den.leading()[1]
-    if lc != 1:
-        inv = 1 / lc
-        num = num.scale(inv)
-        den = den.scale(inv)
+    return _monic(*_cancel(num, den))
+
+
+def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    # num and den with their common factor divided out
+    if num.is_constant() or den.is_constant():
+        return num, den
+    g = poly_gcd(num, den)
+    if g.is_constant():
+        return num, den
+    return _poly_divexact(num, g), _poly_divexact(den, g)
+
+
+def _monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    # num/den scaled so that den has leading coefficient 1
+    inv = 1 / den.leading()[1]
+    if inv != 1:
+        num, den = num.scale(inv), den.scale(inv)
     return num, den
 
 

@@ -246,7 +246,8 @@ def test_mixed_line_solution():
 
 
 class _StubCurvature:
-    """Only the surface solve_kappa_mu touches: manifold, riemann_apply."""
+    """Only the surface solve_kappa_mu touches: manifold,
+    riemann_pair_apply."""
 
     def __init__(self, manifold, table):
         self.manifold = manifold
@@ -276,6 +277,10 @@ class _StubCurvature:
                     term = base.scale(ci * cj * ck)
                     out = out + (-term if flip else term)
         return out
+
+    def riemann_pair_apply(self, i, j, z):
+        m = self.manifold
+        return self.riemann_apply(m.basis(i), m.basis(j), z)
 
 
 def identity_chart():

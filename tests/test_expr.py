@@ -64,6 +64,29 @@ def test_fraction_cancellation_is_automatic():
     assert hash(lhs) == hash(rhs)
 
 
+def test_henrici_arithmetic_paths():
+    t = make_table()
+
+    def p(text):
+        return parse(text, t)
+
+    x_over = p("x/(x+1)")
+    assert p("0") + x_over is x_over and x_over + 0 is x_over
+    assert (p("0") * x_over).is_zero()
+    assert x_over * p("(x+1)/x") == p("1")
+    assert p("1/(x+1)") + x_over == p("1")
+    assert p("2*x/(x^2-1)") + p("2/(x^2-1)") == p("2/(x-1)")
+    prod = p("(2*x+2)/(3*x)") * p("1/(x+1)")
+    assert prod == p("2/3/x") and prod.den == p("x").num
+    assert x_over / p("x^2/(2*x+2)") == p("2/x")
+    inverse = p("1/(2*x+4)") ** -2
+    assert inverse == p("4*x^2+16*x+16")
+    power = p("2*x+4") ** -2
+    assert power == p("1/(4*x^2+16*x+16)")
+    assert power.den == p("x^2+4*x+4").num
+    assert str(p("(x+1)/(2*y)") ** -2) == "4*y^2/(x^2+2*x+1)"
+
+
 def test_parse_errors_carry_positions():
     t = make_table()
     cases = [

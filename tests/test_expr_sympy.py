@@ -1,0 +1,115 @@
+"""Differential test of the rational-function layer against sympy.
+
+Every operation on canonical Exprs must agree with ``sympy.cancel`` and
+return a canonical result: coprime numerator and denominator, denominator
+monic.  sympy and hypothesis are test-only; the package does not need them.
+"""
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from contact_tensor.expr import (KIND_COORDINATE, KIND_PARAMETER, Poly,
+                                 SymbolTable, parse, poly_gcd)
+
+NAMES = ("x", "y", "a")
+SETTINGS = hypothesis.settings(max_examples=40, deadline=None,
+                               derandomize=True, database=None)
+
+# a polynomial is a dict from exponents of (x, y, a) to a nonzero integer
+_EXPONENTS = st.tuples(st.integers(0, 2), st.integers(0, 2),
+                       st.integers(0, 1))
+_COEFFS = st.integers(-3, 3).filter(bool)
+polys = st.dictionaries(_EXPONENTS, _COEFFS, max_size=3)
+nonzero_polys = st.dictionaries(_EXPONENTS, _COEFFS, min_size=1, max_size=3)
+
+
+def table():
+    t = SymbolTable()
+    t.add("x", KIND_COORDINATE)
+    t.add("y", KIND_COORDINATE)
+    t.add("a", KIND_PARAMETER)
+    return t
+
+
+def text(poly: dict) -> str:
+    terms = [f"({c})" + "".join(f"*{n}^{e}" for n, e in zip(NAMES, exps))
+             for exps, c in sorted(poly.items())]
+    return "+".join(terms) or "0"
+
+
+def to_sympy(p: Poly):
+    return sympy.Add(*[
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*[sympy.Symbol(n) ** e for n, e in m])
+        for m, c in p.terms.items()])
+
+
+@st.composite
+def operands(draw):
+    """Two fractions whose denominators are 1, equal, share a factor, or
+    are drawn independently; numerators may be zero."""
+    n1, n2 = text(draw(polys)), text(draw(polys))
+    shape = draw(st.sampled_from(("one", "equal", "shared", "independent")))
+    d1 = "1" if shape == "one" else text(draw(nonzero_polys))
+    if shape in ("one", "equal"):
+        d2 = d1
+    elif shape == "shared":
+        d2 = f"({d1})*({text(draw(nonzero_polys))})"
+    else:
+        d2 = text(draw(nonzero_polys))
+    return f"({n1})/({d1})", f"({n2})/({d2})"
+
+
+def assert_matches(e, expected):
+    """e is canonical and denotes the same rational function as expected."""
+    num, den = to_sympy(e.num), to_sympy(e.den)
+    want_num, want_den = sympy.fraction(sympy.cancel(expected))
+    assert sympy.expand(num * want_den - den * want_num) == 0
+    assert poly_gcd(e.num, e.den).is_constant()
+    assert sympy.gcd(num, den).is_number
+    assert e.den.leading()[1] == 1
+    if e.is_zero():
+        assert e.den == Poly.const(1)
+
+
+def sym(s: str):
+    return sympy.sympify(s.replace("^", "**"))
+
+
+@SETTINGS
+@hypothesis.given(operands())
+def test_arithmetic_matches_sympy_cancel(pair):
+    t = table()
+    lhs, rhs = (parse(s, t) for s in pair)
+    slhs, srhs = (sym(s) for s in pair)
+    assert_matches(lhs + rhs, slhs + srhs)
+    assert_matches(lhs - rhs, slhs - srhs)
+    assert_matches(lhs * rhs, slhs * srhs)
+    if not rhs.is_zero():
+        assert_matches(lhs / rhs, slhs / srhs)
+
+
+@SETTINGS
+@hypothesis.given(operands(), st.integers(-3, 3))
+def test_powers_match_sympy_cancel(pair, k):
+    base = parse(pair[0], table())
+    if k < 0 and base.is_zero():
+        return
+    assert_matches(base ** k, sym(pair[0]) ** k)
+
+
+@SETTINGS
+@hypothesis.given(nonzero_polys, nonzero_polys, nonzero_polys)
+def test_poly_gcd_matches_sympy_gcd(common, p, q):
+    t = table()
+    f = parse(f"({text(common)})*({text(p)})", t).num
+    g = parse(f"({text(common)})*({text(q)})", t).num
+    got = to_sympy(poly_gcd(f, g))
+    sf, sg = to_sympy(f), to_sympy(g)
+    for multiple in (sf, sg):
+        assert sympy.fraction(sympy.cancel(multiple / got))[1].is_number
+    unit = sympy.cancel(got / sympy.gcd(sf, sg))
+    assert unit.is_number and unit != 0

@@ -90,7 +90,7 @@ def test_ingest_dimension_is_fatal():
         ingest_manifest({"schema_version": 1, "name": "m", "dimension": 4,
                          "mode": "abstract"})
     assert info.value.errors == [
-        "dimension: expected an odd integer >= 3, got 4"]
+        "dimension: expected an odd integer from 3 to 15, got 4"]
     with pytest.raises(ManifestError) as info:
         ingest_manifest({"schema_version": 1, "name": "m", "dimension": 3,
                          "mode": "weird"})
@@ -355,8 +355,12 @@ def _chart_3d(frame):
                              "components": ["0", "0", "x^101"]}]),
      "error: brackets[0].components[2]: exponent larger than 100 at "
      "position 2"),
+    (_abstract_3d(dimension=17),
+     "error: dimension: expected an odd integer from 3 to 15, got 17\n"),
+    (_abstract_3d(dimension=101),
+     "error: dimension: expected an odd integer from 3 to 15, got 101\n"),
 ], ids=["singular-metric", "singular-chart", "coordinate-phi", "coordinate-xi",
-        "deep-parens", "huge-exponent"])
+        "deep-parens", "huge-exponent", "dimension-17", "dimension-101"])
 def test_cli_report_hostile_manifest_is_an_input_error(doc, message,
                                                        tmp_path, capsys):
     path = tmp_path / "hostile.json"
