@@ -118,8 +118,11 @@ def _cmd_export(args) -> int:
     entry = build(args.id)
     text = manifest_to_json(export_entry(entry))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"{args.output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
     return EXIT_OK

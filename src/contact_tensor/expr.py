@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 
 KIND_COORDINATE = "coordinate"
@@ -103,10 +102,6 @@ Mono = tuple
 _M_ONE: Mono = ()
 
 
-def _mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
-
-
 def _mono_mul(a: Mono, b: Mono) -> Mono:
     if not a:
         return b
@@ -132,23 +127,19 @@ def _mono_div(a: Mono, b: Mono) -> Mono | None:
     return tuple(sorted(exps.items()))
 
 
-def _mono_cmp(a: Mono, b: Mono) -> int:
-    da, db = _mono_degree(a), _mono_degree(b)
-    if da != db:
-        return 1 if da > db else -1
-    ea, eb = dict(a), dict(b)
-    for name in sorted(set(ea) | set(eb)):
-        xa, xb = ea.get(name, 0), eb.get(name, 0)
-        if xa != xb:
-            return 1 if xa > xb else -1
-    return 0
+def _mono_key(m: Mono) -> tuple:
+    # (-degree, [(name, -e), ...]): ascending order of this key is graded
+    # lex descending; it relies on the names of m being sorted.  A plain
+    # loop, because a key runs even for the many one-term polynomials.
+    degree, exps = 0, []
+    for name, e in m:
+        degree += e
+        exps.append((name, -e))
+    return -degree, exps
 
 
 def _dict_leading(terms: dict[Mono, Fraction]) -> tuple[Mono, Fraction]:
-    best = None
-    for m in terms:
-        if best is None or _mono_cmp(m, best) > 0:
-            best = m
+    best = min(terms, key=_mono_key)
     return best, terms[best]
 
 
@@ -260,8 +251,7 @@ class Poly:
 
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
         # graded lex, descending; deterministic render order
-        return [(m, self.terms[m]) for m in
-                sorted(self.terms, key=cmp_to_key(_mono_cmp), reverse=True)]
+        return [(m, self.terms[m]) for m in sorted(self.terms, key=_mono_key)]
 
     def __repr__(self) -> str:
         return f"Poly({_poly_str(self)})"
@@ -333,14 +323,48 @@ def _content_primitive(f: Poly, name: str) -> tuple[Poly, Poly]:
     content = _P_ZERO
     for c in coeffs:
         content = poly_gcd(content, c)
+    if content.is_constant():
+        return content, f.scale(1 / content.constant_value())
     return content, _poly_divexact(f, content)
+
+
+def _dense(f: Poly, name: str) -> list[Fraction]:
+    # coefficients of f, univariate in `name`, indexed by degree
+    out = [Fraction(0)] * (_deg_in(f, name) + 1)
+    for m, c in f.terms.items():
+        out[m[0][1] if m else 0] = c
+    return out
+
+
+def _dense_gcd(f: Poly, g: Poly, name: str) -> Poly:
+    # Euclid over Q with each remainder made monic; the result is monic
+    a, b = _dense(f, name), _dense(g, name)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        inv = 1 / b[-1]
+        b = [c * inv for c in b]
+        db = len(b) - 1
+        for k in range(len(a) - 1, db - 1, -1):
+            q = a[k]
+            if q:
+                for i in range(db):
+                    a[k - db + i] -= q * b[i]
+        del a[db:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return Poly({((name, e),) if e else _M_ONE: c
+                 for e, c in enumerate(a)})
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """A gcd of f and g, unique up to a rational unit.
 
-    Recursive content-primitive computation with a primitive pseudo-remainder
-    sequence in the alphabetically first variable.
+    In one variable, the Euclidean algorithm on dense coefficient lists with
+    monic remainders.  In several, recursive content-primitive computation
+    with a primitive pseudo-remainder sequence in the alphabetically first
+    variable; the contents recurse down to the univariate case.
     """
     if f.is_zero():
         return g
@@ -348,7 +372,10 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return f
     if f.is_constant() or g.is_constant():
         return _P_ONE
-    name = sorted(f.variables() | g.variables())[0]
+    names = f.variables() | g.variables()
+    if len(names) == 1:
+        return _dense_gcd(f, g, *names)
+    name = min(names)
     cf, pf = _content_primitive(f, name)
     cg, pg = _content_primitive(g, name)
     c = poly_gcd(cf, cg)

@@ -1,7 +1,9 @@
 """Exact rational expression layer: canonical forms, parsing, calculus."""
 
+import itertools
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -12,9 +14,12 @@ from contact_tensor.expr import (
     PoleError,
     KIND_COORDINATE,
     KIND_PARAMETER,
+    Poly,
     Symbol,
     SymbolTable,
+    _mono_key,
     parse,
+    poly_gcd,
 )
 
 
@@ -85,6 +90,55 @@ def test_henrici_arithmetic_paths():
     assert power == p("1/(4*x^2+16*x+16)")
     assert power.den == p("x^2+4*x+4").num
     assert str(p("(x+1)/(2*y)") ** -2) == "4*y^2/(x^2+2*x+1)"
+
+
+def _reference_mono_cmp(a, b):
+    # graded lex: total degree, then the first name (alphabetically) whose
+    # exponents differ decides, the larger exponent winning
+    da, db = sum(e for _, e in a), sum(e for _, e in b)
+    if da != db:
+        return 1 if da > db else -1
+    ea, eb = dict(a), dict(b)
+    for name in sorted(set(ea) | set(eb)):
+        xa, xb = ea.get(name, 0), eb.get(name, 0)
+        if xa != xb:
+            return 1 if xa > xb else -1
+    return 0
+
+
+def test_mono_key_orders_like_the_graded_lex_comparator():
+    # monomials are tuples of (name, exponent) sorted by name
+    monos = [tuple((n, e) for n, e in zip("axyz", exps) if e)
+             for exps in itertools.product(range(4), repeat=4)]
+    assert len(set(monos)) == 256
+    want = sorted(monos, key=cmp_to_key(_reference_mono_cmp), reverse=True)
+    assert sorted(monos, key=_mono_key) == want
+    rng = random.Random(7)
+    shuffled = dict.fromkeys(rng.sample(monos, len(monos)), Fraction(1))
+    assert [m for m, _ in Poly(shuffled).sorted_terms()] == want
+    assert Poly(shuffled).leading()[0] == (("a", 3), ("x", 3), ("y", 3),
+                                           ("z", 3))
+
+
+def monic(p):
+    return p.scale(1 / p.leading()[1])
+
+
+@pytest.mark.parametrize("f, g, want", [
+    ("(x+1)^3*(x+2)", "(x+1)^2*(x+3)", "(x+1)^2"),
+    ("x^2+1", "x^3-x+5", "1"),
+    ("(x-2)*(x^2+x+1)", "x^2+x+1", "x^2+x+1"),
+    ("x^2+x+1", "(x-2)*(x^2+x+1)", "x^2+x+1"),
+    ("(1/2*x+1/3)*(x-1/5)", "(x+2/3)*(3*x+7)", "x+2/3"),
+    ("y^2-1", "y^2-2*y+1", "y-1"),
+    ("y^2-1", "x*y-x", "y-1"),
+    ("a^2-1", "3*a^2+6*a+3", "a+1"),
+], ids=["common-square", "coprime", "divides", "divides-reversed",
+        "rational", "y-only", "y-and-xy", "parameter-only"])
+def test_poly_gcd_cases(f, g, want):
+    t = make_table()
+    got = poly_gcd(parse(f, t).num, parse(g, t).num)
+    assert monic(got) == parse(want, t).num
 
 
 def test_parse_errors_carry_positions():

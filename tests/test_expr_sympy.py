@@ -101,15 +101,43 @@ def test_powers_match_sympy_cancel(pair, k):
     assert_matches(base ** k, sym(pair[0]) ** k)
 
 
-@SETTINGS
-@hypothesis.given(nonzero_polys, nonzero_polys, nonzero_polys)
-def test_poly_gcd_matches_sympy_gcd(common, p, q):
-    t = table()
-    f = parse(f"({text(common)})*({text(p)})", t).num
-    g = parse(f"({text(common)})*({text(q)})", t).num
+@st.composite
+def univariate_gcd_operands(draw):
+    """Polynomials in x only with the common factor (x+c)^k, k in 1..4,
+    times cofactors of degree up to 3: the dense Euclidean base case."""
+    c = draw(st.fractions(-3, 3, max_denominator=3))
+    k = draw(st.integers(1, 4))
+    cofactors = st.lists(st.integers(-3, 3), min_size=1, max_size=4).filter(
+        lambda cs: cs[-1] != 0)
+    p, q = draw(cofactors), draw(cofactors)
+    return tuple(
+        f"(x+({c}))^{k}*(" + "+".join(f"({a})*x^{e}" for e, a in
+                                      enumerate(cs)) + ")"
+        for cs in (p, q))
+
+
+def assert_gcd_matches(f, g):
     got = to_sympy(poly_gcd(f, g))
     sf, sg = to_sympy(f), to_sympy(g)
     for multiple in (sf, sg):
         assert sympy.fraction(sympy.cancel(multiple / got))[1].is_number
     unit = sympy.cancel(got / sympy.gcd(sf, sg))
     assert unit.is_number and unit != 0
+
+
+@SETTINGS
+@hypothesis.given(nonzero_polys, nonzero_polys, nonzero_polys)
+def test_poly_gcd_matches_sympy_gcd(common, p, q):
+    t = table()
+    f = parse(f"({text(common)})*({text(p)})", t).num
+    g = parse(f"({text(common)})*({text(q)})", t).num
+    assert_gcd_matches(f, g)
+
+
+@SETTINGS
+@hypothesis.given(univariate_gcd_operands())
+def test_univariate_poly_gcd_matches_sympy_gcd(pair):
+    t = table()
+    f, g = (parse(s, t).num for s in pair)
+    assert f.variables() == g.variables() == {"x"}
+    assert_gcd_matches(f, g)

@@ -171,6 +171,18 @@ def test_cli_demo_unknown_id(command, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target, reason", [
+    ("missing/k.json", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing-dir", "directory"])
+def test_cli_export_unwritable_output(target, reason, tmp_path, capsys):
+    path = str(tmp_path / target)
+    assert cli.main(["export", "kmu", "-o", path]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {reason}\n"
+    assert "Traceback" not in err
+
+
 def test_cli_demo_json(capsys):
     assert cli.main(["demo", "kmu", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
