@@ -22,6 +22,15 @@ from itertools import combinations
 from .expr import Expr
 from .frame import FrameManifold, VectorField
 
+_ONE = Expr.one()
+
+
+def _times(a: Expr, b: Expr) -> Expr:
+    """a * b, without multiplying through a factor equal to 1."""
+    if a == _ONE:
+        return b
+    return a if b == _ONE else a * b
+
 
 class ConnectionTable:
     """Christoffel data: nabla_{e_i} e_j expanded over the frame."""
@@ -40,13 +49,12 @@ class ConnectionTable:
     def covariant_derivative(self, x: VectorField, y: VectorField) -> VectorField:
         """nabla_x y, including the derivative terms on y's components."""
         m = self.manifold
-        out = VectorField.zero(m.dim)
+        pairs = []
         for i, xi in x.items():
-            out = out + m.derivative(i, y).scale(xi)
+            pairs.append((xi, m.derivative(i, y)))
             row = self._rows[i - 1]
-            for j, yj in y.items():
-                out = out + row[j - 1].scale(xi * yj)
-        return out
+            pairs += [(_times(xi, yj), row[j - 1]) for j, yj in y.items()]
+        return VectorField.accumulate(m.dim, pairs)
 
 
 def koszul(manifold: FrameManifold) -> ConnectionTable:
@@ -109,12 +117,15 @@ class CurvatureTables:
         self._pair_apply_cache: dict[tuple, VectorField] = {}
 
     def _riemann_basis(self, i: int, j: int, k: int) -> VectorField:
+        # nabla_i nabla_j e_k - nabla_j nabla_i e_k - sum_l c^l_ij nabla_l e_k
         m, conn = self.manifold, self.connection
-        ei, ek = m.basis(i), m.basis(k)
-        first = conn.covariant_derivative(ei, conn.nabla_basis(j, k))
-        second = conn.covariant_derivative(m.basis(j), conn.nabla_basis(i, k))
-        third = conn.covariant_derivative(m.bracket_basis(i, j), ek)
-        return first - second - third
+        jk, ik = conn.nabla_basis(j, k), conn.nabla_basis(i, k)
+        pairs = [(_ONE, m.derivative(i, jk)), (_ONE, -m.derivative(j, ik))]
+        pairs += [(c, conn.nabla_basis(i, l)) for l, c in jk.items()]
+        pairs += [(-c, conn.nabla_basis(j, l)) for l, c in ik.items()]
+        pairs += [(-c, conn.nabla_basis(l, k))
+                  for l, c in m.bracket_basis(i, j).items()]
+        return VectorField.accumulate(m.dim, pairs)
 
     def riemann(self, i: int, j: int, k: int) -> VectorField:
         """R(e_i, e_j) e_k as a frame vector field."""
@@ -123,14 +134,10 @@ class CurvatureTables:
     def riemann_apply(self, x: VectorField, y: VectorField,
                       z: VectorField) -> VectorField:
         """Tensor contraction R(X, Y)Z, function-linear in all slots."""
-        out = VectorField.zero(self.manifold.dim)
-        for i, xi in x.items():
-            for j, yj in y.items():
-                if i == j:
-                    continue
-                for k, zk in z.items():
-                    out = out + self._riemann[i, j, k].scale(xi * yj * zk)
-        return out
+        pairs = [(_times(_times(xi, yj), zk), self._riemann[i, j, k])
+                 for i, xi in x.items() for j, yj in y.items() if i != j
+                 for k, zk in z.items()]
+        return VectorField.accumulate(self.manifold.dim, pairs)
 
     def riemann_pair_apply(self, i: int, j: int, z: VectorField) -> VectorField:
         """R(e_i, e_j)Z, memoized: the Sasakian and nullity scans share it."""
@@ -167,12 +174,18 @@ class CurvatureTables:
         cached = self._nabla_r_cache.get(key)
         if cached is not None:
             return cached
-        m, conn = self.manifold, self.connection
-        ei, ej, ek = m.basis(i), m.basis(j), m.basis(k)
-        out = conn.covariant_derivative(m.basis(w), self._riemann[i, j, k])
-        out = out - self.riemann_apply(conn.nabla_basis(w, i), ej, ek)
-        out = out - self.riemann_apply(ei, conn.nabla_basis(w, j), ek)
-        out = out - self.riemann_apply(ei, ej, conn.nabla_basis(w, k))
+        m, conn, r = self.manifold, self.connection, self._riemann
+        # nabla_w (R_ijk): the derivative step, then R_ijk's components
+        # along nabla_w e_l; R(e_i, e_i) = 0 drops l = j and l = i below
+        rijk = r[i, j, k]
+        pairs = [(_ONE, m.derivative(w, rijk))]
+        pairs += [(c, conn.nabla_basis(w, l)) for l, c in rijk.items()]
+        pairs += [(-c, r[l, j, k])
+                  for l, c in conn.nabla_basis(w, i).items() if l != j]
+        pairs += [(-c, r[i, l, k])
+                  for l, c in conn.nabla_basis(w, j).items() if l != i]
+        pairs += [(-c, r[i, j, l]) for l, c in conn.nabla_basis(w, k).items()]
+        out = VectorField.accumulate(m.dim, pairs)
         self._nabla_r_cache[key] = out
         return out
 
@@ -251,57 +264,68 @@ def metric_compat_residuals(conn: ConnectionTable) -> list:
 
 def riemann_symmetry_residuals(curv: CurvatureTables) -> list:
     """Antisymmetry in both index pairs and the pair interchange symmetry
-    of the lowered tensor R(X,Y,Z,W) = g(R(X,Y)Z, W)."""
+    of the lowered tensor R(X,Y,Z,W) = g(R(X,Y)Z, W), once per independent
+    index set: the first pair over i < j, the second pair over i < j and
+    k <= l, the interchange over pairs (i, j) < (k, l) with k < l.
+
+    R is stored antisymmetric in (i, j), so a skipped first-pair or
+    second-pair residual is zero or +- a kept one.  Given that the
+    second-pair check holds, a skipped interchange residual is zero (at
+    i = j, k = l or (i, j) = (k, l)) or +- a kept one: with k > l it is
+    minus the one at (i, j, l, k), and swapping the pairs negates it.  So
+    the list is empty exactly when the check over all dim^4 tuples is.
+    """
     m = curv.manifold
-    dim = m.dim
+    idx = range(1, m.dim + 1)
+    pairs = list(combinations(idx, 2))
     out = []
-    idx = range(1, dim + 1)
     lowered = {(i, j, k, l): m.g(curv.riemann(i, j, k), m.basis(l))
-               for i in idx for j in idx for k in idx for l in idx}
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            for k in range(1, dim + 1):
-                res = curv.riemann(i, j, k) + curv.riemann(j, i, k)
-                if not res.is_zero():
-                    out.append((("first-pair", i, j, k), res))
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            for k in range(1, dim + 1):
-                for l in range(1, dim + 1):
-                    r = lowered[i, j, k, l] + lowered[i, j, l, k]
-                    if not r.is_zero():
-                        out.append((("second-pair", i, j, k, l), r))
-                    r = lowered[i, j, k, l] - lowered[k, l, i, j]
-                    if not r.is_zero():
-                        out.append((("interchange", i, j, k, l), r))
+               for i, j in pairs for k in idx for l in idx}
+    for i, j in pairs:
+        for k in idx:
+            res = curv.riemann(i, j, k) + curv.riemann(j, i, k)
+            if not res.is_zero():
+                out.append((("first-pair", i, j, k), res))
+            for l in range(k, m.dim + 1):
+                r = lowered[i, j, k, l] + lowered[i, j, l, k]
+                if not r.is_zero():
+                    out.append((("second-pair", i, j, k, l), r))
+    for a, (i, j) in enumerate(pairs):
+        for k, l in pairs[a + 1:]:
+            r = lowered[i, j, k, l] - lowered[k, l, i, j]
+            if not r.is_zero():
+                out.append((("interchange", i, j, k, l), r))
     return out
 
 
 def first_bianchi_residuals(curv: CurvatureTables) -> list:
+    """Cyclic sums R(e_i,e_j)e_k + R(e_j,e_k)e_i + R(e_k,e_i)e_j over
+    i < j < k.  R is stored antisymmetric in (i, j), so the sum alternates
+    in (i, j, k): any other triple gives zero or +- a kept residual, and
+    the list is empty exactly when the check over all triples is."""
     out = []
-    dim = curv.manifold.dim
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            for k in range(1, dim + 1):
-                res = (curv.riemann(i, j, k) + curv.riemann(j, k, i)
-                       + curv.riemann(k, i, j))
-                if not res.is_zero():
-                    out.append(((i, j, k), res))
+    for i, j, k in combinations(range(1, curv.manifold.dim + 1), 3):
+        res = (curv.riemann(i, j, k) + curv.riemann(j, k, i)
+               + curv.riemann(k, i, j))
+        if not res.is_zero():
+            out.append(((i, j, k), res))
     return out
 
 
 def second_bianchi_residuals(curv: CurvatureTables) -> list:
+    """Cyclic sums in (w, i, j) of (nabla_w R)(e_i, e_j)e_k over
+    w < i < j and every k.  nabla R is stored antisymmetric in (i, j), so
+    the list is empty exactly when the check over all dim^4 tuples is, as
+    for first_bianchi_residuals."""
     out = []
-    dim = curv.manifold.dim
-    for w in range(1, dim + 1):
-        for i in range(1, dim + 1):
-            for j in range(1, dim + 1):
-                for k in range(1, dim + 1):
-                    res = (curv.nabla_r(w, i, j, k)
-                           + curv.nabla_r(i, j, w, k)
-                           + curv.nabla_r(j, w, i, k))
-                    if not res.is_zero():
-                        out.append(((w, i, j, k), res))
+    idx = range(1, curv.manifold.dim + 1)
+    for w, i, j in combinations(idx, 3):
+        for k in idx:
+            res = (curv.nabla_r(w, i, j, k)
+                   + curv.nabla_r(i, j, w, k)
+                   + curv.nabla_r(j, w, i, k))
+            if not res.is_zero():
+                out.append(((w, i, j, k), res))
     return out
 
 

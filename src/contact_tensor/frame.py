@@ -35,6 +35,9 @@ def as_expr(value) -> Expr:
     raise FrameError(f"expected an expression, got {value!r}")
 
 
+_ONE = Expr.one()
+
+
 @dataclass(frozen=True)
 class VectorField:
     """A vector field given by its nonzero frame components.
@@ -108,15 +111,28 @@ class VectorField:
         return self.map(lambda a: c * a)
 
     @staticmethod
+    def accumulate(dim: int, pairs) -> "VectorField":
+        """sum c * v over (c, v) pairs of an Expr and a VectorField, summed
+        into one dict with zeros dropped once at the end.  A coefficient
+        equal to 1 is not multiplied through."""
+        terms: dict[int, Expr] = {}
+        for c, v in pairs:
+            unit = c == _ONE
+            for k, a in v.terms.items():
+                if not unit:
+                    a = c * a
+                terms[k] = terms[k] + a if k in terms else a
+        return VectorField(dim, {k: a for k, a in terms.items()
+                                 if not a.is_zero()})
+
+    @staticmethod
     def combination(coeffs, vectors) -> "VectorField":
         """sum_k c_k * vectors[k-1], with c_k the k-th coefficient (1-based)
         of coeffs: a sequence of scalars or a VectorField."""
         pairs = (coeffs.items() if isinstance(coeffs, VectorField)
                  else enumerate(coeffs, 1))
-        total = VectorField.zero(vectors[0].dim)
-        for k, c in pairs:
-            total = total + vectors[k - 1].scale(c)
-        return total
+        return VectorField.accumulate(
+            vectors[0].dim, ((as_expr(c), vectors[k - 1]) for k, c in pairs))
 
 
 @dataclass(frozen=True)
@@ -191,7 +207,7 @@ class FrameManifold:
                 _require_parameter_only(c, symbols,
                                         f"structure constant of [e{i},e{j}]")
             structure[(i, j)] = vf
-        metric = _check_metric(metric, dim, symbols)
+        metric = check_metric(metric, dim, symbols)
         return cls(MODE_ABSTRACT, dim, symbols, metric, structure, None)
 
     @classmethod
@@ -207,7 +223,7 @@ class FrameManifold:
         rows = tuple(_as_vector(row, dim) for row in frame)
         if len(rows) != dim:
             raise FrameError(f"chart frame must have {dim} rows")
-        metric = _check_metric(metric, dim, symbols)
+        metric = check_metric(metric, dim, symbols)
         return cls(MODE_CHART, dim, symbols, metric, None, rows)
 
     # -- basic queries -------------------------------------------------------
@@ -378,7 +394,9 @@ def _require_parameter_only(e: Expr, symbols: SymbolTable, what: str):
                          f"coordinate {sorted(bad)[0]!r} in {e}")
 
 
-def _check_metric(metric, dim: int, symbols: SymbolTable):
+def check_metric(metric, dim: int, symbols: SymbolTable):
+    """The metric as a dim x dim tuple of Exprs, the identity when None.
+    Raises FrameError unless it is square, symmetric and parameter-only."""
     if metric is None:
         return tuple(tuple(Expr.one() if i == j else Expr.zero()
                            for j in range(dim)) for i in range(dim))

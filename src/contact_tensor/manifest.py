@@ -17,7 +17,7 @@ from .contact import ContactStructure
 from .expr import (Expr, ExprError, ExprParseError, KIND_COORDINATE,
                    KIND_PARAMETER, SymbolTable, parse)
 from .frame import (FrameError, FrameManifold, MODE_ABSTRACT, MODE_CHART,
-                    VectorField, coordinates_in)
+                    VectorField, check_metric, coordinates_in)
 
 SCHEMA_VERSION = 1
 # reports grow as dim^5 (dimension 21 takes 15 s, 350 MB): bound the input
@@ -171,6 +171,11 @@ def ingest_manifest(doc: dict) -> IngestResult:
     metric = None
     if "metric" in doc:
         metric = _parse_matrix(doc["metric"], dim, table, "metric", errors)
+        if metric is not None:
+            try:
+                metric = check_metric(metric, dim, table)
+            except FrameError as exc:
+                errors.append(f"metric: {exc}")
 
     manifold = None
     if mode == MODE_CHART:

@@ -26,6 +26,10 @@ REPORT_SCHEMA_VERSION = 1
 
 
 def _vf(v) -> list[str]:
+    if isinstance(v, VectorField):
+        terms = v.terms
+        return [str(terms[k]) if k in terms else "0"
+                for k in range(1, v.dim + 1)]
     return [str(c) for c in v.components]
 
 

@@ -36,6 +36,9 @@ from contact_tensor.expr import (
     parse,
 )
 from contact_tensor.frame import FrameManifold, VectorField
+from contact_tensor.report import build_report
+
+from _frames import entry, heisenberg_manifest
 
 
 def classified(name, bindings=None):
@@ -396,3 +399,17 @@ def test_broken_phi_skips_nullity_solver():
     assert any(d.startswith("nullity solver skipped:")
                for d in rep.diagnostics)
     assert any("h operator invariants fail" in d for d in rep.diagnostics)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4], ids=["H5", "H7", "H9"])
+def test_sasakian_heisenberg_frames_are_not_phi_recurrent(n):
+    # the paper's first theorem: no Sasakian manifold is phi-recurrent,
+    # checked on H^5, H^7 and H^9
+    report = build_report(entry(heisenberg_manifest(n)))
+    checks = report["self_check"]
+    assert checks.pop("reconstruction_3d") is None
+    assert all(v is True for v in checks.values()), checks
+    verdicts = report["classification"]
+    assert verdicts["sasakian"]["ok"] is True
+    assert verdicts["phi_recurrent"]["status"] != "recurrent"
+    assert verdicts["locally_phi_recurrent"]["status"] != "recurrent"

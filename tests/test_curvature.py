@@ -5,8 +5,11 @@ exactly; everything else is cross-checked against the independent
 Fraction oracle in _oracles or against the classical identities.
 """
 
+import copy
 import random
 from fractions import Fraction
+
+import pytest
 
 from contact_tensor.catalog import build
 from contact_tensor.curvature import (
@@ -21,9 +24,15 @@ from contact_tensor.curvature import (
     second_bianchi_residuals,
     torsion_residuals,
 )
-from contact_tensor.expr import Expr, parse
-from contact_tensor.frame import VectorField
+from contact_tensor.expr import KIND_COORDINATE, Expr, SymbolTable, parse
+from contact_tensor.frame import (
+    MODE_CHART,
+    FrameError,
+    FrameManifold,
+    VectorField,
+)
 
+from _frames import chart_manifest, entry, heisenberg_manifest
 from _oracles import (
     bracket_constants,
     christoffel,
@@ -311,8 +320,9 @@ def test_oracle_cross_check_constant_brackets():
     # R and nabla R over every ordered (i, j), so the j <= i entries the
     # engine derives by antisymmetry are checked too
     rng = random.Random(2161)
-    for name in ("kmu", "sphere", "flat3", "flat5"):
-        ent = build(name)
+    entries = [build(name) for name in ("kmu", "sphere", "flat3", "flat5")]
+    for ent in entries + [entry(heisenberg_manifest(2))]:
+        name = ent.id
         for _ in range(3):
             bindings = {}
             if name == "kmu":
@@ -368,3 +378,199 @@ def test_oracle_cross_check_chart_connection_pointwise():
                 for k in range(1, 4):
                     assert conn.gamma(i, j, k).eval(point) \
                         == gamma[i - 1][j - 1][k - 1]
+
+
+# ---------------------------------------------------------------------------
+# reference forms of the kernels (one VectorField per term) and of the
+# identity checks (every index tuple), kept to test the fused kernels and
+# the checks over independent index sets against
+
+def ref_covariant_derivative(conn, x, y):
+    m = conn.manifold
+    out = VectorField.zero(m.dim)
+    for i, xi in x.items():
+        out = out + m.derivative(i, y).scale(xi)
+        for j, yj in y.items():
+            out = out + conn.nabla_basis(i, j).scale(xi * yj)
+    return out
+
+
+def ref_riemann_basis(conn, i, j, k):
+    m = conn.manifold
+    first = ref_covariant_derivative(conn, m.basis(i), conn.nabla_basis(j, k))
+    second = ref_covariant_derivative(conn, m.basis(j),
+                                      conn.nabla_basis(i, k))
+    third = ref_covariant_derivative(conn, m.bracket_basis(i, j), m.basis(k))
+    return first - second - third
+
+
+def ref_riemann_apply(curv, x, y, z):
+    out = VectorField.zero(curv.manifold.dim)
+    for i, xi in x.items():
+        for j, yj in y.items():
+            for k, zk in z.items():
+                out = out + curv.riemann(i, j, k).scale(xi * yj * zk)
+    return out
+
+
+def ref_nabla_r(curv, w, i, j, k):
+    m, conn = curv.manifold, curv.connection
+    ei, ej, ek = m.basis(i), m.basis(j), m.basis(k)
+    out = ref_covariant_derivative(conn, m.basis(w), curv.riemann(i, j, k))
+    out = out - ref_riemann_apply(curv, conn.nabla_basis(w, i), ej, ek)
+    out = out - ref_riemann_apply(curv, ei, conn.nabla_basis(w, j), ek)
+    return out - ref_riemann_apply(curv, ei, ej, conn.nabla_basis(w, k))
+
+
+def full_riemann_symmetry(curv):
+    m = curv.manifold
+    idx = range(1, m.dim + 1)
+    lowered = {(i, j, k, l): m.g(curv.riemann(i, j, k), m.basis(l))
+               for i in idx for j in idx for k in idx for l in idx}
+    out = []
+    for i in idx:
+        for j in idx:
+            for k in idx:
+                res = curv.riemann(i, j, k) + curv.riemann(j, i, k)
+                if not res.is_zero():
+                    out.append((("first-pair", i, j, k), res))
+                for l in idx:
+                    r = lowered[i, j, k, l] + lowered[i, j, l, k]
+                    if not r.is_zero():
+                        out.append((("second-pair", i, j, k, l), r))
+                    r = lowered[i, j, k, l] - lowered[k, l, i, j]
+                    if not r.is_zero():
+                        out.append((("interchange", i, j, k, l), r))
+    return out
+
+
+def full_first_bianchi(curv):
+    idx = range(1, curv.manifold.dim + 1)
+    return [(i, j, k) for i in idx for j in idx for k in idx
+            if not (curv.riemann(i, j, k) + curv.riemann(j, k, i)
+                    + curv.riemann(k, i, j)).is_zero()]
+
+
+def full_second_bianchi(curv):
+    idx = range(1, curv.manifold.dim + 1)
+    return [(w, i, j, k) for w in idx for i in idx for j in idx for k in idx
+            if not (curv.nabla_r(w, i, j, k) + curv.nabla_r(i, j, w, k)
+                    + curv.nabla_r(j, w, i, k)).is_zero()]
+
+
+def kernel_entries():
+    """Every catalog entry, kmu at two rational points, H^5, and the two
+    example41-shaped chart frames with nonzero derivative terms."""
+    kmu = build("kmu")
+    out = {name: build(name)
+           for name in ("example41", "kmu", "sphere", "flat3", "flat5")}
+    out["kmu-point-a"] = kmu.substitute({"lambda": Fraction(1, 2),
+                                         "mu": Fraction(-3)})
+    out["kmu-point-b"] = kmu.substitute({"lambda": Fraction(2),
+                                        "mu": Fraction(1, 3)})
+    out["heisenberg5"] = entry(heisenberg_manifest(2))
+    out["chart-linear"] = entry(chart_manifest("x+2"))
+    out["chart-quadratic"] = entry(chart_manifest("x^2+x+3"))
+    return out
+
+
+@pytest.mark.parametrize("name", list(kernel_entries()))
+def test_fused_kernels_match_the_reference_forms(name):
+    m = kernel_entries()[name].manifold
+    conn = koszul(m)
+    curv = riemann(m, conn)
+    idx = range(1, m.dim + 1)
+    for i in idx:
+        for j in idx:
+            for k in idx:
+                assert curv.riemann(i, j, k) \
+                    == ref_riemann_basis(conn, i, j, k), (i, j, k)
+                for w in idx:
+                    assert curv.nabla_r(w, i, j, k) \
+                        == ref_nabla_r(curv, w, i, j, k), (w, i, j, k)
+    # fields with coefficients other than 1, coordinate-dependent in
+    # chart mode, where the derivative terms of nabla_X Y are nonzero
+    t = m.symbols
+    x = VectorField.make([Expr.integer(a) - 2 for a in idx])
+    y = VectorField.make([Expr.rational(1, a) for a in idx])
+    if m.mode == MODE_CHART:
+        y = VectorField.make([parse("x*y", t), parse("1/(z^2+1)", t)]
+                             + [Expr.one()] * (m.dim - 2))
+    for u, v in ((x, y), (y, x), (m.basis(1), y), (x, m.basis(m.dim))):
+        assert conn.covariant_derivative(u, v) \
+            == ref_covariant_derivative(conn, u, v)
+        assert curv.riemann_apply(u, v, x) == ref_riemann_apply(curv, u, v, x)
+
+
+def test_covariant_derivative_keeps_the_abstract_mode_guard():
+    table = SymbolTable()
+    t = table.add("t", KIND_COORDINATE)
+    m = FrameManifold.abstract(3, table, {(2, 3): (2, 0, 0)})
+    conn = koszul(m)
+    y = VectorField.make([Expr.symbol(t), 0, 0])
+    with pytest.raises(FrameError, match="cannot be differentiated"):
+        conn.covariant_derivative(m.basis(1), y)
+
+
+def _corrupt_riemann(curv, i, j, k, delta):
+    """A copy of curv with R(e_i, e_j)e_k (i < j) moved by delta, still
+    stored antisymmetric in (i, j)."""
+    bad = copy.copy(curv)
+    bad._riemann = dict(curv._riemann)
+    bad._riemann[i, j, k] = curv.riemann(i, j, k) + delta
+    bad._riemann[j, i, k] = -bad._riemann[i, j, k]
+    return bad
+
+
+def _family(residuals, family):
+    return [r for r in residuals if r[0][0] == family]
+
+
+def _h5_tables():
+    m = entry(heisenberg_manifest(2)).manifold
+    return riemann(m, koszul(m))
+
+
+def test_reduced_checks_agree_with_the_full_loops_on_valid_tables():
+    for name, ent in kernel_entries().items():
+        m = ent.manifold
+        curv = riemann(m, koszul(m))
+        assert riemann_symmetry_residuals(curv) == [] \
+            and full_riemann_symmetry(curv) == [], name
+        assert first_bianchi_residuals(curv) == [] \
+            and full_first_bianchi(curv) == [], name
+        assert second_bianchi_residuals(curv) == [] \
+            and full_second_bianchi(curv) == [], name
+
+
+@pytest.mark.parametrize("family, corruption", [
+    # R(e3,e4)e5 + e1: the cyclic sum at (3, 4, 5)
+    ("first-bianchi", {(3, 4, 5): {1: 1}}),
+    # R(e1,e2)e3 + e3: g(R(e1,e2)e3, e3) != 0, seen only at k = l
+    ("second-pair", {(1, 2, 3): {3: 1}}),
+    # R(e1,e2)e1 + e3 and R(e1,e2)e3 - e1: both pairs stay antisymmetric,
+    # the interchange of (1, 2) and (1, 3) breaks
+    ("interchange", {(1, 2, 1): {3: 1}, (1, 2, 3): {1: -1}}),
+], ids=["first-bianchi", "second-pair", "interchange"])
+def test_reduced_checks_see_a_corrupted_riemann_entry(family, corruption):
+    curv = _h5_tables()
+    for (i, j, k), change in corruption.items():
+        delta = VectorField.make([change.get(a, 0) for a in range(1, 6)])
+        curv = _corrupt_riemann(curv, i, j, k, delta)
+    if family == "first-bianchi":
+        assert first_bianchi_residuals(curv) != []
+        assert full_first_bianchi(curv) != []
+    else:
+        assert _family(riemann_symmetry_residuals(curv), family) != []
+        assert _family(full_riemann_symmetry(curv), family) != []
+
+
+def test_reduced_second_bianchi_sees_a_corrupted_nabla_r_entry():
+    # (nabla_{e3} R)(e1, e2)e1 + e1: the cyclic sum at (1, 2, 3), k = 1
+    curv = _h5_tables()
+    bad = copy.copy(curv)
+    bad._nabla_r_cache = dict(curv._nabla_r_cache)
+    bad._nabla_r_cache[3, 1, 2, 1] = (curv.nabla_r(3, 1, 2, 1)
+                                      + VectorField.basis(5, 1))
+    assert second_bianchi_residuals(bad) != []
+    assert full_second_bianchi(bad) != []

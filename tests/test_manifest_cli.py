@@ -371,8 +371,15 @@ def _chart_3d(frame):
      "error: dimension: expected an odd integer from 3 to 15, got 17\n"),
     (_abstract_3d(dimension=101),
      "error: dimension: expected an odd integer from 3 to 15, got 101\n"),
+    (_abstract_3d(metric=[["1", "2", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+     "error: metric: metric is not symmetric at (e1,e2)\n"),
+    (dict(_chart_3d([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+          metric=[["x", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+     "error: metric: metric entry g(e1,e1) must be parameter-only, found "
+     "coordinate 'x' in x\n"),
 ], ids=["singular-metric", "singular-chart", "coordinate-phi", "coordinate-xi",
-        "deep-parens", "huge-exponent", "dimension-17", "dimension-101"])
+        "deep-parens", "huge-exponent", "dimension-17", "dimension-101",
+        "asymmetric-metric", "coordinate-metric"])
 def test_cli_report_hostile_manifest_is_an_input_error(doc, message,
                                                        tmp_path, capsys):
     path = tmp_path / "hostile.json"
