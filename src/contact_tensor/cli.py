@@ -76,8 +76,19 @@ def _apply_set(entry: CatalogEntry, bindings: dict[str, Fraction]) -> CatalogEnt
         raise CliError(str(exc)) from None
 
 
+def _report(entry: CatalogEntry) -> dict:
+    # build_report writes every expression out as a string, and str() of an
+    # integer past the interpreter's int/str digit limit raises ValueError
+    try:
+        return build_report(entry)
+    except ValueError:
+        raise CliError("a number in the result has more than "
+                       f"{sys.get_int_max_str_digits()} digits, the "
+                       "interpreter's int/str conversion limit") from None
+
+
 def _emit_report(entry: CatalogEntry, args, out) -> int:
-    report = build_report(entry)
+    report = _report(entry)
     if args.format == "json":
         out.write(render_json(report))
     else:
@@ -159,7 +170,7 @@ def _sweep_row(entry: CatalogEntry, lam: Fraction, mu: Fraction) -> dict:
         return row
     row["skipped"] = False
     try:
-        report = build_report(_apply_set(entry, {"lambda": lam, "mu": mu}))
+        report = _report(_apply_set(entry, {"lambda": lam, "mu": mu}))
     except (CliError, SingularMatrixError) as exc:
         raise CliError(f"lambda={lam}, mu={mu}: {exc}") from None
     failed_checks = failed_self_checks(report)

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic for the tensor engine.
 
-Scalars are multivariate rational functions with rational coefficients.
+Scalars are multivariate rational functions with rational coefficients,
+held as ``int`` when integral and as ``Fraction`` otherwise.
 Every Expr is held in canonical form: numerator and denominator are coprime
 polynomials, the denominator is monic under graded lexicographic order, and
 a zero numerator forces denominator 1.  Equality of canonical forms is plain
@@ -11,6 +12,8 @@ Instances are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -138,27 +141,30 @@ def _mono_key(m: Mono) -> tuple:
     return -degree, exps
 
 
-def _dict_leading(terms: dict[Mono, Fraction]) -> tuple[Mono, Fraction]:
+def _dict_leading(terms: dict[Mono, int | Fraction]
+                  ) -> tuple[Mono, int | Fraction]:
     best = min(terms, key=_mono_key)
     return best, terms[best]
 
 
 class Poly:
-    """Sparse distributed polynomial over the rationals."""
+    """Sparse distributed polynomial over the rationals; an integral
+    coefficient is held as ``int``, any other as ``Fraction``."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Mono, Fraction]):
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+    def __init__(self, terms: dict[Mono, int | Fraction]):
+        self.terms = {m: c if c.__class__ is int or c.denominator != 1
+                      else c.numerator
+                      for m, c in terms.items() if c}
 
     @staticmethod
     def const(c) -> "Poly":
-        c = Fraction(c)
-        return Poly({_M_ONE: c}) if c else Poly({})
+        return Poly({_M_ONE: c})
 
     @staticmethod
     def var(name: str) -> "Poly":
-        return Poly({((name, 1),): Fraction(1)})
+        return Poly({((name, 1),): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -168,12 +174,12 @@ class Poly:
 
     def constant_value(self) -> Fraction:
         # valid only when is_constant()
-        return self.terms.get(_M_ONE, Fraction(0))
+        return Fraction(self.terms.get(_M_ONE, 0))
 
     def variables(self) -> set[str]:
         return {name for m in self.terms for name, _ in m}
 
-    def leading(self) -> tuple[Mono, Fraction]:
+    def leading(self) -> tuple[Mono, int | Fraction]:
         if not self.terms:
             raise ExprError("zero polynomial has no leading term")
         return _dict_leading(self.terms)
@@ -207,7 +213,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, int | Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = _mono_mul(ma, mb)
@@ -226,7 +232,7 @@ class Poly:
         return out
 
     def diff(self, name: str) -> "Poly":
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, int | Fraction] = {}
         for m, c in self.terms.items():
             exps = dict(m)
             e = exps.get(name, 0)
@@ -249,7 +255,7 @@ class Poly:
             total += v
         return total
 
-    def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Mono, int | Fraction]]:
         # graded lex, descending; deterministic render order
         return [(m, self.terms[m]) for m in sorted(self.terms, key=_mono_key)]
 
@@ -265,7 +271,7 @@ def _poly_divexact(f: Poly, g: Poly) -> Poly:
     """Exact polynomial division; the caller guarantees g divides f."""
     if g.is_zero():
         raise ExprError("division by the zero polynomial")
-    q: dict[Mono, Fraction] = {}
+    q: dict[Mono, int | Fraction] = {}
     rem = dict(f.terms)
     glm, glc = g.leading()
     while rem:
@@ -273,7 +279,9 @@ def _poly_divexact(f: Poly, g: Poly) -> Poly:
         m = _mono_div(rlm, glm)
         if m is None:
             raise ExprError("inexact polynomial division")
-        c = rlc / glc
+        # a monic divisor, as poly_gcd gives in one variable, keeps an
+        # integral quotient in int
+        c = rlc if glc == 1 else Fraction(rlc, glc)
         q[m] = c
         for gm, gc in g.terms.items():
             key = _mono_mul(m, gm)
@@ -296,7 +304,7 @@ def _deg_in(f: Poly, name: str) -> int:
 
 def _univar(f: Poly, name: str) -> dict[int, Poly]:
     """View f as univariate in `name` with polynomial coefficients."""
-    out: dict[int, dict[Mono, Fraction]] = {}
+    out: dict[int, dict[Mono, int | Fraction]] = {}
     for m, c in f.terms.items():
         exps = dict(m)
         e = exps.pop(name, 0)
@@ -313,7 +321,7 @@ def _prem(f: Poly, g: Poly, name: str) -> Poly:
     while out and _deg_in(out, name) >= dg:
         df = _deg_in(out, name)
         lf = _univar(out, name)[df]
-        shift = Poly({((name, df - dg),): Fraction(1)}) if df > dg else _P_ONE
+        shift = Poly({((name, df - dg),): 1}) if df > dg else _P_ONE
         out = lg * out - lf * g * shift
     return out
 
@@ -324,47 +332,63 @@ def _content_primitive(f: Poly, name: str) -> tuple[Poly, Poly]:
     for c in coeffs:
         content = poly_gcd(content, c)
     if content.is_constant():
-        return content, f.scale(1 / content.constant_value())
+        return content, f.scale(Fraction(1, content.constant_value()))
     return content, _poly_divexact(f, content)
 
 
-def _dense(f: Poly, name: str) -> list[Fraction]:
-    # coefficients of f, univariate in `name`, indexed by degree
-    out = [Fraction(0)] * (_deg_in(f, name) + 1)
+def _dense(f: Poly, name: str) -> list[int]:
+    # coefficients of f, univariate in `name`, indexed by degree, times the
+    # lcm of their denominators and divided by their content
+    out = [0] * (_deg_in(f, name) + 1)
     for m, c in f.terms.items():
         out[m[0][1] if m else 0] = c
-    return out
+    den = math.lcm(*(c.denominator for c in out))
+    return _primitive([c.numerator * (den // c.denominator) for c in out])
+
+
+def _primitive(a: list[int]) -> list[int]:
+    g = math.gcd(*a)
+    return a if g == 1 else [c // g for c in a]
 
 
 def _dense_gcd(f: Poly, g: Poly, name: str) -> Poly:
-    # Euclid over Q with each remainder made monic; the result is monic
+    # primitive remainder sequence over Z, made monic only at the end: the
+    # content division keeps the integers from growing along the sequence
     a, b = _dense(f, name), _dense(g, name)
     if len(a) < len(b):
         a, b = b, a
     while b:
-        inv = 1 / b[-1]
-        b = [c * inv for c in b]
-        db = len(b) - 1
+        lb, db = b[-1], len(b) - 1
         for k in range(len(a) - 1, db - 1, -1):
             q = a[k]
             if q:
+                # a <- (lb/s)*a - (q/s)*x^(k-db)*b clears a[k]; the scalar
+                # factor does not change the primitive part
+                s = math.gcd(q, lb)
+                scale, q = lb // s, q // s
+                if scale != 1:
+                    for i in range(k):
+                        a[i] *= scale
                 for i in range(db):
                     a[k - db + i] -= q * b[i]
         del a[db:]
         while a and not a[-1]:
             a.pop()
-        a, b = b, a
-    return Poly({((name, e),) if e else _M_ONE: c
+        a, b = b, _primitive(a) if a else a
+    lead = a[-1]
+    return Poly({((name, e),) if e else _M_ONE:
+                 c if lead == 1 else Fraction(c, lead)
                  for e, c in enumerate(a)})
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """A gcd of f and g, unique up to a rational unit.
 
-    In one variable, the Euclidean algorithm on dense coefficient lists with
-    monic remainders.  In several, recursive content-primitive computation
-    with a primitive pseudo-remainder sequence in the alphabetically first
-    variable; the contents recurse down to the univariate case.
+    In one variable, a primitive pseudo-remainder sequence over the integers
+    on dense coefficient lists, made monic at the end.  In several,
+    recursive content-primitive computation with a primitive
+    pseudo-remainder sequence in the alphabetically first variable; the
+    contents recurse down to the univariate case.
     """
     if f.is_zero():
         return g
@@ -386,7 +410,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         pf = pg
         pg = _content_primitive(r, name)[1] if r else _P_ZERO
         if pg:      # monic, or the rational coefficients grow exponentially
-            pg = pg.scale(1 / pg.leading()[1])
+            pg = pg.scale(Fraction(1, pg.leading()[1]))
     return c * _content_primitive(pf, name)[1]
 
 
@@ -466,6 +490,10 @@ class Expr:
         if self.den == other.den:
             return Expr(self.num + other.num, self.den,
                         _trusted=self.den == _P_ONE)
+        # a + c/d = (a*d + c)/d: gcd(a*d + c, d) = gcd(c, d) = 1, d monic
+        if _P_ONE in (self.den, other.den):
+            a, b = (self, other) if self.den == _P_ONE else (other, self)
+            return Expr(a.num * b.den + b.num, b.den, _trusted=True)
         return Expr(self.num * other.den + other.num * self.den,
                     self.den * other.den)
 
@@ -613,8 +641,9 @@ def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 def _monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     # num/den scaled so that den has leading coefficient 1
-    inv = 1 / den.leading()[1]
-    if inv != 1:
+    lc = den.leading()[1]
+    if lc != 1:
+        inv = Fraction(1, lc)
         num, den = num.scale(inv), den.scale(inv)
     return num, den
 
@@ -695,9 +724,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        # isdecimal, not isdigit: int() rejects digits such as '²'
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append((_T_INT, text[i:j], i))
             i = j
@@ -722,6 +752,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # larger exponents instead of multiplying for as many steps
 _MAX_NESTING = 100
 _MAX_EXPONENT = 100
+
+
+def _int_literal(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # longer than the interpreter's int/str digit limit
+        raise ExprParseError("integer literal longer than "
+                             f"{sys.get_int_max_str_digits()} digits",
+                             pos) from None
 
 
 class _Parser:
@@ -801,7 +840,7 @@ class _Parser:
             if kind != _T_INT:
                 raise ExprParseError("expected an integer exponent", pos)
             self.take()
-            k = sign * int(text)
+            k = sign * _int_literal(text, pos)
             if abs(k) > _MAX_EXPONENT:
                 raise ExprParseError("exponent larger than "
                                      f"{_MAX_EXPONENT}", pos)
@@ -813,7 +852,7 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, pos = self.take()
         if kind == _T_INT:
-            return Expr.integer(int(text))
+            return Expr.integer(_int_literal(text, pos))
         if kind == _T_NAME:
             if text not in self.table:
                 raise ExprParseError(f"unknown symbol {text!r}", pos)

@@ -7,6 +7,8 @@ from functools import cmp_to_key
 
 import pytest
 
+from _frames import chart_manifest, entry
+from contact_tensor.curvature import koszul, riemann
 from contact_tensor.expr import (
     Expr,
     ExprError,
@@ -121,7 +123,7 @@ def test_mono_key_orders_like_the_graded_lex_comparator():
 
 
 def monic(p):
-    return p.scale(1 / p.leading()[1])
+    return p.scale(Fraction(1, p.leading()[1]))
 
 
 @pytest.mark.parametrize("f, g, want", [
@@ -133,12 +135,46 @@ def monic(p):
     ("y^2-1", "y^2-2*y+1", "y-1"),
     ("y^2-1", "x*y-x", "y-1"),
     ("a^2-1", "3*a^2+6*a+3", "a+1"),
+    ("-3*(x+1)^2*(x-4)", "-6*(x+1)*(x^2+5)", "x+1"),
+    ("-2*x^2+x", "-7*x", "x"),
+    ("(2/3*x-1/4)*(x+5/7)^2", "(6/5*x+6/7)*(x^2+1/9)", "x+5/7"),
+    ("1/2*x^2-1/8", "3/4*x+3/8", "x+1/2"),
 ], ids=["common-square", "coprime", "divides", "divides-reversed",
-        "rational", "y-only", "y-and-xy", "parameter-only"])
+        "rational", "y-only", "y-and-xy", "parameter-only",
+        "negative-leading", "negative-leading-monomial", "rational-square",
+        "rational-halves"])
 def test_poly_gcd_cases(f, g, want):
     t = make_table()
     got = poly_gcd(parse(f, t).num, parse(g, t).num)
     assert monic(got) == parse(want, t).num
+    if len(got.variables()) == 1:   # the univariate gcd comes out monic
+        assert got == monic(got)
+
+
+@pytest.mark.parametrize("p", ["x^2+x+3", "2*x+1"])
+def test_integral_coefficients_are_ints(p):
+    # a coefficient with denominator 1 is an int, any other a Fraction, and
+    # a float never appears, through a chart frame's whole pipeline
+    assert type(Poly.const(Fraction(6, 3)).terms[()]) is int
+    assert type(Poly.const(Fraction(6, 4)).terms[()]) is Fraction
+    assert type(parse("4/2", make_table()).constant_value()) is Fraction
+    assert type(Expr.integer(3).constant_value()) is Fraction
+    m = entry(chart_manifest(p)).manifold
+    conn = koszul(m)
+    curv = riemann(m, conn)
+    n = range(1, m.dim + 1)
+    fields = [conn.nabla_basis(i, j) for i in n for j in n]
+    fields += [curv.riemann(i, j, k) for i in n for j in n for k in n]
+    fields += [curv.nabla_r(w, i, j, k)
+               for w in n for i in n for j in n for k in n]
+    seen = set()
+    for v in fields:
+        for e in v.terms.values():
+            for c in (*e.num.terms.values(), *e.den.terms.values()):
+                assert type(c) is int or (type(c) is Fraction
+                                          and c.denominator != 1), (e, c)
+                seen.add(type(c))
+    assert seen == ({int} if p == "x^2+x+3" else {int, Fraction})
 
 
 def test_parse_errors_carry_positions():

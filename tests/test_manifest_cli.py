@@ -1,6 +1,7 @@
 """Manifest serialization, exhaustive ingest validation, and the CLI."""
 
 import json
+import sys
 
 import pytest
 
@@ -15,6 +16,14 @@ from contact_tensor.manifest import (
     manifest_to_json,
 )
 from contact_tensor.report import build_report
+
+
+# an integer literal or result longer than the interpreter's int/str digit
+# limit; 5,000 digits pass the default limit of 4,300
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not 0 < _DIGIT_LIMIT < 5000,
+    reason="needs an int/str digit limit below 5000 digits")
 
 
 def test_export_golden_sphere():
@@ -298,7 +307,10 @@ def test_cli_sweep_lambda_zero_is_skipped(tmp_path, capsys):
     ("singular-metric", "lambda=1, mu=1: metric: determinant is "
                         "identically zero"),
     ("no-structure", "sweep needs a manifest with a contact structure"),
-], ids=["pole", "singular-metric", "no-structure"])
+    pytest.param("huge-result",
+                 f"lambda=1, mu=0: a number in the result has more than "
+                 f"{_DIGIT_LIMIT} digits", marks=needs_digit_limit),
+], ids=["pole", "singular-metric", "no-structure", "huge-result"])
 def test_cli_sweep_hostile_manifest_is_an_input_error(hostile, message,
                                                       tmp_path, capsys):
     doc = export_entry(build("kmu"))
@@ -306,6 +318,8 @@ def test_cli_sweep_hostile_manifest_is_an_input_error(hostile, message,
         doc["brackets"][2]["components"][0] = "2/(mu-1)"
     elif hostile == "singular-metric":
         doc["metric"][0][0] = "mu-1"
+    elif hostile == "huge-result":
+        doc["brackets"][2]["components"][0] = "(10^100)^100"
     else:
         del doc["phi"], doc["xi"]
     path = tmp_path / "hostile.json"
@@ -377,9 +391,30 @@ def _chart_3d(frame):
           metric=[["x", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
      "error: metric: metric entry g(e1,e1) must be parameter-only, found "
      "coordinate 'x' in x\n"),
+    (_abstract_3d(brackets=[{"i": 1, "j": 2,
+                             "components": ["\u00b2", "0", "2"]}]),
+     "error: brackets[0].components[0]: unexpected character '\u00b2' at "
+     "position 0\n"),
+    pytest.param(
+        _abstract_3d(brackets=[{"i": 1, "j": 2,
+                                "components": ["9" * 5000, "0", "2"]}]),
+        f"error: brackets[0].components[0]: integer literal longer than "
+        f"{_DIGIT_LIMIT} digits at position 0\n", marks=needs_digit_limit),
+    pytest.param(
+        _abstract_3d(brackets=[{"i": 1, "j": 2,
+                                "components": ["x^" + "9" * 5000, "0", "2"]}]),
+        f"error: brackets[0].components[0]: integer literal longer than "
+        f"{_DIGIT_LIMIT} digits at position 2\n", marks=needs_digit_limit),
+    pytest.param(
+        _abstract_3d(brackets=[{"i": 1, "j": 2,
+                                "components": ["(10^100)^100", "0", "2"]}]),
+        f"error: a number in the result has more than {_DIGIT_LIMIT} "
+        "digits, the interpreter's int/str conversion limit\n",
+        marks=needs_digit_limit),
 ], ids=["singular-metric", "singular-chart", "coordinate-phi", "coordinate-xi",
         "deep-parens", "huge-exponent", "dimension-17", "dimension-101",
-        "asymmetric-metric", "coordinate-metric"])
+        "asymmetric-metric", "coordinate-metric", "superscript-digit",
+        "long-literal", "long-exponent", "huge-result"])
 def test_cli_report_hostile_manifest_is_an_input_error(doc, message,
                                                        tmp_path, capsys):
     path = tmp_path / "hostile.json"
