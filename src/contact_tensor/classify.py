@@ -8,8 +8,9 @@ for the unknowns (kappa, mu), flatness and constant curvature, local
 symmetry (nabla R = 0), phi-symmetry (phi^2 applied to nabla R vanishes)
 and phi-recurrence (phi^2(nabla R) proportional to R via a 1-form A),
 each in a global and a local variant.  "Local" restricts every input
-slot to frame fields annihilated by eta; by function-linearity this is
-equivalent to testing all fields orthogonal to xi.
+slot to frame fields annihilated by eta.  When eta has one nonzero frame
+component these span ker eta, so by function-linearity this is equivalent
+to testing all fields orthogonal to xi; otherwise the local scope raises.
 
 Witnesses are reported at the lexicographically smallest violating index
 so reports are reproducible.
@@ -114,10 +115,20 @@ def _scope_indices(structure: ContactStructure, scope: str) -> tuple[int, ...]:
     m = structure.manifold
     if scope == SCOPE_GLOBAL:
         return tuple(range(1, m.dim + 1))
-    if scope == SCOPE_LOCAL:
-        return tuple(i for i in range(1, m.dim + 1)
-                     if structure.eta.components[i - 1].is_zero())
-    raise ClassifyError(f"unknown scope {scope!r}")
+    if scope != SCOPE_LOCAL:
+        raise ClassifyError(f"unknown scope {scope!r}")
+    eta = structure.eta.components
+    idxs = tuple(i for i in range(1, m.dim + 1) if eta[i - 1].is_zero())
+    if m.dim - len(idxs) > 1:
+        raise ClassifyError(
+            f"eta has {m.dim - len(idxs)} nonzero frame components, so the "
+            "frame fields it annihilates do not span ker eta")
+    return idxs
+
+
+def _slots(idxs) -> list[tuple[int, int, int]]:
+    """(i, j, k) over idxs with i < j, in lexicographic order."""
+    return [(i, j, k) for i, j in combinations(idxs, 2) for k in idxs]
 
 
 def _nullity_sides(curv: CurvatureTables, structure: ContactStructure,
@@ -125,7 +136,7 @@ def _nullity_sides(curv: CurvatureTables, structure: ContactStructure,
     """R(e_i, e_j)xi and eta(e_j)e_i - eta(e_i)e_j."""
     m = curv.manifold
     eta = structure.eta.components
-    return (curv.riemann_pair_apply(i, j, structure.xi),
+    return (curv.riemann_apply(m.basis(i), m.basis(j), structure.xi),
             m.basis(i).scale(eta[j - 1]) - m.basis(j).scale(eta[i - 1]))
 
 
@@ -264,73 +275,74 @@ def is_flat(curv: CurvatureTables) -> bool:
 
 
 def constant_curvature(curv: CurvatureTables) -> Expr | None:
-    """Return c if R(X,Y)Z = c (g(Y,Z)X - g(X,Z)Y) holds, else None."""
+    """Return c if R(X,Y)Z = c (g(Y,Z)X - g(X,Z)Y) holds, else None.
+
+    Both sides are antisymmetric in (X, Y), so the pairs i < j decide it.
+    """
     m = curv.manifold
     cand = None
-    for i in range(1, m.dim + 1):
-        for j in range(1, m.dim + 1):
-            for k in range(1, m.dim + 1):
-                shape = (m.basis(i).scale(m.metric_entry(j, k))
-                         - m.basis(j).scale(m.metric_entry(i, k)))
-                actual = curv.riemann(i, j, k)
-                for l in range(1, m.dim + 1):
-                    s, a = shape[l], actual[l]
-                    if s.is_zero():
-                        if not a.is_zero():
-                            return None
-                    elif cand is None:
-                        cand = a / s
-                    elif not (a - cand * s).is_zero():
-                        return None
+    for i, j, k in _slots(range(1, m.dim + 1)):
+        shape = (m.basis(i).scale(m.metric_entry(j, k))
+                 - m.basis(j).scale(m.metric_entry(i, k)))
+        actual = curv.riemann(i, j, k)
+        for l in range(1, m.dim + 1):
+            s, a = shape[l], actual[l]
+            if s.is_zero():
+                if not a.is_zero():
+                    return None
+            elif cand is None:
+                cand = a / s
+            elif not (a - cand * s).is_zero():
+                return None
     return cand if cand is not None else Expr.zero()
 
 
-def _slots(idxs) -> list[tuple[int, int, int]]:
-    """(i, j, k) over idxs with i < j, in lexicographic order."""
-    return [(i, j, k) for i, j in combinations(idxs, 2) for k in idxs]
-
-
-def _first_nonzero(curv: CurvatureTables, idxs, transform) -> SymmetryVerdict:
-    """Witness the first nonzero component of
-    transform((nabla_{e_w} R)(e_i, e_j)e_k) over w and i < j, k in idxs."""
+def is_locally_symmetric(curv: CurvatureTables) -> SymmetryVerdict:
+    """nabla R = 0, scanned at i < j (the j > i half is its negative)."""
+    idxs = range(1, curv.manifold.dim + 1)
     slots = _slots(idxs)
     for w in idxs:
         for i, j, k in slots:
-            val = transform(curv.nabla_r(w, i, j, k))
+            val = curv.nabla_r(w, i, j, k)
             if not val.is_zero():
                 return SymmetryVerdict(False, (w, i, j, k, min(val.terms)))
     return SymmetryVerdict(True)
 
 
-def is_locally_symmetric(curv: CurvatureTables) -> SymmetryVerdict:
-    """nabla R = 0, scanned at i < j (the j > i half is its negative)."""
-    return _first_nonzero(curv, range(1, curv.manifold.dim + 1),
-                          lambda v: v)
-
-
 def phi_symmetry(curv: CurvatureTables, structure: ContactStructure,
                  scope: str) -> SymmetryVerdict:
     """phi^2((nabla_{e_w} R)(e_i, e_j) e_k) = 0 over the scope indices."""
-    return _first_nonzero(curv, _scope_indices(structure, scope),
-                          lambda v: _phi_square(structure, v))
+    return _phi_scan(curv, structure, scope)[0]
 
 
 def solve_phi_recurrence(curv: CurvatureTables, structure: ContactStructure,
                          scope: str) -> RecurrenceVerdict:
-    """Solve phi^2((nabla_{e_w} R)(e_i,e_j)e_k) = A(e_w) R(e_i,e_j)e_k.
+    """Solve phi^2((nabla_{e_w} R)(e_i,e_j)e_k) = A(e_w) R(e_i,e_j)e_k."""
+    return _phi_scan(curv, structure, scope)[1]
+
+
+def _phi_scan(curv: CurvatureTables, structure: ContactStructure,
+              scope: str) -> tuple[SymmetryVerdict, RecurrenceVerdict]:
+    """phi-symmetry and phi-recurrence over the scope indices, applying
+    phi^2 once to each nabla R field of the scan.
 
     The curvature coefficients do not depend on w, so either every
     direction determines its A component by an exact ratio, or no
     direction does and the relation is vacuous.  A must have a nonzero
-    in-scope component to count as recurrent.
+    in-scope component to count as recurrent.  Every ratio is 0 before
+    the first nonzero phi^2 field, so recurrence cannot fail before the
+    scan reaches the phi-symmetry witness.
     """
     idxs = _scope_indices(structure, scope)
     slots = _slots(idxs)
+    sym = SymmetryVerdict(True)
     components: dict[int, Expr] = {}
     for w in idxs:
         a_w = None
         for i, j, k in slots:
             lhs_vec = _phi_square(structure, curv.nabla_r(w, i, j, k))
+            if sym.ok and not lhs_vec.is_zero():
+                sym = SymmetryVerdict(False, (w, i, j, k, min(lhs_vec.terms)))
             rhs_vec = curv.riemann(i, j, k)
             for l in range(1, curv.manifold.dim + 1):
                 lhs, rhs = lhs_vec[l], rhs_vec[l]
@@ -342,24 +354,26 @@ def solve_phi_recurrence(curv: CurvatureTables, structure: ContactStructure,
                     holds = (lhs - a_w * rhs).is_zero()
                 if not holds:
                     index = (w, i, j, k, l)
-                    return RecurrenceVerdict(
+                    return sym, RecurrenceVerdict(
                         status="not_recurrent", scope=scope,
                         obstruction=(f"component {index}: lhs {lhs}, "
                                      f"curvature coefficient {rhs}"),
                         obstruction_index=index)
         if a_w is not None:
             components[w] = a_w
-    if not components:
-        # both sides vanish identically: any nonzero A works
-        return RecurrenceVerdict(status="trivially_recurrent", scope=scope,
-                                 A=OneForm(structure.eta.components))
     comps = tuple(components.get(idx, Expr.zero())
                   for idx in range(1, curv.manifold.dim + 1))
-    if all(c.is_zero() for c in comps):
-        return RecurrenceVerdict(status="not_recurrent", scope=scope,
-                                 obstruction="only A=0")
-    return RecurrenceVerdict(status="recurrent", scope=scope,
-                             A=OneForm(comps))
+    if not components:
+        # both sides vanish identically: any nonzero A works
+        rec = RecurrenceVerdict(status="trivially_recurrent", scope=scope,
+                                A=OneForm(structure.eta.components))
+    elif all(c.is_zero() for c in comps):
+        rec = RecurrenceVerdict(status="not_recurrent", scope=scope,
+                                obstruction="only A=0")
+    else:
+        rec = RecurrenceVerdict(status="recurrent", scope=scope,
+                                A=OneForm(comps))
+    return sym, rec
 
 
 def check_3d_decomposition(curv: CurvatureTables) -> bool:
@@ -387,11 +401,10 @@ def reconstruction_holds(manifold: FrameManifold, riemann_basis,
             for k in range(1, 4):
                 gjk = m.metric_entry(j, k)
                 gik = m.metric_entry(i, k)
-                recon = (q_rows[i - 1].scale(gjk) - q_rows[j - 1].scale(gik)
-                         + m.basis(i).scale(ricci[j - 1][k - 1])
-                         - m.basis(j).scale(ricci[i - 1][k - 1])
-                         + (m.basis(j).scale(gik)
-                            - m.basis(i).scale(gjk)).scale(half_r))
+                recon = VectorField.accumulate(3, [
+                    (gjk, q_rows[i - 1]), (-gik, q_rows[j - 1]),
+                    (ricci[j - 1][k - 1] - half_r * gjk, m.basis(i)),
+                    (half_r * gik - ricci[i - 1][k - 1], m.basis(j))])
                 if not (riemann_basis(i, j, k) - recon).is_zero():
                     return False
     return True
@@ -453,10 +466,11 @@ def classify_structure(curv: CurvatureTables,
         if kappa_mu is not None and kappa_mu.kappa_le_one is False:
             diagnostics.append("sampled kappa > 1; nullity solution is "
                                "outside the admissible range")
-        phi_sym = phi_symmetry(curv, structure, SCOPE_GLOBAL)
-        loc_phi_sym = phi_symmetry(curv, structure, SCOPE_LOCAL)
-        phi_rec = solve_phi_recurrence(curv, structure, SCOPE_GLOBAL)
-        loc_phi_rec = solve_phi_recurrence(curv, structure, SCOPE_LOCAL)
+        phi_sym, phi_rec = _phi_scan(curv, structure, SCOPE_GLOBAL)
+        try:
+            loc_phi_sym, loc_phi_rec = _phi_scan(curv, structure, SCOPE_LOCAL)
+        except ClassifyError as exc:
+            diagnostics.append(f"local phi classifiers skipped: {exc}")
     report = ClassificationReport(
         contact_valid=contact_valid,
         sasakian=sasakian,

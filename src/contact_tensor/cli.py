@@ -178,15 +178,17 @@ def _sweep_row(entry: CatalogEntry, lam: Fraction, mu: Fraction) -> dict:
         raise SelfCheckError(", ".join(failed_checks))
     c = report["classification"]
     rec = c["phi_recurrent"]
+    # the local verdicts are None where the local scope is undefined
+    loc_sym, loc_rec = c["locally_phi_symmetric"], c["locally_phi_recurrent"]
     row["kappa"] = c["kappa_mu"] and c["kappa_mu"]["kappa"]
     row["flat"] = c["flat"]
     row["locally_symmetric"] = c["locally_symmetric"]["ok"]
     row["phi_symmetric"] = c["phi_symmetric"]["ok"]
-    row["locally_phi_symmetric"] = c["locally_phi_symmetric"]["ok"]
+    row["locally_phi_symmetric"] = loc_sym and loc_sym["ok"]
     row["phi_recurrent"] = rec["status"] in ("recurrent",
                                              "trivially_recurrent")
     row["phi_recurrent_status"] = rec["status"]
-    row["locally_phi_recurrent_status"] = c["locally_phi_recurrent"]["status"]
+    row["locally_phi_recurrent_status"] = loc_rec and loc_rec["status"]
     return row
 
 

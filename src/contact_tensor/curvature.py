@@ -114,7 +114,6 @@ class CurvatureTables:
         self.ricci_operator, self.scalar = ricci_operator_of(manifold,
                                                              self.ricci)
         self._nabla_r_cache: dict[tuple[int, int, int, int], VectorField] = {}
-        self._pair_apply_cache: dict[tuple, VectorField] = {}
 
     def _riemann_basis(self, i: int, j: int, k: int) -> VectorField:
         # nabla_i nabla_j e_k - nabla_j nabla_i e_k - sum_l c^l_ij nabla_l e_k
@@ -138,15 +137,6 @@ class CurvatureTables:
                  for i, xi in x.items() for j, yj in y.items() if i != j
                  for k, zk in z.items()]
         return VectorField.accumulate(self.manifold.dim, pairs)
-
-    def riemann_pair_apply(self, i: int, j: int, z: VectorField) -> VectorField:
-        """R(e_i, e_j)Z, memoized: the Sasakian and nullity scans share it."""
-        key = (i, j, tuple(z.items()))
-        if key not in self._pair_apply_cache:
-            m = self.manifold
-            self._pair_apply_cache[key] = self.riemann_apply(
-                m.basis(i), m.basis(j), z)
-        return self._pair_apply_cache[key]
 
     def _ricci_entry(self, j: int, k: int) -> Expr:
         # trace over the first slot: sum_l component l of R(e_l, e_j) e_k

@@ -147,6 +147,11 @@ def _dict_leading(terms: dict[Mono, int | Fraction]
     return best, terms[best]
 
 
+# a power that needs more coefficient products than this raises ExprError
+# instead of running for minutes on a short input such as ((x+1)^100)^100
+_MAX_POWER_PRODUCTS = 250_000
+
+
 class Poly:
     """Sparse distributed polynomial over the rationals; an integral
     coefficient is held as ``int``, any other as ``Fraction``."""
@@ -226,8 +231,12 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ExprError("negative power of a polynomial")
-        out = _P_ONE
+        out, products = _P_ONE, 0
         for _ in range(k):
+            products += len(out.terms) * len(self.terms)
+            if products > _MAX_POWER_PRODUCTS:
+                raise ExprError("power needs more than "
+                                f"{_MAX_POWER_PRODUCTS} coefficient products")
             out = out * self
         return out
 
@@ -846,7 +855,10 @@ class _Parser:
                                      f"{_MAX_EXPONENT}", pos)
             if k < 0 and e.is_zero():
                 raise ExprParseError("negative power of zero", pos)
-            e = e ** k
+            try:
+                e = e ** k
+            except ExprError as exc:  # past _MAX_POWER_PRODUCTS
+                raise ExprParseError(str(exc), pos) from None
         return e
 
     def atom(self) -> Expr:

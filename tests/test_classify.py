@@ -4,16 +4,19 @@ from fractions import Fraction
 
 import pytest
 
+from contact_tensor import classify
 from contact_tensor.catalog import (
     _rotation_structure,
     build,
     build_flat_euclidean,
+    entry_ids,
 )
 from contact_tensor.classify import (
     SCOPE_GLOBAL,
     SCOPE_LOCAL,
     ClassificationReport,
     ClassifyError,
+    RecurrenceVerdict,
     SelfCheckError,
     SymmetryVerdict,
     _check_implication_chain,
@@ -35,10 +38,11 @@ from contact_tensor.expr import (
     SymbolTable,
     parse,
 )
-from contact_tensor.frame import FrameManifold, VectorField
+from contact_tensor.cli import SWEEP_LAMBDA_DEFAULT, SWEEP_MU_DEFAULT
+from contact_tensor.frame import FrameManifold, OneForm, VectorField
 from contact_tensor.report import build_report
 
-from _frames import entry, heisenberg_manifest
+from _frames import chart_manifest, entry, heisenberg_manifest
 
 
 def classified(name, bindings=None):
@@ -250,7 +254,7 @@ def test_mixed_line_solution():
 
 class _StubCurvature:
     """Only the surface solve_kappa_mu touches: manifold,
-    riemann_pair_apply."""
+    riemann_apply."""
 
     def __init__(self, manifold, table):
         self.manifold = manifold
@@ -280,10 +284,6 @@ class _StubCurvature:
                     term = base.scale(ci * cj * ck)
                     out = out + (-term if flip else term)
         return out
-
-    def riemann_pair_apply(self, i, j, z):
-        m = self.manifold
-        return self.riemann_apply(m.basis(i), m.basis(j), z)
 
 
 def identity_chart():
@@ -323,6 +323,23 @@ def test_unconstrained_system():
     assert km.kappa is None and km.mu is None
     assert km.relation is None
     assert km.constant_flag is True
+
+
+@pytest.mark.parametrize("metric, const", [
+    ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], "1/2"),
+    ([[1, 0, 0], [0, Fraction(1, 3), 0], [0, 0, Fraction(1, 3)]], "None"),
+    ([[2, 1, 0], [1, 2, 0], [0, 0, 1]], "None"),
+], ids=["scaled", "berger", "non-diagonal"])
+def test_sphere_brackets_under_non_identity_metrics(metric, const):
+    m = FrameManifold.abstract(
+        3, SymbolTable(),
+        {(1, 2): (0, 0, 2), (1, 3): (0, -2, 0), (2, 3): (2, 0, 0)}, metric)
+    curv = riemann(m, koszul(m))
+    assert str(constant_curvature(curv)) == const
+    assert check_3d_decomposition(curv) is True
+    bad = [list(row) for row in curv.ricci]
+    bad[0][1] = bad[1][0] = bad[0][1] + Expr.one()
+    assert reconstruction_holds(m, curv.riemann, bad) is False
 
 
 def test_reconstruction_check():
@@ -383,15 +400,19 @@ def test_scope_validation():
         phi_symmetry(curv, ent.structure, "nonsense")
 
 
-def test_broken_phi_skips_nullity_solver():
-    # an h that violates its own invariants must surface as a diagnostic,
-    # not a crash
-    ent = build("example41")
-    broken = ContactStructure(
+def _broken_phi(ent):
+    return ContactStructure(
         ent.manifold,
         (VectorField.make((1, 1, 0)), VectorField.basis(3, 1),
          VectorField.zero(3)),
         VectorField.basis(3, 3))
+
+
+def test_broken_phi_skips_nullity_solver():
+    # an h that violates its own invariants must surface as a diagnostic,
+    # not a crash
+    ent = build("example41")
+    broken = _broken_phi(ent)
     curv = riemann(ent.manifold, koszul(ent.manifold))
     rep = classify_structure(curv, broken)
     assert rep.kappa_mu is None
@@ -413,3 +434,118 @@ def test_sasakian_heisenberg_frames_are_not_phi_recurrent(n):
     assert verdicts["sasakian"]["ok"] is True
     assert verdicts["phi_recurrent"]["status"] != "recurrent"
     assert verdicts["locally_phi_recurrent"]["status"] != "recurrent"
+
+
+# ---------------------------------------------------------------------------
+# reference forms of the phi-symmetry and phi-recurrence scans, over every
+# (i, j) with phi applied twice, kept to test the one scan per scope of
+# classify_structure against
+
+def ref_phi_fields(curv, structure, scope):
+    eta = structure.eta.components
+    idxs = [i for i in range(1, curv.manifold.dim + 1)
+            if scope == SCOPE_GLOBAL or eta[i - 1].is_zero()]
+    phi = structure.apply_phi
+    for w in idxs:
+        for i in idxs:
+            for j in idxs:
+                for k in idxs:
+                    yield (w, i, j, k), phi(phi(curv.nabla_r(w, i, j, k)))
+
+
+def ref_phi_symmetry(curv, structure, scope):
+    for index, val in ref_phi_fields(curv, structure, scope):
+        if not val.is_zero():
+            return SymmetryVerdict(False, index + (min(val.terms),))
+    return SymmetryVerdict(True)
+
+
+def ref_phi_recurrence(curv, structure, scope):
+    dim = curv.manifold.dim
+    a = {}
+    for (w, i, j, k), lhs_vec in ref_phi_fields(curv, structure, scope):
+        rhs_vec = curv.riemann(i, j, k)
+        for l in range(1, dim + 1):
+            lhs, rhs = lhs_vec[l], rhs_vec[l]
+            if rhs.is_zero():
+                holds = lhs.is_zero()
+            elif w not in a:
+                a[w], holds = lhs / rhs, True
+            else:
+                holds = (lhs - a[w] * rhs).is_zero()
+            if not holds:
+                index = (w, i, j, k, l)
+                return RecurrenceVerdict(
+                    "not_recurrent", scope,
+                    obstruction=(f"component {index}: lhs {lhs}, "
+                                 f"curvature coefficient {rhs}"),
+                    obstruction_index=index)
+    if not a:
+        return RecurrenceVerdict("trivially_recurrent", scope,
+                                 A=OneForm(structure.eta.components))
+    comps = tuple(a.get(w, Expr.zero()) for w in range(1, dim + 1))
+    if all(c.is_zero() for c in comps):
+        return RecurrenceVerdict("not_recurrent", scope,
+                                 obstruction="only A=0")
+    return RecurrenceVerdict("recurrent", scope, A=OneForm(comps))
+
+
+def _grid(raw):
+    return [Fraction(v) for v in raw.split(",")]
+
+
+def phi_scan_inputs(group):
+    """(manifold, structure) pairs of one input group."""
+    if group == "broken-phi":
+        ent = build("example41")
+        return [(ent.manifold, _broken_phi(ent))]
+    if group == "catalog":
+        ents = [build(name) for name in entry_ids()]
+    elif group == "kmu":
+        kmu = build("kmu")
+        points = [(lam, mu) for lam in _grid(SWEEP_LAMBDA_DEFAULT)
+                  for mu in _grid(SWEEP_MU_DEFAULT)] + [(1, 0), (-1, 0)]
+        ents = [kmu.substitute({"lambda": Fraction(lam), "mu": Fraction(mu)})
+                for lam, mu in points]
+    elif group == "heisenberg":
+        ents = [entry(heisenberg_manifest(n)) for n in (2, 3)]
+    else:
+        ents = [entry(chart_manifest(p)) for p in ("x+2", "x^2+x+3")]
+    return [(e.manifold, e.structure) for e in ents if e.structure]
+
+
+@pytest.mark.parametrize("group", ["catalog", "kmu", "heisenberg", "chart",
+                                   "broken-phi"])
+def test_phi_verdicts_match_the_reference_scans(group):
+    for m, structure in phi_scan_inputs(group):
+        curv = riemann(m, koszul(m))
+        rep = classify_structure(curv, structure)
+        assert (rep.phi_symmetric, rep.locally_phi_symmetric) == (
+            ref_phi_symmetry(curv, structure, SCOPE_GLOBAL),
+            ref_phi_symmetry(curv, structure, SCOPE_LOCAL))
+        assert (rep.phi_recurrent, rep.locally_phi_recurrent) == (
+            ref_phi_recurrence(curv, structure, SCOPE_GLOBAL),
+            ref_phi_recurrence(curv, structure, SCOPE_LOCAL))
+
+
+def test_classify_applies_phi_square_once_per_field_and_scope(monkeypatch):
+    ent = entry(heisenberg_manifest(3))
+    curv = riemann(ent.manifold, koszul(ent.manifold))
+    scans = []
+    scan, square = classify._phi_scan, classify._phi_square
+
+    def counted_scan(*args):
+        scans.append([])
+        return scan(*args)
+
+    def counted_square(structure, v):
+        # the scans read memoized nabla R fields, so one id is one field
+        scans[-1].append(id(v))
+        return square(structure, v)
+
+    monkeypatch.setattr(classify, "_phi_scan", counted_scan)
+    monkeypatch.setattr(classify, "_phi_square", counted_square)
+    classify_structure(curv, ent.structure)
+    assert len(scans) == 2
+    assert all(len(set(fields)) == len(fields) for fields in scans)
+    assert sum(map(len, scans)) == 689

@@ -197,6 +197,14 @@ def test_parse_errors_carry_positions():
         assert info.value.position == pos
 
 
+def test_power_budget_admits_a_nested_power_below_it():
+    # ((x+1)^100)^100 and (x+y+z+1)^100 run past the budget (the hostile
+    # manifest rows of the CLI tests); this one stays inside it
+    e = parse("((x+1)^100)^5", make_table())
+    assert len(e.num.terms) == 501
+    assert e.eval({"x": Fraction(1)}) == 2 ** 500
+
+
 def test_deep_nesting_is_a_parse_error_not_a_recursion_error():
     t = make_table()
     assert parse("-" * 1000 + "x", t) == parse("x", t)

@@ -345,6 +345,48 @@ def test_cli_sweep_without_nullity_solution_leaves_kappa_empty(tmp_path,
     assert "Traceback" not in captured.err
 
 
+def _rotated_kmu():
+    """kmu in the orthonormal frame f1 = (3e1+4e2)/5, f2 = (-4e1+3e2)/5,
+    f3 = e3: the same structure, with xi = (3/5, -4/5, 0)."""
+    doc = export_entry(build("kmu"))
+    a = doc["brackets"][0]["components"][2]   # [e1, e2] = a e3
+    b = doc["brackets"][1]["components"][1]   # [e1, e3] = b e2
+    doc["brackets"] = [
+        {"i": 1, "j": 2, "components": ["0", "0", a]},
+        {"i": 1, "j": 3,
+         "components": [f"(12*({b})+24)/25", f"(9*({b})-32)/25", "0"]},
+        {"i": 2, "j": 3,
+         "components": [f"(18-16*({b}))/25", f"(-12*({b})-24)/25", "0"]}]
+    doc["phi"] = [["0", "0", "4/5"], ["0", "0", "3/5"], ["-4/5", "-3/5", "0"]]
+    doc["xi"] = ["3/5", "-4/5", "0"]
+    return doc
+
+
+def test_cli_local_scope_needs_eta_along_one_frame_field(tmp_path, capsys):
+    # no frame field spans ker eta here, so the local verdicts are not
+    # computed (over the fields with eta(e_i) = 0 they were vacuous)
+    path = tmp_path / "rotated.json"
+    path.write_text(manifest_to_json(_rotated_kmu()))
+    argv = ["report", str(path), "--set", "lambda=1/2", "--set", "mu=1"]
+    assert cli.main(argv + ["--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    c = report["classification"]
+    assert c["contact_valid"] is True
+    assert (c["kappa_mu"]["kappa"], c["kappa_mu"]["mu"]) == ("3/4", "1")
+    assert c["phi_recurrent"]["status"] == "not_recurrent"
+    assert c["locally_phi_symmetric"] is None
+    assert c["locally_phi_recurrent"] is None
+    assert report["diagnostics"] == [
+        "local phi classifiers skipped: eta has 2 nonzero frame components, "
+        "so the frame fields it annihilates do not span ker eta"]
+    assert cli.main(argv + ["--strict"]) == 2
+    capsys.readouterr()
+    assert cli.main(["sweep", str(path), "--lambda", "1/2", "--mu", "1"]) == 0
+    row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+    assert row == ["1/2", "1", "false", "3/4", "false", "false", "false", "",
+                   "false", "not_recurrent", ""]
+
+
 def _abstract_3d(**fields):
     doc = {"schema_version": 1, "name": "m", "dimension": 3,
            "mode": "abstract",
@@ -411,10 +453,20 @@ def _chart_3d(frame):
         f"error: a number in the result has more than {_DIGIT_LIMIT} "
         "digits, the interpreter's int/str conversion limit\n",
         marks=needs_digit_limit),
+    (_abstract_3d(brackets=[{"i": 1, "j": 2,
+                             "components": ["((x+1)^100)^100", "0", "2"]}]),
+     "error: brackets[0].components[0]: power needs more than 250000 "
+     "coefficient products at position 12\n"),
+    (_abstract_3d(brackets=[{"i": 1, "j": 2,
+                             "components": ["(x+y+z+1)^100", "0", "2"]}],
+                  symbols=[{"name": n, "kind": "coordinate"} for n in "xyz"]),
+     "error: brackets[0].components[0]: power needs more than 250000 "
+     "coefficient products at position 10\n"),
 ], ids=["singular-metric", "singular-chart", "coordinate-phi", "coordinate-xi",
         "deep-parens", "huge-exponent", "dimension-17", "dimension-101",
         "asymmetric-metric", "coordinate-metric", "superscript-digit",
-        "long-literal", "long-exponent", "huge-result"])
+        "long-literal", "long-exponent", "huge-result", "nested-power",
+        "large-power"])
 def test_cli_report_hostile_manifest_is_an_input_error(doc, message,
                                                        tmp_path, capsys):
     path = tmp_path / "hostile.json"
