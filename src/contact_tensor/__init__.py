@@ -17,8 +17,7 @@ from .curvature import (ConnectionTable, CurvatureTables, koszul,
                         nabla_structure_tensors, riemann)
 from .expr import (Expr, ExprError, ExprParseError, PoleError, Symbol,
                    SymbolTable, KIND_COORDINATE, KIND_PARAMETER, parse)
-from .frame import (FrameError, FrameManifold, JacobiReport, OneForm,
-                    VectorField)
+from .frame import FrameError, FrameManifold, JacobiReport, VectorField
 from .manifest import (ManifestError, export_entry, ingest_manifest,
                        load_manifest, manifest_to_json)
 from .report import build_report, render_json, render_text
@@ -46,7 +45,6 @@ __all__ = [
     "KIND_PARAMETER",
     "KappaMuVerdict",
     "ManifestError",
-    "OneForm",
     "PoleError",
     "RecurrenceVerdict",
     "SasakianVerdict",

@@ -26,7 +26,7 @@ from itertools import combinations
 from .contact import ContactError, ContactStructure, HOperator
 from .curvature import CurvatureTables, ricci_operator_of
 from .expr import Expr, PoleError
-from .frame import FrameManifold, OneForm, VectorField, coordinates_in
+from .frame import FrameManifold, VectorField, coordinates_in
 
 SCOPE_GLOBAL = "global"
 SCOPE_LOCAL = "local"
@@ -80,7 +80,7 @@ class SymmetryVerdict:
 class RecurrenceVerdict:
     status: str                    # recurrent | not_recurrent | trivially_recurrent
     scope: str
-    A: OneForm | None = None
+    A: VectorField | None = None   # A(e_w) as the component at w
     obstruction: str | None = None
     obstruction_index: tuple | None = None
 
@@ -117,8 +117,8 @@ def _scope_indices(structure: ContactStructure, scope: str) -> tuple[int, ...]:
         return tuple(range(1, m.dim + 1))
     if scope != SCOPE_LOCAL:
         raise ClassifyError(f"unknown scope {scope!r}")
-    eta = structure.eta.components
-    idxs = tuple(i for i in range(1, m.dim + 1) if eta[i - 1].is_zero())
+    eta = structure.eta.terms
+    idxs = tuple(i for i in range(1, m.dim + 1) if i not in eta)
     if m.dim - len(idxs) > 1:
         raise ClassifyError(
             f"eta has {m.dim - len(idxs)} nonzero frame components, so the "
@@ -135,9 +135,9 @@ def _nullity_sides(curv: CurvatureTables, structure: ContactStructure,
                    i: int, j: int) -> tuple[VectorField, VectorField]:
     """R(e_i, e_j)xi and eta(e_j)e_i - eta(e_i)e_j."""
     m = curv.manifold
-    eta = structure.eta.components
+    eta = structure.eta
     return (curv.riemann_apply(m.basis(i), m.basis(j), structure.xi),
-            m.basis(i).scale(eta[j - 1]) - m.basis(j).scale(eta[i - 1]))
+            m.basis(i).scale(eta[j]) - m.basis(j).scale(eta[i]))
 
 
 def is_sasakian(curv: CurvatureTables, structure: ContactStructure) -> SasakianVerdict:
@@ -229,14 +229,14 @@ def solve_kappa_mu(curv: CurvatureTables, structure: ContactStructure,
     inconsistency witness.
     """
     m = curv.manifold
-    eta = structure.eta.components
+    eta = structure.eta
     xi_idx = _basis_index(m, structure.xi)
     solver = _AffineSolver()
     for i in range(1, m.dim + 1):
         for j in range(i + 1, m.dim + 1):
             lhs, a_vec = _nullity_sides(curv, structure, i, j)
-            b_vec = (h.apply(m.basis(i)).scale(eta[j - 1])
-                     - h.apply(m.basis(j)).scale(eta[i - 1]))
+            b_vec = (h.apply(m.basis(i)).scale(eta[j])
+                     - h.apply(m.basis(j)).scale(eta[i]))
             for l in range(1, m.dim + 1):
                 if not solver.feed(a_vec[l], b_vec[l], lhs[l], (i, j, l)):
                     return KappaMuVerdict(
@@ -361,18 +361,17 @@ def _phi_scan(curv: CurvatureTables, structure: ContactStructure,
                         obstruction_index=index)
         if a_w is not None:
             components[w] = a_w
-    comps = tuple(components.get(idx, Expr.zero())
-                  for idx in range(1, curv.manifold.dim + 1))
+    a = VectorField(curv.manifold.dim,
+                    {w: c for w, c in components.items() if not c.is_zero()})
     if not components:
         # both sides vanish identically: any nonzero A works
         rec = RecurrenceVerdict(status="trivially_recurrent", scope=scope,
-                                A=OneForm(structure.eta.components))
-    elif all(c.is_zero() for c in comps):
+                                A=structure.eta)
+    elif a.is_zero():
         rec = RecurrenceVerdict(status="not_recurrent", scope=scope,
                                 obstruction="only A=0")
     else:
-        rec = RecurrenceVerdict(status="recurrent", scope=scope,
-                                A=OneForm(comps))
+        rec = RecurrenceVerdict(status="recurrent", scope=scope, A=a)
     return sym, rec
 
 
@@ -390,23 +389,25 @@ def reconstruction_holds(manifold: FrameManifold, riemann_basis,
 
     componentwise, with riemann_basis(i, j, k) = R(e_i, e_j)e_k and Q and
     r recomputed from the Ricci matrix S.
+
+    riemann_basis must be antisymmetric in (i, j), as the stored R is.
+    The right-hand side changes sign when X and Y swap, so both sides are
+    antisymmetric and vanish at i = j, and the pairs i < j decide it.
     """
     m = manifold
     if m.dim != 3:
         raise ClassifyError("the curvature reconstruction check needs dim 3")
     q_rows, scalar = ricci_operator_of(m, ricci)
     half_r = Expr.rational(1, 2) * scalar
-    for i in range(1, 4):
-        for j in range(1, 4):
-            for k in range(1, 4):
-                gjk = m.metric_entry(j, k)
-                gik = m.metric_entry(i, k)
-                recon = VectorField.accumulate(3, [
-                    (gjk, q_rows[i - 1]), (-gik, q_rows[j - 1]),
-                    (ricci[j - 1][k - 1] - half_r * gjk, m.basis(i)),
-                    (half_r * gik - ricci[i - 1][k - 1], m.basis(j))])
-                if not (riemann_basis(i, j, k) - recon).is_zero():
-                    return False
+    for i, j, k in _slots(range(1, 4)):
+        gjk = m.metric_entry(j, k)
+        gik = m.metric_entry(i, k)
+        recon = VectorField.accumulate(3, [
+            (gjk, q_rows[i - 1]), (-gik, q_rows[j - 1]),
+            (ricci[j - 1][k - 1] - half_r * gjk, m.basis(i)),
+            (half_r * gik - ricci[i - 1][k - 1], m.basis(j))])
+        if not (riemann_basis(i, j, k) - recon).is_zero():
+            return False
     return True
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr import Expr
-from .frame import FrameManifold, OneForm, VectorField, _make_substituter
+from .frame import FrameManifold, VectorField, _make_substituter
 
 
 class ContactError(Exception):
@@ -66,8 +66,8 @@ class ContactStructure:
     """phi, xi and the metric-dual eta over a frame manifold.
 
     phi is supplied as frame images: phi_rows[i] = phi(e_(i+1)).  eta is
-    computed as eta(e_i) = g(e_i, xi), never taken from input.  h is
-    computed on first use and cached write-once.
+    the lowered xi, eta[i] = g(e_i, xi), never taken from input, and
+    eta(X) is g(X, xi).  h is computed on first use and cached write-once.
     """
 
     def __init__(self, manifold: FrameManifold, phi_rows, xi: VectorField):
@@ -80,8 +80,7 @@ class ContactStructure:
         self.manifold = manifold
         self.phi_rows = rows
         self.xi = xi
-        self.eta = OneForm(tuple(
-            manifold.g(manifold.basis(i), xi) for i in range(1, dim + 1)))
+        self.eta = manifold.lower(xi)
         self._h = None
 
     def apply_phi(self, x: VectorField) -> VectorField:
@@ -106,7 +105,7 @@ class ContactStructure:
         m = self.manifold
         dim = m.dim
         out: list[Violation] = []
-        trace = self.eta.apply(self.xi)
+        trace = m.g(self.xi, self.xi)
         if trace != Expr.one():
             out.append(Violation("eta(xi) = 1", (), str(trace), "1"))
         phi_xi = self.apply_phi(self.xi)
@@ -116,20 +115,19 @@ class ContactStructure:
         for i in range(1, dim + 1):
             ei = m.basis(i)
             lhs = self.apply_phi(self.apply_phi(ei))
-            rhs = -ei + self.xi.scale(self.eta.components[i - 1])
+            rhs = -ei + self.xi.scale(self.eta[i])
             if not (lhs - rhs).is_zero():
                 out.append(Violation("phi^2 = -id + eta(x)xi", (i,),
                                      [str(c) for c in lhs.components],
                                      [str(c) for c in rhs.components]))
-            val = self.eta.apply(self.phi_rows[i - 1])
+            val = m.g(self.phi_rows[i - 1], self.xi)
             if not val.is_zero():
                 out.append(Violation("eta o phi = 0", (i,), str(val), "0"))
         for i in range(1, dim + 1):
             for j in range(i, dim + 1):
                 ei, ej = m.basis(i), m.basis(j)
                 lhs = m.g(self.apply_phi(ei), self.apply_phi(ej))
-                rhs = (m.g(ei, ej)
-                       - self.eta.components[i - 1] * self.eta.components[j - 1])
+                rhs = m.g(ei, ej) - self.eta[i] * self.eta[j]
                 if lhs != rhs:
                     out.append(Violation(
                         "g(phi X, phi Y) = g(X, Y) - eta(X)eta(Y)",
@@ -140,9 +138,9 @@ class ContactStructure:
         """d eta on a frame pair, with the 1/2 convention:
         d eta(X, Y) = (1/2)(X(eta Y) - Y(eta X) - eta([X, Y]))."""
         m = self.manifold
-        x_term = m.directional_derivative(i, self.eta.components[j - 1])
-        y_term = m.directional_derivative(j, self.eta.components[i - 1])
-        br = self.eta.apply(m.bracket_basis(i, j))
+        x_term = m.directional_derivative(i, self.eta[j])
+        y_term = m.directional_derivative(j, self.eta[i])
+        br = m.g(m.bracket_basis(i, j), self.xi)
         return (x_term - y_term - br) / 2
 
     def check_contact_metric(self) -> ContactMetricReport:

@@ -58,22 +58,22 @@ class ConnectionTable:
 
 
 def koszul(manifold: FrameManifold) -> ConnectionTable:
-    """Levi-Civita connection of the frame metric via the Koszul formula."""
+    """Levi-Civita connection of the frame metric via the Koszul formula,
+    read from the table of lowered brackets g([e_i, e_j], e_k)."""
     m = manifold
-    dim = m.dim
+    idx = range(1, m.dim + 1)
     half = Expr.rational(1, 2)
+    low = {(i, j): m.lower(m.bracket_basis(i, j)) for i in idx for j in idx}
     rows = []
-    for i in range(1, dim + 1):
+    for i in idx:
         row = []
-        for j in range(1, dim + 1):
-            rhs = []
-            for k in range(1, dim + 1):
-                ei, ej, ek = m.basis(i), m.basis(j), m.basis(k)
-                val = (m.g(ek, m.bracket_basis(i, j))
-                       - m.g(ei, m.bracket_basis(j, k))
-                       - m.g(ej, m.bracket_basis(i, k)))
-                rhs.append(half * val)  # rhs[k-1] = g(nabla_{e_i} e_j, e_k)
-            row.append(m.raise_index(rhs))
+        for j in idx:
+            rhs = {}  # rhs[k] = g(nabla_{e_i} e_j, e_k)
+            for k in idx:
+                val = low[i, j][k] - low[j, k][i] - low[i, k][j]
+                if not val.is_zero():
+                    rhs[k] = half * val
+            row.append(m.raise_index(VectorField(m.dim, rhs)))
         rows.append(tuple(row))
     return ConnectionTable(m, tuple(rows))
 
@@ -212,8 +212,8 @@ def nabla_structure_tensors(connection: ConnectionTable,
                 ei, structure.apply_phi(ej))
             dphi = dphi - structure.apply_phi(connection.nabla_basis(i, j))
             phi_row.append(dphi)
-            deta = m.directional_derivative(i, structure.eta.components[j - 1])
-            deta = deta - structure.eta.apply(connection.nabla_basis(i, j))
+            deta = m.directional_derivative(i, structure.eta[j])
+            deta = deta - m.g(connection.nabla_basis(i, j), structure.xi)
             eta_row.append(deta)
         nphi.append(tuple(phi_row))
         neta.append(tuple(eta_row))
@@ -269,20 +269,21 @@ def riemann_symmetry_residuals(curv: CurvatureTables) -> list:
     idx = range(1, m.dim + 1)
     pairs = list(combinations(idx, 2))
     out = []
-    lowered = {(i, j, k, l): m.g(curv.riemann(i, j, k), m.basis(l))
-               for i, j in pairs for k in idx for l in idx}
+    # lowered[i, j, k][l] = R(e_i, e_j, e_k, e_l)
+    lowered = {(i, j, k): m.lower(curv.riemann(i, j, k))
+               for i, j in pairs for k in idx}
     for i, j in pairs:
         for k in idx:
             res = curv.riemann(i, j, k) + curv.riemann(j, i, k)
             if not res.is_zero():
                 out.append((("first-pair", i, j, k), res))
             for l in range(k, m.dim + 1):
-                r = lowered[i, j, k, l] + lowered[i, j, l, k]
+                r = lowered[i, j, k][l] + lowered[i, j, l][k]
                 if not r.is_zero():
                     out.append((("second-pair", i, j, k, l), r))
     for a, (i, j) in enumerate(pairs):
         for k, l in pairs[a + 1:]:
-            r = lowered[i, j, k, l] - lowered[k, l, i, j]
+            r = lowered[i, j, k][l] - lowered[k, l, i][j]
             if not r.is_zero():
                 out.append((("interchange", i, j, k, l), r))
     return out
@@ -378,7 +379,7 @@ def h_direction_phi_derivative_residuals(curv: CurvatureTables,
                    + phi(curv.riemann_apply(xi, phi(x), y))
                    - curv.riemann_apply(xi, phi(x), phi(y))
                    + xi.scale(2 * m.g(x + hx, y))
-                   + (x + hx).scale(-2 * structure.eta.apply(y)))
+                   + (x + hx).scale(-2 * m.g(y, xi)))
             res = lhs - rhs
             if not res.is_zero():
                 out.append(((i, j), res))

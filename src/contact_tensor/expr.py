@@ -148,7 +148,8 @@ def _dict_leading(terms: dict[Mono, int | Fraction]
 
 
 # a power that needs more coefficient products than this raises ExprError
-# instead of running for minutes on a short input such as ((x+1)^100)^100
+# instead of running for minutes on a short input such as ((x+1)^100)^100;
+# the parser bounds each product and quotient by the same number
 _MAX_POWER_PRODUCTS = 250_000
 
 
@@ -818,6 +819,12 @@ class _Parser:
             if kind == _T_OP and text in "*/":
                 self.take()
                 rhs = self.factor()
+                if (len(e.num.terms) * len(rhs.num.terms)
+                        + len(e.den.terms) * len(rhs.den.terms)
+                        > _MAX_POWER_PRODUCTS):
+                    raise ExprParseError(
+                        "product needs more than "
+                        f"{_MAX_POWER_PRODUCTS} coefficient products", pos)
                 if text == "*":
                     e = e * rhs
                 else:

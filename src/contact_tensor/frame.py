@@ -136,26 +136,6 @@ class VectorField:
 
 
 @dataclass(frozen=True)
-class OneForm:
-    """A one-form given by its values on the frame fields."""
-
-    components: tuple[Expr, ...]
-
-    @staticmethod
-    def make(components) -> "OneForm":
-        return OneForm(tuple(as_expr(c) for c in components))
-
-    def apply(self, x: VectorField) -> Expr:
-        total = Expr.zero()
-        for k, c in x.items():
-            total = total + self.components[k - 1] * c
-        return total
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-
-@dataclass(frozen=True)
 class JacobiViolation:
     triple: tuple[int, int, int]
     residual: VectorField
@@ -173,6 +153,8 @@ class FrameManifold:
     Build through the `abstract` or `chart` classmethods.  The metric is
     given on frame pairs and must be parameter-only (constant along the
     manifold); it defaults to the identity, the orthonormal-frame case.
+    It is held as sparse rows, metric_rows[i-1] = g(e_i, .), and its
+    inverse as sparse rows built once on first use.
     """
 
     def __init__(self, mode, dim, symbols, metric, structure, chart_frame):
@@ -181,7 +163,7 @@ class FrameManifold:
         self.mode = mode
         self.dim = dim
         self.symbols = symbols
-        self.metric = metric
+        self.metric_rows = metric
         self._structure = structure
         self.chart_frame = chart_frame
         self._coordinate_names = frozenset(
@@ -235,25 +217,32 @@ class FrameManifold:
         return VectorField.basis(self.dim, i)
 
     def metric_entry(self, i: int, j: int) -> Expr:
-        return self.metric[i - 1][j - 1]
+        return self.metric_rows[i - 1][j]
 
-    def metric_inverse(self):
+    def metric_inverse(self) -> tuple[VectorField, ...]:
+        """Rows of the inverse metric as sparse vector fields."""
         if self._metric_inverse is None:
-            inv = invert([list(row) for row in self.metric], "metric")
-            self._metric_inverse = tuple(tuple(row) for row in inv)
+            inv = invert([list(row.components) for row in self.metric_rows],
+                         "metric")
+            self._metric_inverse = tuple(VectorField.make(row) for row in inv)
         return self._metric_inverse
 
+    def lower(self, v: VectorField) -> VectorField:
+        """The covector g(v, .) as the field of its frame values."""
+        return VectorField.combination(v, self.metric_rows)
+
     def raise_index(self, lowered) -> VectorField:
-        """The vector field w with g(w, e_k) = lowered[k-1] for every k."""
-        rows = [VectorField.make(row) for row in self.metric_inverse()]
-        return VectorField.combination(lowered, rows)
+        """The vector field w with g(w, e_k) = lowered[k] for every k;
+        lowered is a VectorField or a sequence of the dim values."""
+        return VectorField.combination(lowered, self.metric_inverse())
 
     def g(self, x: VectorField, y: VectorField) -> Expr:
         total = Expr.zero()
         for i, xi in x.items():
-            row = self.metric[i - 1]
+            row = self.metric_rows[i - 1].terms
             for j, yj in y.items():
-                total = total + row[j - 1] * xi * yj
+                if j in row:
+                    total = total + row[j] * xi * yj
         return total
 
     # -- differentiation and brackets ---------------------------------------
@@ -364,7 +353,7 @@ class FrameManifold:
     def substitute_parameters(self, bindings: dict) -> "FrameManifold":
         """New manifold with parameter symbols replaced by rationals."""
         sub = _make_substituter(self.symbols, bindings)
-        metric = tuple(tuple(sub(e) for e in row) for row in self.metric)
+        metric = tuple(row.map(sub) for row in self.metric_rows)
         if self.mode == MODE_ABSTRACT:
             structure = {pair: vf.map(sub)
                          for pair, vf in self._structure.items()}
@@ -395,11 +384,11 @@ def _require_parameter_only(e: Expr, symbols: SymbolTable, what: str):
 
 
 def check_metric(metric, dim: int, symbols: SymbolTable):
-    """The metric as a dim x dim tuple of Exprs, the identity when None.
-    Raises FrameError unless it is square, symmetric and parameter-only."""
+    """The rows of a dim x dim metric matrix as sparse vector fields, the
+    identity when None.  Raises FrameError unless the matrix is square,
+    symmetric and parameter-only."""
     if metric is None:
-        return tuple(tuple(Expr.one() if i == j else Expr.zero()
-                           for j in range(dim)) for i in range(dim))
+        return tuple(VectorField.basis(dim, i) for i in range(1, dim + 1))
     rows = tuple(tuple(as_expr(e) for e in row) for row in metric)
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise FrameError(f"metric must be a {dim}x{dim} matrix")
@@ -410,7 +399,7 @@ def check_metric(metric, dim: int, symbols: SymbolTable):
             if rows[i][j] != rows[j][i]:
                 raise FrameError("metric is not symmetric at "
                                  f"(e{i + 1},e{j + 1})")
-    return rows
+    return tuple(VectorField.make(row) for row in rows)
 
 
 def _make_substituter(symbols: SymbolTable, bindings: dict):
@@ -438,7 +427,6 @@ __all__ = [
     "FrameManifold",
     "JacobiReport",
     "JacobiViolation",
-    "OneForm",
     "VectorField",
     "as_expr",
     "coordinates_in",

@@ -173,7 +173,7 @@ def ingest_manifest(doc: dict) -> IngestResult:
         metric = _parse_matrix(doc["metric"], dim, table, "metric", errors)
         if metric is not None:
             try:
-                metric = check_metric(metric, dim, table)
+                check_metric(metric, dim, table)
             except FrameError as exc:
                 errors.append(f"metric: {exc}")
 

@@ -19,18 +19,15 @@ from .curvature import (first_bianchi_residuals, koszul,
                         riemann_symmetry_residuals, second_bianchi_residuals,
                         torsion_residuals)
 from .expr import Expr
-from .frame import OneForm, VectorField
+from .frame import VectorField
 from .manifest import export_entry
 
 REPORT_SCHEMA_VERSION = 1
 
 
-def _vf(v) -> list[str]:
-    if isinstance(v, VectorField):
-        terms = v.terms
-        return [str(terms[k]) if k in terms else "0"
-                for k in range(1, v.dim + 1)]
-    return [str(c) for c in v.components]
+def _vf(v: VectorField) -> list[str]:
+    terms = v.terms
+    return [str(terms[k]) if k in terms else "0" for k in range(1, v.dim + 1)]
 
 
 _RENAMED = {"constant_flag": "constant", "lam": "lambda"}
@@ -38,9 +35,9 @@ _RENAMED = {"constant_flag": "constant", "lam": "lambda"}
 
 def _json(value):
     """JSON form of a verdict or structure value: dataclass fields in
-    declaration order, expressions as strings, vector fields and one-forms
-    as component lists, tuples as lists."""
-    if isinstance(value, (VectorField, OneForm)):
+    declaration order, expressions as strings, vector fields as component
+    lists, tuples as lists."""
+    if isinstance(value, VectorField):
         return _vf(value)
     if isinstance(value, Expr):
         return str(value)

@@ -5,9 +5,24 @@
 - example41 with its denominator x replaced by a polynomial p(x): a chart
   frame whose connection and curvature components depend on x, so the
   derivative terms of the covariant derivative do not vanish.
+- the D-homothetic deformation of the kmu family by a parameter a: metric
+  diag(a^2, a, a), xi = e1/a, phi unchanged.
+- the sphere's cyclic brackets under a non-identity metric.
 """
 
-from contact_tensor.manifest import entry_from_ingest, ingest_manifest
+from fractions import Fraction
+
+from contact_tensor.catalog import build
+from contact_tensor.expr import SymbolTable
+from contact_tensor.frame import FrameManifold
+from contact_tensor.manifest import (entry_from_ingest, export_entry,
+                                     ingest_manifest)
+
+NON_IDENTITY_METRICS = {
+    "scaled": [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+    "berger": [[1, 0, 0], [0, Fraction(1, 3), 0], [0, 0, Fraction(1, 3)]],
+    "non-diagonal": [[2, 1, 0], [1, 2, 0], [0, 0, 1]],
+}
 
 
 def _identity(dim):
@@ -44,3 +59,21 @@ def chart_manifest(p):
 
 def entry(doc):
     return entry_from_ingest(ingest_manifest(doc))
+
+
+def deformed_kmu_manifest():
+    """kmu after the D-homothetic deformation g' = a g + a(a-1) eta (x) eta,
+    xi' = xi/a, phi' = phi (Tanno 1968)."""
+    doc = export_entry(build("kmu"))
+    doc["symbols"].append({"name": "a", "kind": "parameter"})
+    doc["metric"] = [["a^2", "0", "0"], ["0", "a", "0"], ["0", "0", "a"]]
+    doc["xi"] = ["1/a", "0", "0"]
+    return doc
+
+
+def sphere_brackets(metric):
+    """The sphere's brackets [e1,e2] = 2e3, [e3,e1] = 2e2, [e2,e3] = 2e1
+    under the given metric, with no structure."""
+    return FrameManifold.abstract(
+        3, SymbolTable(),
+        {(1, 2): (0, 0, 2), (1, 3): (0, -2, 0), (2, 3): (2, 0, 0)}, metric)

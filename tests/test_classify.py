@@ -31,7 +31,7 @@ from contact_tensor.classify import (
     solve_phi_recurrence,
 )
 from contact_tensor.contact import ContactStructure, HOperator
-from contact_tensor.curvature import koszul, riemann
+from contact_tensor.curvature import koszul, ricci_operator_of, riemann
 from contact_tensor.expr import (
     Expr,
     KIND_COORDINATE,
@@ -39,10 +39,12 @@ from contact_tensor.expr import (
     parse,
 )
 from contact_tensor.cli import SWEEP_LAMBDA_DEFAULT, SWEEP_MU_DEFAULT
-from contact_tensor.frame import FrameManifold, OneForm, VectorField
+from contact_tensor.frame import FrameManifold, VectorField
 from contact_tensor.report import build_report
 
-from _frames import chart_manifest, entry, heisenberg_manifest
+from _frames import (NON_IDENTITY_METRICS, chart_manifest,
+                     deformed_kmu_manifest, entry, heisenberg_manifest,
+                     sphere_brackets)
 
 
 def classified(name, bindings=None):
@@ -482,12 +484,12 @@ def ref_phi_recurrence(curv, structure, scope):
                     obstruction_index=index)
     if not a:
         return RecurrenceVerdict("trivially_recurrent", scope,
-                                 A=OneForm(structure.eta.components))
+                                 A=structure.eta)
     comps = tuple(a.get(w, Expr.zero()) for w in range(1, dim + 1))
     if all(c.is_zero() for c in comps):
         return RecurrenceVerdict("not_recurrent", scope,
                                  obstruction="only A=0")
-    return RecurrenceVerdict("recurrent", scope, A=OneForm(comps))
+    return RecurrenceVerdict("recurrent", scope, A=VectorField.make(comps))
 
 
 def _grid(raw):
@@ -549,3 +551,57 @@ def test_classify_applies_phi_square_once_per_field_and_scope(monkeypatch):
     assert len(scans) == 2
     assert all(len(set(fields)) == len(fields) for fields in scans)
     assert sum(map(len, scans)) == 689
+
+
+# ---------------------------------------------------------------------------
+# reference form of the 3-D reconstruction check, over all 27 (i, j, k),
+# kept to test the i < j check of reconstruction_holds against
+
+def ref_reconstruction_holds(m, riemann_basis, ricci):
+    q_rows, scalar = ricci_operator_of(m, ricci)
+    half_r = Expr.rational(1, 2) * scalar
+    for i in range(1, 4):
+        for j in range(1, 4):
+            for k in range(1, 4):
+                gjk, gik = m.metric_entry(j, k), m.metric_entry(i, k)
+                sjk, sik = ricci[j - 1][k - 1], ricci[i - 1][k - 1]
+                recon = (q_rows[i - 1].scale(gjk) - q_rows[j - 1].scale(gik)
+                         + m.basis(i).scale(sjk - half_r * gjk)
+                         + m.basis(j).scale(half_r * gik - sik))
+                if not (riemann_basis(i, j, k) - recon).is_zero():
+                    return False
+    return True
+
+
+def reconstruction_inputs():
+    ents = [e for e in map(build, entry_ids()) if e.manifold.dim == 3]
+    kmu = build("kmu")
+    ents += [kmu.substitute({"lambda": lam, "mu": mu})
+             for lam in _grid(SWEEP_LAMBDA_DEFAULT)
+             for mu in _grid(SWEEP_MU_DEFAULT)]
+    ents += [entry(chart_manifest(p)) for p in ("x+2", "x^2+x+3")]
+    ents.append(entry(deformed_kmu_manifest()))
+    return ([e.manifold for e in ents]
+            + [sphere_brackets(g) for g in NON_IDENTITY_METRICS.values()])
+
+
+def test_reconstruction_over_i_lt_j_matches_the_full_check():
+    ms = reconstruction_inputs()
+    assert len(ms) == 4 + 16 + 2 + 1 + 3
+    for m in ms:
+        curv = riemann(m, koszul(m))
+        assert reconstruction_holds(m, curv.riemann, curv.ricci) is True
+        assert ref_reconstruction_holds(m, curv.riemann, curv.ricci) is True
+        e1 = m.basis(1)
+
+        def corrupted(i, j, k):
+            # R(e1,e2)e3 + e1, kept antisymmetric in (i, j)
+            sign = {(1, 2, 3): 1, (2, 1, 3): -1}.get((i, j, k), 0)
+            return curv.riemann(i, j, k) + e1.scale(sign)
+
+        assert reconstruction_holds(m, corrupted, curv.ricci) is False
+        assert ref_reconstruction_holds(m, corrupted, curv.ricci) is False
+        bad = [list(row) for row in curv.ricci]
+        bad[0][2] = bad[2][0] = bad[0][2] + Expr.one()
+        assert reconstruction_holds(m, curv.riemann, bad) is False
+        assert ref_reconstruction_holds(m, curv.riemann, bad) is False

@@ -9,8 +9,11 @@ from contact_tensor.contact import (
     HOperator,
     h_eigenstructure,
 )
-from contact_tensor.expr import Expr
+from contact_tensor.expr import Expr, parse
 from contact_tensor.frame import VectorField
+from contact_tensor.report import build_report
+
+from _frames import deformed_kmu_manifest, entry
 
 
 def test_eta_is_metric_dual_of_xi():
@@ -166,3 +169,28 @@ def test_substitute_parameters_on_structure():
     h = st.compute_h()
     assert [[str(c) for c in r.components] for r in h.rows] \
         == [["0", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]
+
+
+def test_d_homothetic_deformation_of_kmu_matches_the_known_formulas():
+    # Tanno 1968; Blair, Koufogiorgos & Papantoniou 1995: eta' = a eta,
+    # xi' = xi/a, phi' = phi and g' = a g + a(a-1) eta (x) eta take a
+    # (kappa, mu)-space to kappa' = (kappa + a^2 - 1)/a^2 and
+    # mu' = (mu + 2a - 2)/a; the kmu family has kappa = 1 - lambda^2
+    ent = entry(deformed_kmu_manifest())
+    m, st = ent.manifold, ent.structure
+    a, lam, mu = (parse(n, m.symbols) for n in ("a", "lambda", "mu"))
+    one = Expr.one()
+    report = build_report(ent)
+    assert report["structure"]["eta"] == ["a", "0", "0"]
+    for x in (m.basis(1), m.basis(2) - m.basis(1).scale(lam), st.xi):
+        assert sum((st.eta[k] * c for k, c in x.items()),
+                   Expr.zero()) == m.g(x, st.xi)
+    verdicts = report["classification"]
+    assert verdicts["contact_valid"] is True
+    km = verdicts["kappa_mu"]
+    assert km["status"] == "consistent"
+    kappa = one - lam * lam
+    assert parse(km["kappa"], m.symbols) == (kappa + a * a - one) / (a * a)
+    assert parse(km["mu"], m.symbols) == (mu + 2 * a - 2 * one) / a
+    assert (km["kappa"], km["mu"]) == ("(a^2-lambda^2)/a^2", "(2*a+mu-2)/a")
+    assert all(v is True for v in report["self_check"].values())

@@ -6,12 +6,13 @@ Fraction oracle in _oracles or against the classical identities.
 """
 
 import copy
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from contact_tensor.catalog import build
+from contact_tensor.catalog import build, entry_ids
 from contact_tensor.curvature import (
     first_bianchi_residuals,
     h_direction_phi_derivative_residuals,
@@ -32,7 +33,9 @@ from contact_tensor.frame import (
     VectorField,
 )
 
-from _frames import chart_manifest, entry, heisenberg_manifest
+from _frames import (NON_IDENTITY_METRICS, chart_manifest,
+                     deformed_kmu_manifest, entry, heisenberg_manifest,
+                     sphere_brackets)
 from _oracles import (
     bracket_constants,
     christoffel,
@@ -296,7 +299,7 @@ def test_sphere_satisfies_the_sasakian_derivative_law():
         for j in range(1, 4):
             ei, ej = m.basis(i), m.basis(j)
             want = (st.xi.scale(m.g(ei, ej))
-                    - ei.scale(st.eta.apply(ej)))
+                    - ei.scale(m.g(ej, st.xi)))
             assert der.nabla_phi[i - 1][j - 1] == want
 
 
@@ -574,3 +577,92 @@ def test_reduced_second_bianchi_sees_a_corrupted_nabla_r_entry():
                                       + VectorField.basis(5, 1))
     assert second_bianchi_residuals(bad) != []
     assert full_second_bianchi(bad) != []
+
+
+# ---------------------------------------------------------------------------
+# reference forms of the Koszul table, with three g calls per entry, and of
+# the Riemann symmetry check, with one g call per lowered component, kept to
+# test the lowered bracket and curvature tables against
+
+def ref_koszul_rows(m):
+    half = Expr.rational(1, 2)
+    idx = range(1, m.dim + 1)
+    return [[m.raise_index([half * (m.g(m.basis(k), m.bracket_basis(i, j))
+                                    - m.g(m.basis(i), m.bracket_basis(j, k))
+                                    - m.g(m.basis(j), m.bracket_basis(i, k)))
+                            for k in idx])
+             for j in idx] for i in idx]
+
+
+def ref_riemann_symmetry_residuals(curv):
+    m = curv.manifold
+    idx = range(1, m.dim + 1)
+    pairs = list(itertools.combinations(idx, 2))
+    out = []
+    lowered = {(i, j, k, l): m.g(curv.riemann(i, j, k), m.basis(l))
+               for i, j in pairs for k in idx for l in idx}
+    for i, j in pairs:
+        for k in idx:
+            res = curv.riemann(i, j, k) + curv.riemann(j, i, k)
+            if not res.is_zero():
+                out.append((("first-pair", i, j, k), res))
+            for l in range(k, m.dim + 1):
+                r = lowered[i, j, k, l] + lowered[i, j, l, k]
+                if not r.is_zero():
+                    out.append((("second-pair", i, j, k, l), r))
+    for a, (i, j) in enumerate(pairs):
+        for k, l in pairs[a + 1:]:
+            r = lowered[i, j, k, l] - lowered[k, l, i, j]
+            if not r.is_zero():
+                out.append((("interchange", i, j, k, l), r))
+    return out
+
+
+def lowering_inputs():
+    """Every catalog entry, H^5, the two example41-shaped chart frames, the
+    sphere's brackets under three non-identity metrics and the deformed
+    kmu family, whose metric is not the identity."""
+    out = {name: build(name).manifold for name in entry_ids()}
+    out["heisenberg5"] = entry(heisenberg_manifest(2)).manifold
+    out["chart-linear"] = entry(chart_manifest("x+2")).manifold
+    out["chart-quadratic"] = entry(chart_manifest("x^2+x+3")).manifold
+    for name, metric in NON_IDENTITY_METRICS.items():
+        out[f"sphere-{name}"] = sphere_brackets(metric)
+    out["deformed-kmu"] = entry(deformed_kmu_manifest()).manifold
+    return out
+
+
+@pytest.mark.parametrize("name", list(lowering_inputs()))
+def test_lowered_tables_match_the_reference_g_calls(name):
+    m = lowering_inputs()[name]
+    conn = koszul(m)
+    ref = ref_koszul_rows(m)
+    idx = range(1, m.dim + 1)
+    for i in idx:
+        for j in idx:
+            assert conn.nabla_basis(i, j) == ref[i - 1][j - 1], (i, j)
+    curv = riemann(m, conn)
+    assert riemann_symmetry_residuals(curv) == []
+    assert ref_riemann_symmetry_residuals(curv) == []
+    # R(e1,e2)e3 + e3 breaks the second pair, R(e1,e2)e1 + e3 the
+    # interchange of (1, 2) with (1, 3)
+    for k in (3, 1):
+        bad = _corrupt_riemann(curv, 1, 2, k, m.basis(3))
+        residuals = riemann_symmetry_residuals(bad)
+        assert residuals, k
+        assert residuals == ref_riemann_symmetry_residuals(bad), k
+
+
+@pytest.mark.parametrize("name", list(lowering_inputs()))
+def test_lower_and_raise_index_invert_each_other(name):
+    m = lowering_inputs()[name]
+    assert m.metric_inverse() is m.metric_inverse()
+    for row in m.metric_rows + m.metric_inverse():
+        assert not any(c.is_zero() for c in row.terms.values())
+    idx = range(1, m.dim + 1)
+    for i in idx:
+        for j in idx:
+            v = m.bracket_basis(i, j) + m.basis(j).scale(i)
+            low = m.lower(v)
+            assert m.raise_index(low) == v, (i, j)
+            assert all(low[k] == m.g(v, m.basis(k)) for k in idx), (i, j)

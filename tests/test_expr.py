@@ -205,6 +205,22 @@ def test_power_budget_admits_a_nested_power_below_it():
     assert e.eval({"x": Fraction(1)}) == 2 ** 500
 
 
+def test_product_budget_admits_a_product_below_it():
+    # (x+y+z+1)^30*(x+y+z+1)^30 runs past the budget (the large-product
+    # row of the CLI tests); this product of a power at the exponent
+    # bound stays inside it
+    e = parse("(x+1)^100*(x+1)^5", make_table())
+    assert len(e.num.terms) == 106
+    assert e.eval({"x": Fraction(1)}) == 2 ** 105
+    with pytest.raises(ExprParseError) as info:
+        parse("(x+y+1)^40/(x+y+1)^40", make_table())   # 861 terms each
+    assert info.value.position == 10
+    with pytest.raises(ExprParseError) as info:
+        # the denominators' term counts multiplied
+        parse("(1/(x+y+1)^40)*(1/(x+y+1)^40)", make_table())
+    assert info.value.position == 14
+
+
 def test_deep_nesting_is_a_parse_error_not_a_recursion_error():
     t = make_table()
     assert parse("-" * 1000 + "x", t) == parse("x", t)

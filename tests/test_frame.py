@@ -17,7 +17,6 @@ from contact_tensor.expr import (
 from contact_tensor.frame import (
     FrameError,
     FrameManifold,
-    OneForm,
     VectorField,
 )
 from contact_tensor.linalg import SingularMatrixError
@@ -49,8 +48,12 @@ def test_vector_field_helpers():
     assert VectorField.zero(3).is_zero()
     combo = e2.scale(Expr.integer(3)) - e2
     assert [str(c) for c in combo.components] == ["0", "2", "0"]
-    form = OneForm.make((1, 3, 0))
-    assert str(form.apply(combo)) == "6"
+    # eta(X) is g(X, xi); the identity metric lowers xi to its own
+    # components, so eta(combo) is their dot product with combo's
+    m = abstract_heisenberg()
+    xi = VectorField.make((1, 3, 0))
+    assert m.lower(xi) == xi
+    assert str(m.g(combo, xi)) == "6"
 
 
 def test_constructor_rejects_bad_input():
@@ -81,7 +84,7 @@ def test_metric_must_be_symmetric():
     good = ((2, 1, 0), (1, 2, 0), (0, 0, 1))
     m = FrameManifold.abstract(3, t, {}, metric=good)
     assert str(m.metric_entry(1, 2)) == "1"
-    assert str(m.metric_inverse()[0][0]) == "2/3"
+    assert str(m.metric_inverse()[0][1]) == "2/3"
 
 
 def test_abstract_brackets():

@@ -462,11 +462,17 @@ def _chart_3d(frame):
                   symbols=[{"name": n, "kind": "coordinate"} for n in "xyz"]),
      "error: brackets[0].components[0]: power needs more than 250000 "
      "coefficient products at position 10\n"),
+    (_abstract_3d(brackets=[{"i": 1, "j": 2,
+                             "components": ["(x+y+z+1)^30*(x+y+z+1)^30",
+                                            "0", "2"]}],
+                  symbols=[{"name": n, "kind": "coordinate"} for n in "xyz"]),
+     "error: brackets[0].components[0]: product needs more than 250000 "
+     "coefficient products at position 12\n"),
 ], ids=["singular-metric", "singular-chart", "coordinate-phi", "coordinate-xi",
         "deep-parens", "huge-exponent", "dimension-17", "dimension-101",
         "asymmetric-metric", "coordinate-metric", "superscript-digit",
         "long-literal", "long-exponent", "huge-result", "nested-power",
-        "large-power"])
+        "large-power", "large-product"])
 def test_cli_report_hostile_manifest_is_an_input_error(doc, message,
                                                        tmp_path, capsys):
     path = tmp_path / "hostile.json"
