@@ -2,9 +2,7 @@
 manifolds: connections, curvature, covariant derivatives, and structure
 classification over multivariate rational functions."""
 
-from .catalog import (CatalogEntry, CatalogError, build, build_example_41,
-                      build_flat_euclidean, build_kmu_frame,
-                      build_sasakian_sphere, entry_ids)
+from .catalog import CatalogEntry, CatalogError, build, entry_ids
 from .classify import (ClassificationReport, ClassifyError, KappaMuVerdict,
                        RecurrenceVerdict, SasakianVerdict, SelfCheckError,
                        SymmetryVerdict, check_3d_decomposition,
@@ -54,11 +52,7 @@ __all__ = [
     "SymmetryVerdict",
     "VectorField",
     "build",
-    "build_example_41",
-    "build_flat_euclidean",
-    "build_kmu_frame",
     "build_report",
-    "build_sasakian_sphere",
     "check_3d_decomposition",
     "classify_structure",
     "constant_curvature",

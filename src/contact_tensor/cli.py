@@ -53,17 +53,30 @@ def _color_enabled() -> bool:
     return os.environ.get("CONTACT_TENSOR_COLOR", "0") == "1"
 
 
+def _parse_rational(raw: str, flag: str) -> Fraction:
+    # 'm/n' or a decimal 'm.f' with exponent 'e<k>': neither numerator nor
+    # denominator has more digits than the mantissa plus |k|, so a value
+    # past the int/str digit limit is refused before it is built
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    mantissa, _, exponent = raw.lower().partition("e")
+    try:
+        digits = (sum(c.isdigit() for c in mantissa)
+                  + (abs(int(exponent)) if exponent else 0))
+        if limit and digits > limit:
+            raise CliError(f"{flag}: {raw!r} has more than {limit} digits, "
+                           "the interpreter's int/str conversion limit")
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"{flag}: {raw!r} is not a rational number") from None
+
+
 def _parse_set(values: list[str]) -> dict[str, Fraction]:
     bindings: dict[str, Fraction] = {}
     for item in values:
         name, sep, raw = item.partition("=")
         if not sep or not name:
             raise CliError(f"--set expects name=value, got {item!r}")
-        try:
-            bindings[name] = Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            raise CliError(f"--set {name}: {raw!r} is not a rational "
-                           "number") from None
+        bindings[name] = _parse_rational(raw, f"--set {name}")
     return bindings
 
 
@@ -143,13 +156,8 @@ def _parse_grid(raw: str, flag: str) -> list[Fraction]:
     values = []
     for chunk in raw.split(","):
         chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            values.append(Fraction(chunk))
-        except (ValueError, ZeroDivisionError):
-            raise CliError(f"{flag}: {chunk!r} is not a rational "
-                           "number") from None
+        if chunk:
+            values.append(_parse_rational(chunk, flag))
     if not values:
         raise CliError(f"{flag}: empty grid")
     return values

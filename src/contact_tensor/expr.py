@@ -794,6 +794,17 @@ class _Parser:
             raise ExprParseError(f"expected {op!r}", pos)
         return self.take()
 
+    @staticmethod
+    def budget(what: str, e: Expr, rhs: Expr, pos: int) -> None:
+        # a/b op c/d multiplies out at most the pairs of {a, b} x {c, d}:
+        # a*c and b*d for *, a*d and b*c for /, a*d, c*b and b*d for + -
+        if ((len(e.num.terms) + len(e.den.terms))
+                * (len(rhs.num.terms) + len(rhs.den.terms))
+                > _MAX_POWER_PRODUCTS):
+            raise ExprParseError(f"{what} needs more than "
+                                 f"{_MAX_POWER_PRODUCTS} coefficient products",
+                                 pos)
+
     def parse(self) -> Expr:
         e = self.sum()
         kind, text, pos = self.peek()
@@ -804,10 +815,12 @@ class _Parser:
     def sum(self) -> Expr:
         e = self.term()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == _T_OP and text in "+-":
                 self.take()
                 rhs = self.term()
+                if e.den != rhs.den:   # one shared denominator just adds
+                    self.budget("sum", e, rhs, pos)
                 e = e + rhs if text == "+" else e - rhs
             else:
                 return e
@@ -819,12 +832,7 @@ class _Parser:
             if kind == _T_OP and text in "*/":
                 self.take()
                 rhs = self.factor()
-                if (len(e.num.terms) * len(rhs.num.terms)
-                        + len(e.den.terms) * len(rhs.den.terms)
-                        > _MAX_POWER_PRODUCTS):
-                    raise ExprParseError(
-                        "product needs more than "
-                        f"{_MAX_POWER_PRODUCTS} coefficient products", pos)
+                self.budget("product", e, rhs, pos)
                 if text == "*":
                     e = e * rhs
                 else:

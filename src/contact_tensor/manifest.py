@@ -4,7 +4,8 @@ Schema version 1.  Chart mode stores the frame rows over the coordinate
 partials, abstract mode stores the bracket records for i < j; phi and xi
 travel together or not at all.  All expressions are strings in the
 canonical renderer's syntax, so export -> ingest -> export is the
-identity byte for byte.
+identity byte for byte.  `CatalogEntry` is what every manifest, built-in
+or user-written, becomes for the reporting code.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .catalog import CatalogEntry
 from .contact import ContactStructure
 from .expr import (Expr, ExprError, ExprParseError, KIND_COORDINATE,
                    KIND_PARAMETER, SymbolTable, parse)
@@ -30,6 +30,22 @@ class ManifestError(Exception):
     def __init__(self, errors: list[str]):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
+
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    id: str
+    manifold: FrameManifold
+    structure: ContactStructure | None
+
+    def substitute(self, bindings: dict) -> "CatalogEntry":
+        if self.structure is None:
+            return CatalogEntry(self.id,
+                                self.manifold.substitute_parameters(bindings),
+                                None)
+        # the structure carries its own substituted manifold
+        structure = self.structure.substitute_parameters(bindings)
+        return CatalogEntry(self.id, structure.manifold, structure)
 
 
 @dataclass(frozen=True)
@@ -280,6 +296,7 @@ def entry_from_ingest(result: IngestResult) -> CatalogEntry:
 
 __all__ = [
     "SCHEMA_VERSION",
+    "CatalogEntry",
     "IngestResult",
     "ManifestError",
     "entry_from_ingest",

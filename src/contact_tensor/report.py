@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 
-from .catalog import CatalogEntry
+from .manifest import CatalogEntry
 from .classify import check_3d_decomposition, classify_structure
 from .contact import ContactError, h_eigenstructure
 from .curvature import (first_bianchi_residuals, koszul,

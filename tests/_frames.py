@@ -8,13 +8,16 @@
 - the D-homothetic deformation of the kmu family by a parameter a: metric
   diag(a^2, a, a), xi = e1/a, phi unchanged.
 - the sphere's cyclic brackets under a non-identity metric.
+- a rotation structure phi(e_a) = e_b, phi(e_b) = -e_a, xi = e_k on any
+  frame manifold.
 """
 
 from fractions import Fraction
 
 from contact_tensor.catalog import build
+from contact_tensor.contact import ContactStructure
 from contact_tensor.expr import SymbolTable
-from contact_tensor.frame import FrameManifold
+from contact_tensor.frame import FrameManifold, VectorField
 from contact_tensor.manifest import (entry_from_ingest, export_entry,
                                      ingest_manifest)
 
@@ -69,6 +72,17 @@ def deformed_kmu_manifest():
     doc["metric"] = [["a^2", "0", "0"], ["0", "a", "0"], ["0", "0", "a"]]
     doc["xi"] = ["1/a", "0", "0"]
     return doc
+
+
+def rotation_structure(manifold, xi_index, plane):
+    # phi rotates e_a -> e_b -> -e_a and kills xi
+    a, b = plane
+    dim = manifold.dim
+    rows = [VectorField.zero(dim)] * dim
+    rows[a - 1] = VectorField.basis(dim, b)
+    rows[b - 1] = -VectorField.basis(dim, a)
+    return ContactStructure(manifold, tuple(rows),
+                            VectorField.basis(dim, xi_index))
 
 
 def sphere_brackets(metric):

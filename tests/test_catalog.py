@@ -1,13 +1,14 @@
 """Built-in catalog entries."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from contact_tensor import cli
 from contact_tensor.catalog import (
     CatalogError,
     build,
-    build_flat_euclidean,
     entry_ids,
 )
 
@@ -48,13 +49,6 @@ def test_flat_entries_carry_no_structure():
     assert build("flat5").manifold.dim == 5
 
 
-def test_flat_builder_rejects_bad_dimensions():
-    with pytest.raises(CatalogError):
-        build_flat_euclidean(4)
-    with pytest.raises(CatalogError):
-        build_flat_euclidean(1)
-
-
 def test_numeric_family_construction():
     ent = build("kmu").substitute({"lambda": Fraction(1, 4), "mu": -1})
     # c3 = 1 + lambda - mu/2 with lambda = 1/4, mu = -1
@@ -79,3 +73,35 @@ def test_example41_chart_frame():
                     ["2", "-4*z/x", "x*y"],
                     ["0", "0", "1"]]
     assert [str(c) for c in ent.structure.xi.components] == ["0", "0", "1"]
+
+
+# sha256 of `demo <id> --format json` (the catalog/<id> digests of the
+# benchmark reference) and of `export <id>`
+CATALOG_DIGESTS = {
+    "example41": (
+        "af89f9b3bcc26e17d487a8c212410034e24dea3b1d6ba1baee5b96cd9e5b40d1",
+        "036ce9af9e24574b366b428bb1865de56847d9ce161ad6e8e4516b1df4551290"),
+    "kmu": (
+        "4c992a881b48bff1355f7d5ea966c20a37c2661588faa0ba5ae183f382c4b635",
+        "72f57ec37c872fcd8476c2d73c5b33de456a7d33f4798c57701114a84c5f675b"),
+    "sphere": (
+        "47fbc38b649346cc1d0b911f69de789de2ca48f4f2fae4ad6266c55ee68a2635",
+        "60678664643e86160d60a52b2f2408b87b5380a4516de68131e3228ad01c6e5e"),
+    "flat3": (
+        "010be936e8a27ca0d3db7fb7bfde9a6234938c0ade344c8f31ab39c1a850ab41",
+        "c8a45178a293d7a77944dd1a8b96d8fbed595f1f2114352713f2e8b956987428"),
+    "flat5": (
+        "bf8b19d1f857355c6c9ec2e7fdd6dc004685d2dda7c80f270fd6b3f69925410c",
+        "9e2d0bb3f48026dd5fe2ad18ff04be0854cc136c317573749b709b4ff3581a9c"),
+}
+
+
+@pytest.mark.parametrize("entry_id", list(CATALOG_DIGESTS))
+def test_demo_and_export_bytes_are_pinned(entry_id, capsys):
+    def digest(argv):
+        assert cli.main(argv) == 0
+        return hashlib.sha256(
+            capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+    assert (digest(["demo", entry_id, "--format", "json"]),
+            digest(["export", entry_id])) == CATALOG_DIGESTS[entry_id]

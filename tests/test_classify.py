@@ -5,12 +5,7 @@ from fractions import Fraction
 import pytest
 
 from contact_tensor import classify
-from contact_tensor.catalog import (
-    _rotation_structure,
-    build,
-    build_flat_euclidean,
-    entry_ids,
-)
+from contact_tensor.catalog import build, entry_ids
 from contact_tensor.classify import (
     SCOPE_GLOBAL,
     SCOPE_LOCAL,
@@ -44,7 +39,7 @@ from contact_tensor.report import build_report
 
 from _frames import (NON_IDENTITY_METRICS, chart_manifest,
                      deformed_kmu_manifest, entry, heisenberg_manifest,
-                     sphere_brackets)
+                     rotation_structure, sphere_brackets)
 
 
 def classified(name, bindings=None):
@@ -181,8 +176,8 @@ def test_chart_entry_report():
 
 
 def test_flat_space_with_rotation_structure():
-    fl = build_flat_euclidean(3)
-    st = _rotation_structure(fl.manifold, xi_index=3, plane=(1, 2))
+    fl = build("flat3")
+    st = rotation_structure(fl.manifold, xi_index=3, plane=(1, 2))
     conn = koszul(fl.manifold)
     curv = riemann(fl.manifold, conn)
     rep = classify_structure(curv, st)
@@ -228,7 +223,7 @@ def test_kappa_bound_diagnostic():
     t = SymbolTable()
     m = FrameManifold.abstract(3, t, {
         (1, 2): (0, 0, 4), (1, 3): (0, -4, 0), (2, 3): (4, 0, 0)})
-    st = _rotation_structure(m, xi_index=1, plane=(2, 3))
+    st = rotation_structure(m, xi_index=1, plane=(2, 3))
     curv = riemann(m, koszul(m))
     rep = classify_structure(curv, st)
     assert rep.kappa_mu.status == "underdetermined"
@@ -300,7 +295,7 @@ def test_non_constant_solution_is_flagged():
     # a coordinate-dependent point solution must clear constant_flag
     m = identity_chart()
     t = m.symbols
-    st = _rotation_structure(m, xi_index=3, plane=(1, 2))
+    st = rotation_structure(m, xi_index=3, plane=(1, 2))
     table = {(1, 3, 3): VectorField.make((parse("2*x^2", t), 0, 0))}
     curv = _StubCurvature(m, table)
     fake_h = HOperator((VectorField.basis(3, 1),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from contact_tensor.catalog import build, build_flat_euclidean, _rotation_structure
+from contact_tensor.catalog import build
 from contact_tensor.contact import (
     ContactError,
     ContactStructure,
@@ -13,7 +13,7 @@ from contact_tensor.expr import Expr, parse
 from contact_tensor.frame import VectorField
 from contact_tensor.report import build_report
 
-from _frames import deformed_kmu_manifest, entry
+from _frames import deformed_kmu_manifest, entry, rotation_structure
 
 
 def test_eta_is_metric_dual_of_xi():
@@ -51,7 +51,7 @@ def test_d_eta_tables():
 
 
 def test_scaled_xi_breaks_the_axioms():
-    fl = build_flat_euclidean(3)
+    fl = build("flat3")
     st = ContactStructure(
         fl.manifold,
         (VectorField.basis(3, 2), -VectorField.basis(3, 1),
@@ -67,8 +67,8 @@ def test_scaled_xi_breaks_the_axioms():
 
 def test_rotation_on_flat_space_is_not_contact_metric():
     # the almost contact axioms hold but d eta vanishes identically
-    fl = build_flat_euclidean(3)
-    st = _rotation_structure(fl.manifold, xi_index=3, plane=(1, 2))
+    fl = build("flat3")
+    st = rotation_structure(fl.manifold, xi_index=3, plane=(1, 2))
     assert st.validate_almost_contact() == []
     rep = st.check_contact_metric()
     assert not rep.ok

@@ -219,6 +219,29 @@ def test_product_budget_admits_a_product_below_it():
         # the denominators' term counts multiplied
         parse("(1/(x+y+1)^40)*(1/(x+y+1)^40)", make_table())
     assert info.value.position == 14
+    with pytest.raises(ExprParseError) as info:
+        # a quotient multiplies one numerator by the other denominator
+        parse("(x+y+1)^40/(1/(x+y+2)^40)", make_table())
+    assert info.value.position == 10
+
+
+def test_sum_budget_admits_a_sum_below_it():
+    # 1/(a+b+c+1)^30+1/(a+b+c+2)^30 runs past the budget (the large-sum
+    # row of the CLI tests); two reciprocals at the exponent bound stay
+    # inside it
+    e = parse("1/(x+1)^100+1/(x+2)^100", make_table())
+    assert len(e.den.terms) == 201
+    assert e.eval({"x": Fraction(0)}) == 1 + Fraction(1, 2 ** 100)
+    # equal denominators add without cross-multiplying
+    t = make_table()
+    assert parse("1/(x+y+1)^40-1/(x+y+1)^40", t).is_zero()
+    assert len(parse("(x+y+1)^40+(x+y+2)^40", t).num.terms) == 861
+    with pytest.raises(ExprParseError) as info:
+        parse("1/(x+y+1)^40+1/(x+y+2)^40", t)   # the denominators
+    assert info.value.position == 12
+    with pytest.raises(ExprParseError) as info:
+        parse("(x+y+1)^40-1/(x+y+2)^40", t)     # numerator by denominator
+    assert info.value.position == 10
 
 
 def test_deep_nesting_is_a_parse_error_not_a_recursion_error():

@@ -234,6 +234,13 @@ def test_cli_report_set_bindings(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["classification"]["kappa_mu"]["kappa"] == "3/4"
+    # decimal literals bind the same rationals
+    rc = cli.main(["report", path, "--set", "lambda=0.5", "--set", "mu=1e3",
+                   "--format", "json"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["classification"]["kappa_mu"]["kappa"] == "3/4"
+    assert doc["classification"]["kappa_mu"]["mu"] == "1000"
 
 
 def test_cli_set_errors(tmp_path, capsys):
@@ -242,6 +249,20 @@ def test_cli_set_errors(tmp_path, capsys):
     assert "--set expects name=value" in capsys.readouterr().err
     assert cli.main(["report", path, "--set", "lambda=abc"]) == 1
     assert "is not a rational number" in capsys.readouterr().err
+    assert cli.main(["report", path, "--set", "lambda=1/0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --set lambda: '1/0' is not a rational number\n")
+    if _DIGIT_LIMIT:
+        # refused before the number is built: Fraction('1e10000000')
+        # alone takes seconds, and lambda=1e500000 hangs the report
+        for value in ("1e10000000", "1e500000", f"1e{_DIGIT_LIMIT}",
+                      f"-1e-{_DIGIT_LIMIT}", "1" * (_DIGIT_LIMIT + 1)):
+            assert cli.main(["report", path, "--set", f"lambda={value}",
+                             "--set", "mu=0"]) == 1
+            assert capsys.readouterr().err == (
+                f"error: --set lambda: {value!r} has more than "
+                f"{_DIGIT_LIMIT} digits, the interpreter's int/str "
+                "conversion limit\n")
 
 
 def test_cli_report_file_errors(tmp_path, capsys):
@@ -292,6 +313,19 @@ def test_cli_sweep_custom_grid_json(tmp_path, capsys):
     assert doc["rows"][0]["flat"] is True
     assert doc["rows"][1]["flat"] is False
     assert doc["rows"][1]["kappa"] == "-3"
+
+
+def test_cli_sweep_grid_values_past_the_digit_limit(tmp_path, capsys):
+    path = write_manifest(tmp_path, "kmu")
+    assert cli.main(["sweep", path, "--lambda", "1/2", "--mu", "1e3"]) == 0
+    assert capsys.readouterr().out.split("\n")[1].startswith("1/2,1000,")
+    if _DIGIT_LIMIT:
+        # str(lambda) in the sweep row raised ValueError past the limit
+        value = f"1e{_DIGIT_LIMIT}"
+        assert cli.main(["sweep", path, "--lambda", value, "--mu", "0"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --lambda: {value!r} has more than {_DIGIT_LIMIT} "
+            "digits, the interpreter's int/str conversion limit\n")
 
 
 def test_cli_sweep_lambda_zero_is_skipped(tmp_path, capsys):
@@ -468,11 +502,17 @@ def _chart_3d(frame):
                   symbols=[{"name": n, "kind": "coordinate"} for n in "xyz"]),
      "error: brackets[0].components[0]: product needs more than 250000 "
      "coefficient products at position 12\n"),
+    (_abstract_3d(brackets=[{"i": 1, "j": 2,
+                             "components": ["1/(a+b+c+1)^30+1/(a+b+c+2)^30",
+                                            "0", "2"]}],
+                  symbols=[{"name": n, "kind": "coordinate"} for n in "abc"]),
+     "error: brackets[0].components[0]: sum needs more than 250000 "
+     "coefficient products at position 14\n"),
 ], ids=["singular-metric", "singular-chart", "coordinate-phi", "coordinate-xi",
         "deep-parens", "huge-exponent", "dimension-17", "dimension-101",
         "asymmetric-metric", "coordinate-metric", "superscript-digit",
         "long-literal", "long-exponent", "huge-result", "nested-power",
-        "large-power", "large-product"])
+        "large-power", "large-product", "large-sum"])
 def test_cli_report_hostile_manifest_is_an_input_error(doc, message,
                                                        tmp_path, capsys):
     path = tmp_path / "hostile.json"
