@@ -168,10 +168,6 @@ class Poly:
     def const(c) -> "Poly":
         return Poly({_M_ONE: c})
 
-    @staticmethod
-    def var(name: str) -> "Poly":
-        return Poly({((name, 1),): 1})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -191,8 +187,6 @@ class Poly:
         return _dict_leading(self.terms)
 
     def scale(self, c: Fraction) -> "Poly":
-        if c == 0:
-            return Poly({})
         return Poly({m: co * c for m, co in self.terms.items()})
 
     def __bool__(self) -> bool:
@@ -219,6 +213,10 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        if other == _P_ONE:     # a Poly is never mutated, so it can be shared
+            return self
+        if self == _P_ONE:
+            return other
         out: dict[Mono, int | Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
@@ -281,6 +279,10 @@ def _poly_divexact(f: Poly, g: Poly) -> Poly:
     """Exact polynomial division; the caller guarantees g divides f."""
     if g.is_zero():
         raise ExprError("division by the zero polynomial")
+    if g == _P_ONE:
+        return f
+    if f == g:
+        return _P_ONE
     q: dict[Mono, int | Fraction] = {}
     rem = dict(f.terms)
     glm, glc = g.leading()
@@ -400,7 +402,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     pseudo-remainder sequence in the alphabetically first variable; the
     contents recurse down to the univariate case.
     """
-    if f.is_zero():
+    if f.is_zero() or f == g:
         return g
     if g.is_zero():
         return f
@@ -431,16 +433,14 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 class Expr:
     """Canonical multivariate rational function.
 
-    Construct through the classmethods or `parse`; arithmetic keeps the
-    canonical form, so two Exprs are equal exactly when they denote the same
-    rational function.
+    Construct through the classmethods or `parse`.  Every operation builds
+    its canonical result from canonical operands and the constructor only
+    stores it, so equal Exprs denote the same rational function.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly, _trusted: bool = False):
-        if not _trusted:
-            num, den = _canonical(num, den)
+    def __init__(self, num: Poly, den: Poly):
         self.num = num
         self.den = den
 
@@ -456,17 +456,17 @@ class Expr:
 
     @staticmethod
     def integer(n: int) -> "Expr":
-        return Expr(Poly.const(n), _P_ONE, _trusted=True)
+        return Expr(Poly.const(n), _P_ONE)
 
     @staticmethod
     def rational(p, q=1) -> "Expr":
         return Expr(Poly.const(Fraction(p, q) if q != 1 else Fraction(p)),
-                    _P_ONE, _trusted=True)
+                    _P_ONE)
 
     @staticmethod
     def symbol(sym) -> "Expr":
         name = sym.name if isinstance(sym, Symbol) else str(sym)
-        return Expr(Poly.var(name), _P_ONE, _trusted=True)
+        return Expr(Poly({((name, 1),): 1}), _P_ONE)
 
     # -- predicates ---------------------------------------------------------
 
@@ -497,20 +497,24 @@ class Expr:
             return self
         if not self.num.terms:
             return other
-        if self.den == other.den:
-            return Expr(self.num + other.num, self.den,
-                        _trusted=self.den == _P_ONE)
-        # a + c/d = (a*d + c)/d: gcd(a*d + c, d) = gcd(c, d) = 1, d monic
-        if _P_ONE in (self.den, other.den):
-            a, b = (self, other) if self.den == _P_ONE else (other, self)
-            return Expr(a.num * b.den + b.num, b.den, _trusted=True)
-        return Expr(self.num * other.den + other.num * self.den,
-                    self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == _P_ONE and d == _P_ONE:
+            return Expr(a + c, _P_ONE)
+        # Henrici: with g = gcd(b, d), b = g*b1 and d = g*d1, the sum
+        # a/b + c/d = (a*d1 + c*b1)/(g*b1*d1) is coprime to b1 and d1, so
+        # only a factor of g can cancel
+        g = poly_gcd(b, d)
+        b1, d1 = _poly_divexact(b, g), _poly_divexact(d, g)
+        n = a * d1 + c * b1
+        if not n.terms:
+            return _E_ZERO
+        n, g = _cancel(n, g)
+        return Expr(*_monic(n, g * b1 * d1))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr(-self.num, self.den, _trusted=True)
+        return Expr(-self.num, self.den)
 
     def __sub__(self, other) -> "Expr":
         other = _coerce(other)
@@ -531,11 +535,11 @@ class Expr:
         if not self.num.terms or not other.num.terms:
             return _E_ZERO
         if self.den == _P_ONE and other.den == _P_ONE:
-            return Expr(self.num * other.num, _P_ONE, _trusted=True)
+            return Expr(self.num * other.num, _P_ONE)
         # Henrici: cancelling across canonical operands leaves a coprime product
         a, d = _cancel(self.num, other.den)
         c, b = _cancel(other.num, self.den)
-        return Expr(*_monic(a * c, b * d), _trusted=True)
+        return Expr(*_monic(a * c, b * d))
 
     __rmul__ = __mul__
 
@@ -545,7 +549,7 @@ class Expr:
             return NotImplemented
         if other.is_zero():
             raise ExprError("division by an identically zero expression")
-        return self * Expr(*_monic(other.den, other.num), _trusted=True)
+        return self * Expr(*_monic(other.den, other.num))
 
     def __rtruediv__(self, other) -> "Expr":
         other = _coerce(other)
@@ -562,9 +566,8 @@ class Expr:
         if k < 0:
             if self.is_zero():
                 raise ExprError("negative power of zero")
-            return Expr(*_monic(self.den ** -k, self.num ** -k),
-                        _trusted=True)
-        return Expr(self.num ** k, self.den ** k, _trusted=True)
+            return Expr(*_monic(self.den ** -k, self.num ** -k))
+        return Expr(self.num ** k, self.den ** k)
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -581,8 +584,11 @@ class Expr:
         """Partial derivative; parameters are constants, so they give 0."""
         if sym.kind != KIND_COORDINATE:
             return _E_ZERO
-        n, d = self.num, self.den
-        return Expr(n.diff(sym.name) * d - n * d.diff(sym.name), d * d)
+        # (n/d)' = (n' - (n/d)*d')/d through the canonical operations: each
+        # gcd runs against d or a factor of d, never against d^2
+        dn, dd = self.num.diff(sym.name), self.den.diff(sym.name)
+        return (Expr(dn, _P_ONE) - self * Expr(dd, _P_ONE)) \
+            / Expr(self.den, _P_ONE)
 
     def eval(self, bindings: dict) -> Fraction:
         """Evaluate at rational bindings; every variable must be bound."""
@@ -631,14 +637,6 @@ class Expr:
         return f"Expr({self})"
 
 
-def _canonical(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    if den.is_zero():
-        raise ExprError("zero denominator")
-    if num.is_zero():
-        return _P_ZERO, _P_ONE
-    return _monic(*_cancel(num, den))
-
-
 def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     # num and den with their common factor divided out
     if num.is_constant() or den.is_constant():
@@ -662,7 +660,7 @@ def _coerce(value) -> "Expr":
     if isinstance(value, Expr):
         return value
     if isinstance(value, (int, Fraction)):
-        return Expr(Poly.const(value), _P_ONE, _trusted=True)
+        return Expr(Poly.const(value), _P_ONE)
     return NotImplemented
 
 
@@ -672,15 +670,15 @@ def _subs_poly(p: Poly, name: str, rep: Expr) -> Expr:
         exps = dict(m)
         e = exps.pop(name, 0)
         rest = tuple(sorted(exps.items()))
-        term = Expr(Poly({rest: c}), _P_ONE, _trusted=True)
+        term = Expr(Poly({rest: c}), _P_ONE)
         if e:
             term = term * rep ** e
         total = total + term
     return total
 
 
-_E_ZERO = Expr(_P_ZERO, _P_ONE, _trusted=True)
-_E_ONE = Expr(_P_ONE, _P_ONE, _trusted=True)
+_E_ZERO = Expr(_P_ZERO, _P_ONE)
+_E_ONE = Expr(_P_ONE, _P_ONE)
 
 
 # ---------------------------------------------------------------------------

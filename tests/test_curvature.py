@@ -32,6 +32,7 @@ from contact_tensor.frame import (
     FrameManifold,
     VectorField,
 )
+from contact_tensor.report import build_report
 
 from _frames import (NON_IDENTITY_METRICS, chart_manifest,
                      deformed_kmu_manifest, entry, heisenberg_manifest,
@@ -364,23 +365,37 @@ def test_oracle_cross_check_constant_brackets():
                 break
 
 
+def chart_frame_xy():
+    # the first chart frame whose denominators involve two coordinates
+    return entry(chart_manifest("x+y+1"))
+
+
 def test_oracle_cross_check_chart_connection_pointwise():
     # with a constant frame metric the Koszul closed form also holds
-    # pointwise in chart mode
-    ent = build("example41")
-    m = ent.manifold
-    conn = koszul(m)
-    rng = random.Random(47)
-    for _ in range(5):
-        point = {"x": Fraction(rng.randint(1, 9), rng.randint(1, 4)),
-                 "y": rational(rng), "z": rational(rng)}
-        consts = bracket_constants(m, point)
-        gamma = christoffel(consts, 3)
-        for i in range(1, 4):
-            for j in range(1, 4):
-                for k in range(1, 4):
-                    assert conn.gamma(i, j, k).eval(point) \
-                        == gamma[i - 1][j - 1][k - 1]
+    # pointwise in chart mode; points on a pole (x = 0 for example41,
+    # x + y + 1 = 0 for the second frame) are drawn again
+    for ent, pole in ((build("example41"), lambda p: p["x"]),
+                      (chart_frame_xy(), lambda p: p["x"] + p["y"] + 1)):
+        m = ent.manifold
+        conn = koszul(m)
+        rng = random.Random(47)
+        for _ in range(5):
+            point = {}
+            while not point or pole(point) == 0:
+                point = {"x": Fraction(rng.randint(1, 9), rng.randint(1, 4)),
+                         "y": rational(rng), "z": rational(rng)}
+            consts = bracket_constants(m, point)
+            gamma = christoffel(consts, 3)
+            for i in range(1, 4):
+                for j in range(1, 4):
+                    for k in range(1, 4):
+                        assert conn.gamma(i, j, k).eval(point) \
+                            == gamma[i - 1][j - 1][k - 1]
+
+
+def test_two_coordinate_chart_frame_self_checks_hold():
+    checks = build_report(chart_frame_xy())["self_check"]
+    assert checks and all(v is True for v in checks.values())
 
 
 # ---------------------------------------------------------------------------

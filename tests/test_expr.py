@@ -83,6 +83,11 @@ def test_henrici_arithmetic_paths():
     assert x_over * p("(x+1)/x") == p("1")
     assert p("1/(x+1)") + x_over == p("1")
     assert p("2*x/(x^2-1)") + p("2/(x^2-1)") == p("2/(x-1)")
+    # g = gcd(b, d) = x: the sum cancels against g and against nothing else
+    common = p("1/(x^2+x)") + p("1/(x^2-x)")
+    assert common == p("2/(x^2-1)") and common.den == p("x^2-1").num
+    assert p("1/(x^2+x)") - p("1/(x^2+2*x)") == p("1/(x^3+3*x^2+2*x)")
+    assert p("(x+y)/(2*x*y)") - p("(x+y)/(2*x*y)") is Expr.zero()
     prod = p("(2*x+2)/(3*x)") * p("1/(x+1)")
     assert prod == p("2/3/x") and prod.den == p("x").num
     assert x_over / p("x^2/(2*x+2)") == p("2/x")
@@ -275,6 +280,12 @@ def test_diff_rules():
     assert str(e.diff(x)) == "2*x*y+3"
     quot = parse("x/(x+1)", t)
     assert quot.diff(x) == parse("1/(x^2+2*x+1)", t)
+    # 1/y + x/(x+1): right only when the factor y cancels
+    fixed = parse("((x+1)+y*x)/(y*(x+1))", t)
+    assert fixed.diff(x) == parse("1/(x+1)^2", t)
+    assert fixed.diff(t.get("y")) == parse("-1/y^2", t)
+    assert parse("(x+1)^2/(x+2)^3", t).diff(x) \
+        == parse("(1-x)*(x+1)/(x+2)^4", t)
     # parameters are constants, never differentiation directions
     assert parse("a^2+a*x", t).diff(a).is_zero()
     assert parse("x^3", t).diff(a).is_zero()

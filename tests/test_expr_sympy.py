@@ -49,15 +49,21 @@ def to_sympy(p: Poly):
 
 @st.composite
 def operands(draw):
-    """Two fractions whose denominators are 1, equal, share a factor, or
-    are drawn independently; numerators may be zero."""
+    """Two fractions whose denominators are 1, equal, one a multiple of the
+    other, p*q and p*r with a common factor p, or drawn independently;
+    numerators may be zero."""
     n1, n2 = text(draw(polys)), text(draw(polys))
-    shape = draw(st.sampled_from(("one", "equal", "shared", "independent")))
+    shape = draw(st.sampled_from(("one", "equal", "shared", "common",
+                                  "independent")))
     d1 = "1" if shape == "one" else text(draw(nonzero_polys))
     if shape in ("one", "equal"):
         d2 = d1
     elif shape == "shared":
         d2 = f"({d1})*({text(draw(nonzero_polys))})"
+    elif shape == "common":
+        p = d1
+        d1 = f"({p})*({text(draw(nonzero_polys))})"
+        d2 = f"({p})*({text(draw(nonzero_polys))})"
     else:
         d2 = text(draw(nonzero_polys))
     return f"({n1})/({d1})", f"({n2})/({d2})"
@@ -99,6 +105,38 @@ def test_powers_match_sympy_cancel(pair, k):
     if k < 0 and base.is_zero():
         return
     assert_matches(base ** k, sym(pair[0]) ** k)
+
+
+def xy_polys(x_max=2, y_max=2, min_size=1):
+    # polynomials in the two coordinates x and y only: with the parameter a
+    # as a third variable, a cube of a three-term factor can keep the
+    # multivariate poly_gcd busy for minutes (ROADMAP item 1)
+    exps = st.tuples(st.integers(0, x_max), st.integers(0, y_max),
+                     st.just(0))
+    return st.dictionaries(exps, _COEFFS, min_size=min_size, max_size=3)
+
+
+@st.composite
+def fractions_to_differentiate(draw):
+    """n/(p^k * f * g) in x and y with a factor p repeated k times (k in
+    1..3), f free of x and g free of y, so each derivative sees a factor
+    that is constant in its variable."""
+    n, p = text(draw(xy_polys(min_size=0))), text(draw(xy_polys()))
+    k = draw(st.integers(1, 3))
+    f, g = text(draw(xy_polys(x_max=0))), text(draw(xy_polys(y_max=0)))
+    return f"({n})/(({p})^{k}*({f})*({g}))"
+
+
+@SETTINGS
+@hypothesis.given(fractions_to_differentiate())
+# d/dx = 1/(x+1)^2 only when the factor y of the denominator cancels
+@hypothesis.example("((x+1)+y*x)/(y*(x+1))")
+def test_derivatives_match_sympy_diff(s):
+    t = table()
+    e = parse(s, t)
+    for name in ("x", "y"):
+        assert_matches(e.diff(t.get(name)), sympy.diff(sym(s), name))
+    assert e.diff(t.get("a")).is_zero()
 
 
 @st.composite
