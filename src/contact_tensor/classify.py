@@ -33,6 +33,7 @@ SCOPE_LOCAL = "local"
 
 _SAMPLE_SEED = 174
 _SAMPLE_COUNT = 25
+_SAMPLE_ATTEMPTS = 40 * _SAMPLE_COUNT
 
 
 class ClassifyError(Exception):
@@ -203,11 +204,14 @@ def _is_parameter_only(m, e: Expr | None) -> bool:
 
 
 def _sample_le_one(e: Expr) -> bool | None:
-    """Check e <= 1 at random rational parameter bindings."""
+    """Check e <= 1 at random rational parameter bindings; None (unknown)
+    when too many of the bindings are poles of e."""
     names = sorted(e.variables())
+    if not names:
+        return e.eval({}) <= 1
     rng = random.Random(_SAMPLE_SEED)
     done = 0
-    while done < _SAMPLE_COUNT:
+    for _ in range(_SAMPLE_ATTEMPTS):
         bindings = {n: Fraction(rng.randint(-24, 24), rng.randint(1, 8))
                     for n in names}
         try:
@@ -217,7 +221,9 @@ def _sample_le_one(e: Expr) -> bool | None:
         if val > 1:
             return False
         done += 1
-    return True
+        if done == _SAMPLE_COUNT:
+            return True
+    return None
 
 
 def solve_kappa_mu(curv: CurvatureTables, structure: ContactStructure,

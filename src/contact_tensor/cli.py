@@ -15,6 +15,7 @@ controlled by CONTACT_TENSOR_COLOR=0|1 (default off).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -27,8 +28,8 @@ from .frame import FrameError
 from .linalg import SingularMatrixError
 from .manifest import (ManifestError, entry_from_ingest, export_entry,
                        load_manifest, manifest_to_json)
-from .report import (build_report, failed_self_checks, render_json,
-                     render_text)
+from .report import (analyse, build_report, failed_self_checks,
+                     render_json, render_text)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,11 +90,13 @@ def _apply_set(entry: CatalogEntry, bindings: dict[str, Fraction]) -> CatalogEnt
         raise CliError(str(exc)) from None
 
 
-def _report(entry: CatalogEntry) -> dict:
-    # build_report writes every expression out as a string, and str() of an
-    # integer past the interpreter's int/str digit limit raises ValueError
+@contextlib.contextmanager
+def _digit_limit():
+    # results are written out as strings (the report's tables, classify's
+    # diagnostics, the sweep's cells), and str() of an integer past the
+    # interpreter's int/str digit limit raises ValueError
     try:
-        return build_report(entry)
+        yield
     except ValueError:
         raise CliError("a number in the result has more than "
                        f"{sys.get_int_max_str_digits()} digits, the "
@@ -101,7 +104,8 @@ def _report(entry: CatalogEntry) -> dict:
 
 
 def _emit_report(entry: CatalogEntry, args, out) -> int:
-    report = _report(entry)
+    with _digit_limit():
+        report = build_report(entry)
     if args.format == "json":
         out.write(render_json(report))
     else:
@@ -109,7 +113,7 @@ def _emit_report(entry: CatalogEntry, args, out) -> int:
     if args.lint:
         for d in report["diagnostics"]:
             print(f"lint: {d}", file=sys.stderr)
-    failed_checks = failed_self_checks(report)
+    failed_checks = failed_self_checks(report["self_check"])
     if failed_checks:
         print("internal self-check failure: " + ", ".join(failed_checks),
               file=sys.stderr)
@@ -177,26 +181,29 @@ def _sweep_row(entry: CatalogEntry, lam: Fraction, mu: Fraction) -> dict:
             row[key] = None
         return row
     row["skipped"] = False
+    # the row needs only the verdicts and the self checks, not a report
     try:
-        report = _report(_apply_set(entry, {"lambda": lam, "mu": mu}))
+        with _digit_limit():
+            analysis = analyse(_apply_set(entry, {"lambda": lam, "mu": mu}))
+            c = analysis.classification
+            km = c.kappa_mu
+            row["kappa"] = (None if km is None or km.kappa is None
+                            else str(km.kappa))
     except (CliError, SingularMatrixError) as exc:
         raise CliError(f"lambda={lam}, mu={mu}: {exc}") from None
-    failed_checks = failed_self_checks(report)
+    failed_checks = failed_self_checks(analysis.self_check)
     if failed_checks:
         raise SelfCheckError(", ".join(failed_checks))
-    c = report["classification"]
-    rec = c["phi_recurrent"]
+    rec = c.phi_recurrent
     # the local verdicts are None where the local scope is undefined
-    loc_sym, loc_rec = c["locally_phi_symmetric"], c["locally_phi_recurrent"]
-    row["kappa"] = c["kappa_mu"] and c["kappa_mu"]["kappa"]
-    row["flat"] = c["flat"]
-    row["locally_symmetric"] = c["locally_symmetric"]["ok"]
-    row["phi_symmetric"] = c["phi_symmetric"]["ok"]
-    row["locally_phi_symmetric"] = loc_sym and loc_sym["ok"]
-    row["phi_recurrent"] = rec["status"] in ("recurrent",
-                                             "trivially_recurrent")
-    row["phi_recurrent_status"] = rec["status"]
-    row["locally_phi_recurrent_status"] = loc_rec and loc_rec["status"]
+    loc_sym, loc_rec = c.locally_phi_symmetric, c.locally_phi_recurrent
+    row["flat"] = c.flat
+    row["locally_symmetric"] = c.locally_symmetric.ok
+    row["phi_symmetric"] = c.phi_symmetric.ok
+    row["locally_phi_symmetric"] = loc_sym and loc_sym.ok
+    row["phi_recurrent"] = rec.status in ("recurrent", "trivially_recurrent")
+    row["phi_recurrent_status"] = rec.status
+    row["locally_phi_recurrent_status"] = loc_rec and loc_rec.status
     return row
 
 

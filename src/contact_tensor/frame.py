@@ -337,13 +337,18 @@ class FrameManifold:
 
     # -- validation and substitution ----------------------------------------
 
-    def validate(self) -> list[str]:
-        """Structural validation; returns human-readable issues.  A singular
-        metric or chart frame matrix raises SingularMatrixError from the
-        (cached) inverse that the connection and the brackets need."""
+    def check_invertible(self) -> None:
+        """Build the cached inverses that the connection and the brackets
+        need, the metric's first: a singular metric or chart frame matrix
+        raises SingularMatrixError, and a singular metric is named first."""
         self.metric_inverse()
         if self.mode == MODE_CHART:
             self.chart_inverse()
+
+    def validate(self) -> list[str]:
+        """Structural validation; returns human-readable issues.  Raises
+        SingularMatrixError as check_invertible does."""
+        self.check_invertible()
         jac = self.check_jacobi()
         if jac.ok:
             return []

@@ -12,9 +12,11 @@ import dataclasses
 import json
 
 from .manifest import CatalogEntry
-from .classify import check_3d_decomposition, classify_structure
+from .classify import (ClassificationReport, check_3d_decomposition,
+                       classify_structure)
 from .contact import ContactError, h_eigenstructure
-from .curvature import (first_bianchi_residuals, koszul,
+from .curvature import (ConnectionTable, CurvatureTables,
+                        first_bianchi_residuals, koszul,
                         metric_compat_residuals, riemann,
                         riemann_symmetry_residuals, second_bianchi_residuals,
                         torsion_residuals)
@@ -49,6 +51,39 @@ def _json(value):
     return value
 
 
+@dataclasses.dataclass(frozen=True)
+class Analysis:
+    """The computed part of a report: connection, curvature tables,
+    classification, and the self checks by name (True, False, or None
+    where a check does not apply)."""
+
+    connection: ConnectionTable
+    curvature: CurvatureTables
+    classification: ClassificationReport
+    self_check: dict
+
+
+def analyse(entry: CatalogEntry) -> Analysis:
+    """Connection, curvature, classification and self checks, without the
+    Jacobi diagnostics and the rendered tables.  Raises SingularMatrixError
+    when the metric or the chart frame matrix is singular."""
+    m = entry.manifold
+    m.check_invertible()
+    conn = koszul(m)
+    curv = riemann(m, conn)
+    classification = classify_structure(curv, entry.structure)
+    self_check = {
+        "torsion_free": not torsion_residuals(conn),
+        "metric_compatible": not metric_compat_residuals(conn),
+        "riemann_symmetries": not riemann_symmetry_residuals(curv),
+        "first_bianchi": not first_bianchi_residuals(curv),
+        "second_bianchi": not second_bianchi_residuals(curv),
+        "reconstruction_3d": (check_3d_decomposition(curv)
+                              if m.dim == 3 else None),
+    }
+    return Analysis(conn, curv, classification, self_check)
+
+
 def build_report(entry: CatalogEntry) -> dict:
     """Full pipeline: brackets, structure tensors, connection, curvature,
     classification, self checks.  Raises SingularMatrixError when the
@@ -56,9 +91,9 @@ def build_report(entry: CatalogEntry) -> dict:
     m = entry.manifold
     diagnostics = m.validate()
 
-    conn = koszul(m)
-    curv = riemann(m, conn)
-    classification = classify_structure(curv, entry.structure)
+    analysis = analyse(entry)
+    conn, curv = analysis.connection, analysis.curvature
+    classification = analysis.classification
     diagnostics.extend(classification.diagnostics)
 
     structure_section = None
@@ -83,16 +118,6 @@ def build_report(entry: CatalogEntry) -> dict:
 
     pairs = [(i, j) for i in range(1, m.dim + 1)
              for j in range(i + 1, m.dim + 1)]
-    self_check = {
-        "torsion_free": not torsion_residuals(conn),
-        "metric_compatible": not metric_compat_residuals(conn),
-        "riemann_symmetries": not riemann_symmetry_residuals(curv),
-        "first_bianchi": not first_bianchi_residuals(curv),
-        "second_bianchi": not second_bianchi_residuals(curv),
-        "reconstruction_3d": (check_3d_decomposition(curv)
-                              if m.dim == 3 else None),
-    }
-
     verdicts = _json(classification)
     del verdicts["diagnostics"]  # already in the top-level list
     return {
@@ -122,13 +147,13 @@ def build_report(entry: CatalogEntry) -> dict:
         },
         "classification": verdicts,
         "diagnostics": diagnostics,
-        "self_check": self_check,
+        "self_check": analysis.self_check,
     }
 
 
-def failed_self_checks(report: dict) -> list[str]:
-    """Names of the report's self checks that came out false."""
-    return [k for k, v in report["self_check"].items() if v is False]
+def failed_self_checks(self_check: dict) -> list[str]:
+    """Names of the self checks that came out false."""
+    return [k for k, v in self_check.items() if v is False]
 
 
 def render_json(report: dict) -> str:
@@ -277,7 +302,7 @@ def render_text(report: dict, color: bool = False) -> str:
         for d in report["diagnostics"]:
             lines.append(f"  - {d}")
 
-    failed = failed_self_checks(report)
+    failed = failed_self_checks(report["self_check"])
     lines.append("")
     status = "ok" if not failed else "FAILED: " + ", ".join(failed)
     line = f"self-check: {status}"
@@ -290,6 +315,8 @@ def render_text(report: dict, color: bool = False) -> str:
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
+    "Analysis",
+    "analyse",
     "build_report",
     "failed_self_checks",
     "render_json",

@@ -1,5 +1,6 @@
 """Classifier verdicts on the catalog entries, frozen exactly."""
 
+import threading
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from contact_tensor.curvature import koszul, ricci_operator_of, riemann
 from contact_tensor.expr import (
     Expr,
     KIND_COORDINATE,
+    KIND_PARAMETER,
     SymbolTable,
     parse,
 )
@@ -231,6 +233,35 @@ def test_kappa_bound_diagnostic():
     assert rep.kappa_mu.kappa_le_one is False
     assert any("kappa > 1" in d for d in rep.diagnostics)
     assert rep.constant_curvature == Expr.integer(4)
+
+
+def test_constant_kappa_is_compared_once(monkeypatch):
+    calls = []
+    real_eval = Expr.eval
+    monkeypatch.setattr(Expr, "eval",
+                        lambda e, b: calls.append(b) or real_eval(e, b))
+    assert classify._sample_le_one(Expr.rational(3, 4)) is True
+    assert classify._sample_le_one(Expr.integer(4)) is False
+    assert len(calls) == 2
+
+
+def test_kappa_sampler_gives_up_when_every_binding_is_a_pole():
+    # every value the sampler draws for lambda is a pole of kappa, so it
+    # answers None (unknown) after a bounded number of attempts
+    t = SymbolTable()
+    lam = Expr.symbol(t.add("lambda", KIND_PARAMETER))
+    den = Expr.one()
+    for v in sorted({Fraction(a, b) for a in range(-24, 25)
+                     for b in range(1, 9)}):
+        den = den * (lam - Expr.rational(v))
+    result = []
+    worker = threading.Thread(
+        target=lambda: result.append(classify._sample_le_one(1 / den)),
+        daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert result == [None]
 
 
 def test_mixed_line_solution():

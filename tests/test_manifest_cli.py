@@ -1,7 +1,10 @@
 """Manifest serialization, exhaustive ingest validation, and the CLI."""
 
+import hashlib
 import json
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +18,9 @@ from contact_tensor.manifest import (
     load_manifest,
     manifest_to_json,
 )
-from contact_tensor.report import build_report
+from contact_tensor.report import analyse, build_report, failed_self_checks
+
+from _frames import deformed_kmu_manifest
 
 
 # an integer literal or result longer than the interpreter's int/str digit
@@ -421,6 +426,81 @@ def test_cli_local_scope_needs_eta_along_one_frame_field(tmp_path, capsys):
                    "false", "not_recurrent", ""]
 
 
+# sha256 of the sweep output on the exported kmu manifest, recorded while
+# each row still came from a full report of its grid point
+_SWEEP_DIGESTS = [
+    ([], "ef6af9910bd15cf367f648f00e2d76ce391968c9856128c9ed6277d858d663a6"),
+    (["--format", "json"],
+     "da701545e81947748f64e61f27b6c993218f93e754ae16ce568170aa18440c35"),
+    (["--lambda", "0,1/3,1,2", "--mu=-1,0,1/2", "--format", "json"],
+     "450483b3c15e701b38ef081a96958cb1fac3879d6cb42875e6bf389041a289a2"),
+]
+
+
+@pytest.mark.parametrize("flags, digest", _SWEEP_DIGESTS,
+                         ids=["csv", "json", "json-custom-grid"])
+def test_cli_sweep_output_is_pinned(flags, digest, tmp_path, capsys):
+    path = write_manifest(tmp_path, "kmu")
+    assert cli.main(["sweep", path] + flags) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if not flags:
+        reference = Path(__file__).parent.parent / "bench" / "reference.json"
+        assert json.loads(reference.read_text())["sweep/kmu"] == digest
+
+
+def _report_row(entry, lam, mu):
+    """A sweep row read from the full report of the grid point: the
+    reference that cli._sweep_row must match."""
+    row = {"lambda": str(lam), "mu": str(mu)}
+    if lam == 0:
+        row["skipped"] = True
+        row.update(dict.fromkeys(cli._SWEEP_COLUMNS[3:]))
+        return row
+    row["skipped"] = False
+    report = build_report(entry.substitute({"lambda": lam, "mu": mu}))
+    assert not failed_self_checks(report["self_check"])
+    c = report["classification"]
+    rec = c["phi_recurrent"]
+    loc_sym, loc_rec = c["locally_phi_symmetric"], c["locally_phi_recurrent"]
+    row["kappa"] = c["kappa_mu"] and c["kappa_mu"]["kappa"]
+    row["flat"] = c["flat"]
+    row["locally_symmetric"] = c["locally_symmetric"]["ok"]
+    row["phi_symmetric"] = c["phi_symmetric"]["ok"]
+    row["locally_phi_symmetric"] = loc_sym and loc_sym["ok"]
+    row["phi_recurrent"] = rec["status"] in ("recurrent",
+                                             "trivially_recurrent")
+    row["phi_recurrent_status"] = rec["status"]
+    row["locally_phi_recurrent_status"] = loc_rec and loc_rec["status"]
+    return row
+
+
+def _broken_phi_kmu():
+    doc = export_entry(build("kmu"))
+    doc["phi"] = [["0", "0", "0"], ["1", "1", "0"], ["1", "0", "0"]]
+    return doc
+
+
+_WIDE_GRID = [(Fraction(lam), Fraction(mu))
+              for lam in "-3/2 -1/2 0 1/4 1/2 1 3/2 2 7/3".split()
+              for mu in "-2 -1 0 1/3 1 3/2 2 5".split()]
+_SMALL_GRID = [(Fraction(lam), Fraction(mu))
+               for lam, mu in (("1/2", "1"), ("1", "0"), ("2", "-1"))]
+
+
+@pytest.mark.parametrize("doc, grid", [
+    (lambda: export_entry(build("kmu")), _WIDE_GRID),
+    (_rotated_kmu, _SMALL_GRID),
+    (_broken_phi_kmu, _SMALL_GRID),
+    (deformed_kmu_manifest, _SMALL_GRID),
+], ids=["kmu", "rotated", "broken-phi", "deformed"])
+def test_sweep_row_matches_the_report_row(doc, grid):
+    ent = entry_from_ingest(ingest_manifest(doc()))
+    for lam, mu in grid:
+        row = cli._sweep_row(ent, lam, mu)
+        assert list(row.items()) == list(_report_row(ent, lam, mu).items())
+
+
 def _abstract_3d(**fields):
     doc = {"schema_version": 1, "name": "m", "dimension": 3,
            "mode": "abstract",
@@ -567,9 +647,15 @@ def test_cli_color_env(tmp_path, capsys, monkeypatch):
 def test_cli_self_check_exit_code(command, tmp_path, capsys, monkeypatch):
     argv = (["demo", "sphere"] if command == "demo"
             else ["sweep", write_manifest(tmp_path, "kmu")])
-    real = build_report(build("sphere"))
-    real["self_check"]["second_bianchi"] = False
-    monkeypatch.setattr(cli, "build_report", lambda entry: real)
+    if command == "demo":
+        real = build_report(build("sphere"))
+        real["self_check"]["second_bianchi"] = False
+        monkeypatch.setattr(cli, "build_report", lambda entry: real)
+    else:
+        # the sweep reads its rows from the analysis, not from a report
+        real = analyse(build("sphere"))
+        real.self_check["second_bianchi"] = False
+        monkeypatch.setattr(cli, "analyse", lambda entry: real)
     assert cli.main(argv) == 3
     assert "internal self-check failure: second_bianchi" \
         in capsys.readouterr().err
