@@ -304,14 +304,12 @@ def constant_curvature(curv: CurvatureTables) -> Expr | None:
 
 
 def is_locally_symmetric(curv: CurvatureTables) -> SymmetryVerdict:
-    """nabla R = 0, scanned at i < j (the j > i half is its negative)."""
-    idxs = range(1, curv.manifold.dim + 1)
-    slots = _slots(idxs)
-    for w in idxs:
-        for i, j, k in slots:
-            val = curv.nabla_r(w, i, j, k)
-            if not val.is_zero():
-                return SymmetryVerdict(False, (w, i, j, k, min(val.terms)))
+    """nabla R = 0, scanned over its support (the i < j keys where it can
+    be nonzero, in the dense scan's order)."""
+    for w, i, j, k in curv.nabla_r_support:
+        val = curv.nabla_r(w, i, j, k)
+        if not val.is_zero():
+            return SymmetryVerdict(False, (w, i, j, k, min(val.terms)))
     return SymmetryVerdict(True)
 
 
@@ -337,20 +335,28 @@ def _phi_scan(curv: CurvatureTables, structure: ContactStructure,
     direction does and the relation is vacuous.  A must have a nonzero
     in-scope component to count as recurrent.  Every ratio is 0 before
     the first nonzero phi^2 field, so recurrence cannot fail before the
-    scan reaches the phi-symmetry witness.
+    scan reaches the phi-symmetry witness.  Each w visits only its
+    in-scope support keys: a nonzero R(e_i, e_j)e_k puts every w in the
+    support, so both sides vanish at a skipped slot, as at a skipped l.
     """
     idxs = _scope_indices(structure, scope)
-    slots = _slots(idxs)
+    in_scope = set(idxs)
+    slots: dict[int, list[tuple[int, int, int]]] = {w: [] for w in idxs}
+    for w, i, j, k in curv.nabla_r_support:
+        if in_scope.issuperset((w, i, j, k)):
+            slots[w].append((i, j, k))
     sym = SymmetryVerdict(True)
     components: dict[int, Expr] = {}
     for w in idxs:
         a_w = None
-        for i, j, k in slots:
-            lhs_vec = _phi_square(structure, curv.nabla_r(w, i, j, k))
+        for i, j, k in slots[w]:
+            lhs_vec = curv.nabla_r(w, i, j, k)
+            if not lhs_vec.is_zero():
+                lhs_vec = _phi_square(structure, lhs_vec)
             if sym.ok and not lhs_vec.is_zero():
                 sym = SymmetryVerdict(False, (w, i, j, k, min(lhs_vec.terms)))
             rhs_vec = curv.riemann(i, j, k)
-            for l in range(1, curv.manifold.dim + 1):
+            for l in sorted(lhs_vec.terms.keys() | rhs_vec.terms.keys()):
                 lhs, rhs = lhs_vec[l], rhs_vec[l]
                 if rhs.is_zero():
                     holds = lhs.is_zero()

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from fractions import Fraction
@@ -27,7 +26,7 @@ from .expr import ExprError
 from .frame import FrameError
 from .linalg import SingularMatrixError
 from .manifest import (ManifestError, entry_from_ingest, export_entry,
-                       load_manifest, manifest_to_json)
+                       load_manifest, manifest_to_json, to_json)
 from .report import (analyse, build_report, failed_self_checks,
                      render_json, render_text)
 
@@ -226,7 +225,7 @@ def _cmd_sweep(args) -> int:
                "grid": {"lambda": [str(v) for v in lams],
                         "mu": [str(v) for v in mus]},
                "rows": rows}
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(to_json(doc))
     else:
         sys.stdout.write(",".join(_SWEEP_COLUMNS) + "\n")
         for row in rows:

@@ -91,10 +91,14 @@ class CurvatureTables:
     """Riemann, Ricci and scalar curvature plus lazily memoized nabla R.
 
     R(e_i, e_j)e_k and (nabla_w R)(e_i, e_j)e_k are computed for i < j
-    only; i > j negates the i < j entry and i = j is the zero field.  The
-    eager tables are never mutated.  The nabla R cache only grows and each
-    entry is a pure function of the index, so concurrent readers at worst
-    duplicate a computation.
+    only; i > j negates the i < j entry and i = j is the zero field.
+    nabla_r_support is the sorted tuple of keys (w, i, j, k), i < j, where
+    some term of the nabla R kernel has a nonzero R field, built without
+    arithmetic.  Outside it every term is empty, so nabla_r returns the
+    shared zero field; inside it values are computed on demand.  The
+    eager tables and the support are never mutated, and each nabla R
+    cache slot is written once with a pure function of its key, so
+    concurrent readers at worst duplicate a computation.
     """
 
     def __init__(self, manifold: FrameManifold, connection: ConnectionTable):
@@ -113,7 +117,38 @@ class CurvatureTables:
             for j in range(1, dim + 1))
         self.ricci_operator, self.scalar = ricci_operator_of(manifold,
                                                              self.ricci)
-        self._nabla_r_cache: dict[tuple[int, int, int, int], VectorField] = {}
+        self.nabla_r_support = self._nabla_r_support()
+        # None marks a support key whose field is not computed yet
+        self._nabla_r_cache: dict[tuple[int, int, int, int],
+                                  VectorField | None] = dict.fromkeys(
+                                      self.nabla_r_support)
+
+    def _nabla_r_support(self) -> tuple[tuple[int, int, int, int], ...]:
+        # the keys (w, i, j, k), i < j, whose kernel terms read a stored
+        # nonzero R(e_a, e_b)e_c, with col[l] = [x : Gamma^l_wx != 0]:
+        # (w, a, b, c) and (w, a, b, x), x in col[c]; (w, x, b, c), x in
+        # col[a]; (w, a, x, c), x in col[b].  R is stored in both orders
+        # of (a, b), so the last two reach both halves of the pair.
+        idx = range(1, self.manifold.dim + 1)
+        nonzero = [key for key, r in self._riemann.items() if r.terms]
+        keys = set()
+        for w in idx:
+            col: dict[int, list[int]] = {}
+            for x in idx:
+                for l in self.connection.nabla_basis(w, x).terms:
+                    col.setdefault(l, []).append(x)
+            for a, b, c in nonzero:
+                if a < b:
+                    keys.add((w, a, b, c))
+                    for x in col.get(c, ()):
+                        keys.add((w, a, b, x))
+                for x in col.get(a, ()):
+                    if x < b:
+                        keys.add((w, x, b, c))
+                for x in col.get(b, ()):
+                    if a < x:
+                        keys.add((w, a, x, c))
+        return tuple(sorted(keys))
 
     def _riemann_basis(self, i: int, j: int, k: int) -> VectorField:
         # nabla_i nabla_j e_k - nabla_j nabla_i e_k - sum_l c^l_ij nabla_l e_k
@@ -161,7 +196,7 @@ class CurvatureTables:
 
     def _nabla_r_pair(self, w: int, i: int, j: int, k: int) -> VectorField:
         key = (w, i, j, k)
-        cached = self._nabla_r_cache.get(key)
+        cached = self._nabla_r_cache.get(key, self._zero)
         if cached is not None:
             return cached
         m, conn, r = self.manifold, self.connection, self._riemann
@@ -307,11 +342,17 @@ def second_bianchi_residuals(curv: CurvatureTables) -> list:
     """Cyclic sums in (w, i, j) of (nabla_w R)(e_i, e_j)e_k over
     w < i < j and every k.  nabla R is stored antisymmetric in (i, j), so
     the list is empty exactly when the check over all dim^4 tuples is, as
-    for first_bianchi_residuals."""
+    for first_bianchi_residuals.  A sum is +- the entries at
+    (w, i, j, k), (i, w, j, k) and (j, w, i, k), so it is formed only
+    where one of them is in the support."""
     out = []
     idx = range(1, curv.manifold.dim + 1)
+    support = set(curv.nabla_r_support)
     for w, i, j in combinations(idx, 3):
         for k in idx:
+            if not ((w, i, j, k) in support or (i, w, j, k) in support
+                    or (j, w, i, k) in support):
+                continue
             res = (curv.nabla_r(w, i, j, k)
                    + curv.nabla_r(i, j, w, k)
                    + curv.nabla_r(j, w, i, k))

@@ -255,6 +255,21 @@ class Poly:
         return Poly(out)
 
     def eval(self, bindings: dict[str, Fraction]) -> Fraction:
+        """Exact value at rational bindings; in one variable by Horner's
+        scheme in integers."""
+        names = self.variables()
+        if len(names) == 1:
+            # at x = p/q, lcd * q^d * value = sum c_e lcd p^e q^(d-e)
+            x = bindings[names.pop()]
+            coeffs = {m[0][1] if m else 0: c for m, c in self.terms.items()}
+            lcd = math.lcm(*(c.denominator for c in coeffs.values()))
+            num, q_pow = 0, 1
+            for e in range(max(coeffs), -1, -1):
+                c = coeffs.get(e, 0)
+                num = (num * x.numerator
+                       + c.numerator * (lcd // c.denominator) * q_pow)
+                q_pow *= x.denominator
+            return Fraction(num, lcd * q_pow // x.denominator)
         total = Fraction(0)
         for m, c in self.terms.items():
             v = c

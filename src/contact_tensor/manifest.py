@@ -5,7 +5,8 @@ partials, abstract mode stores the bracket records for i < j; phi and xi
 travel together or not at all.  All expressions are strings in the
 canonical renderer's syntax, so export -> ingest -> export is the
 identity byte for byte.  `CatalogEntry` is what every manifest, built-in
-or user-written, becomes for the reporting code.
+or user-written, becomes for the reporting code.  `to_json` writes every
+JSON document the package emits.
 """
 
 from __future__ import annotations
@@ -86,8 +87,58 @@ def export_entry(entry: CatalogEntry) -> dict:
     return doc
 
 
+_STR = json.encoder.encode_basestring_ascii
+
+
+def _encode(value, indent: str) -> str:
+    """json.dumps(value, indent=2) at the given indent."""
+    cls = value.__class__
+    if cls is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key, v in value.items():
+            if key.__class__ is not str:
+                raise TypeError(f"keys must be str, not "
+                                f"{type(key).__name__}")
+            c = v.__class__
+            items.append(_STR(key) + ": " + (
+                _STR(v) if c is str else int.__repr__(v) if c is int
+                else _encode(v, inner)))
+        return ("{\n" + inner + (",\n" + inner).join(items)
+                + "\n" + indent + "}")
+    if cls is list or cls is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return ("[\n" + inner + (",\n" + inner).join(
+            [_STR(v) if v.__class__ is str else _encode(v, inner)
+             for v in value]) + "\n" + indent + "]")
+    if cls is str:
+        return _STR(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if cls is int:
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+
+
+def to_json(doc: dict) -> str:
+    """json.dumps(doc, indent=2) plus a newline, from an encoder that
+    joins whole containers (the stdlib's indented encoding is pure
+    Python, chunk by chunk).  Takes dicts with str keys, lists, tuples,
+    str, int, bool and None, and raises TypeError on anything else.
+    Manifests, reports and sweep documents are all written by it."""
+    return _encode(doc, "") + "\n"
+
+
 def manifest_to_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return to_json(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -304,4 +355,5 @@ __all__ = [
     "ingest_manifest",
     "load_manifest",
     "manifest_to_json",
+    "to_json",
 ]

@@ -9,7 +9,6 @@ CONTACT_TENSOR_COLOR environment variable (unset means plain).
 from __future__ import annotations
 
 import dataclasses
-import json
 
 from .manifest import CatalogEntry
 from .classify import (ClassificationReport, check_3d_decomposition,
@@ -22,7 +21,7 @@ from .curvature import (ConnectionTable, CurvatureTables,
                         torsion_residuals)
 from .expr import Expr
 from .frame import VectorField
-from .manifest import export_entry
+from .manifest import export_entry, to_json
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -157,7 +156,8 @@ def failed_self_checks(self_check: dict) -> list[str]:
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """The report as indented JSON text (manifest.to_json)."""
+    return to_json(report)
 
 
 # ---------------------------------------------------------------------------

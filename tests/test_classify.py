@@ -576,7 +576,8 @@ def test_classify_applies_phi_square_once_per_field_and_scope(monkeypatch):
     classify_structure(curv, ent.structure)
     assert len(scans) == 2
     assert all(len(set(fields)) == len(fields) for fields in scans)
-    assert sum(map(len, scans)) == 689
+    # phi^2 of the nonzero nabla R fields only, at the support keys
+    assert sum(map(len, scans)) == 67
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from contact_tensor.catalog import build, entry_ids
+from contact_tensor.classify import SymmetryVerdict, is_locally_symmetric
 from contact_tensor.curvature import (
     first_bianchi_residuals,
     h_direction_phi_derivative_residuals,
@@ -681,3 +682,63 @@ def test_lower_and_raise_index_invert_each_other(name):
             low = m.lower(v)
             assert m.raise_index(low) == v, (i, j)
             assert all(low[k] == m.g(v, m.basis(k)) for k in idx), (i, j)
+
+
+# ---------------------------------------------------------------------------
+# nabla R outside its support, and the walks over the support against the
+# dense scans
+
+def support_inputs():
+    """The kernel entries, the lowering inputs (with the non-identity
+    metrics and the deformed kmu) and the chart frame x+y+1."""
+    out = {name: ent.manifold for name, ent in kernel_entries().items()}
+    out.update(lowering_inputs())
+    out["chart-xy"] = chart_frame_xy().manifold
+    return out
+
+
+def ref_locally_symmetric(curv):
+    idx = range(1, curv.manifold.dim + 1)
+    for w in idx:
+        for i, j in itertools.combinations(idx, 2):
+            for k in idx:
+                val = curv.nabla_r(w, i, j, k)
+                if not val.is_zero():
+                    return SymmetryVerdict(False, (w, i, j, k,
+                                                   min(val.terms)))
+    return SymmetryVerdict(True)
+
+
+def ref_second_bianchi_residuals(curv):
+    idx = range(1, curv.manifold.dim + 1)
+    out = []
+    for w, i, j in itertools.combinations(idx, 3):
+        for k in idx:
+            res = (curv.nabla_r(w, i, j, k) + curv.nabla_r(i, j, w, k)
+                   + curv.nabla_r(j, w, i, k))
+            if not res.is_zero():
+                out.append(((w, i, j, k), res))
+    return out
+
+
+SUPPORT_INPUTS = support_inputs()
+
+
+@pytest.mark.parametrize("name", list(SUPPORT_INPUTS))
+def test_nabla_r_vanishes_outside_its_support(name):
+    m = SUPPORT_INPUTS[name]
+    curv = riemann(m, koszul(m))
+    support = curv.nabla_r_support
+    assert list(support) == sorted(set(support))
+    assert all(i < j for _, i, j, _ in support)
+    idx = range(1, m.dim + 1)
+    for w in idx:
+        for i, j in itertools.combinations(idx, 2):
+            for k in idx:
+                if (w, i, j, k) not in support:
+                    assert ref_nabla_r(curv, w, i, j, k).is_zero(), \
+                        (w, i, j, k)
+    # the walks over the support against the dense scans
+    assert is_locally_symmetric(curv) == ref_locally_symmetric(curv)
+    assert second_bianchi_residuals(curv) \
+        == ref_second_bianchi_residuals(curv)

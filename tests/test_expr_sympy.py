@@ -2,8 +2,11 @@
 
 Every operation on canonical Exprs must agree with ``sympy.cancel`` and
 return a canonical result: coprime numerator and denominator, denominator
-monic.  sympy and hypothesis are test-only; the package does not need them.
+monic.  `Poly.eval` is checked against term-by-term evaluation.  sympy and
+hypothesis are test-only; the package does not need them.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -179,3 +182,34 @@ def test_univariate_poly_gcd_matches_sympy_gcd(pair):
     f, g = (parse(s, t).num for s in pair)
     assert f.variables() == g.variables() == {"x"}
     assert_gcd_matches(f, g)
+
+
+_RATIONALS = st.fractions(-5, 5, max_denominator=6)
+
+
+@st.composite
+def polys_with_a_point(draw):
+    """A polynomial with rational coefficients in x alone (Horner's
+    scheme) or in x, y and a, and a rational point."""
+    names = draw(st.sampled_from((("x",), NAMES)))
+    exps = st.tuples(*[st.integers(0, 6) for _ in names])
+    coeffs = draw(st.dictionaries(exps, _RATIONALS.filter(bool), max_size=5))
+    poly = Poly({tuple((n, e) for n, e in zip(names, k) if e): c
+                 for k, c in coeffs.items()})
+    return poly, {n: draw(_RATIONALS) for n in names}
+
+
+@SETTINGS
+@hypothesis.given(polys_with_a_point())
+@hypothesis.example((Poly({(("x", 5),): Fraction(1, 3), (): 2}),
+                     {"x": Fraction(-3, 2)}))
+def test_poly_eval_matches_term_by_term_evaluation(case):
+    poly, point = case
+    total = Fraction(0)
+    for m, c in poly.terms.items():
+        v = Fraction(c)
+        for name, e in m:
+            v *= point[name] ** e
+        total += v
+    value = poly.eval(point)
+    assert type(value) is Fraction and value == total
