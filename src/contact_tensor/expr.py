@@ -39,6 +39,13 @@ class PoleError(ExprError):
     """Raised when evaluation or substitution hits a vanishing denominator."""
 
 
+class _EvalPoleError(PoleError):
+    # the pole of Expr.eval, holding the Expr and rendering it only when the
+    # message is read: a sampler that discards its poles formats nothing
+    def __str__(self) -> str:
+        return f"denominator of {self.args[0]} vanishes at the binding"
+
+
 @dataclass(frozen=True)
 class Symbol:
     name: str
@@ -616,7 +623,7 @@ class Expr:
             raise ExprError(f"unbound symbol {missing[0]!r} in eval")
         dv = self.den.eval(vals)
         if dv == 0:
-            raise PoleError(f"denominator of {self} vanishes at the binding")
+            raise _EvalPoleError(self)
         return self.num.eval(vals) / dv
 
     def substitute(self, sym, replacement) -> "Expr":
@@ -669,6 +676,31 @@ def _monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         inv = Fraction(1, lc)
         num, den = num.scale(inv), den.scale(inv)
     return num, den
+
+
+def sum_of_products(pairs) -> Expr:
+    """sum c * a over (c, a) pairs of Exprs, canonical.  Products over a
+    denominator in at most one variable are summed uncancelled, one
+    monomial dict per denominator, and each sum is cancelled once; any
+    other product is the canonical `c * a` (see `VectorField.accumulate`)."""
+    groups: dict[Poly, dict[Mono, int | Fraction]] = {}
+    total = _E_ZERO
+    for c, a in pairs:
+        b, d = c.den, a.den
+        den = d if b == _P_ONE else b if d == _P_ONE else b * d
+        if len(den.variables()) > 1:
+            total = total + c * a
+            continue
+        out = groups.setdefault(den, {})
+        for mc, cc in c.num.terms.items():
+            for ma, ca in a.num.terms.items():
+                m, v = _mono_mul(mc, ma), cc * ca
+                out[m] = out[m] + v if m in out else v
+    for den, out in groups.items():
+        num = Poly(out)
+        if num.terms:
+            total = total + Expr(*_monic(*_cancel(num, den)))
+    return total
 
 
 def _coerce(value) -> "Expr":

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import Expr, ExprError, KIND_COORDINATE, Symbol, SymbolTable
+from .expr import (Expr, ExprError, KIND_COORDINATE, Symbol, SymbolTable,
+                   sum_of_products)
 from .linalg import invert
 
 MODE_ABSTRACT = "abstract"
@@ -112,18 +113,29 @@ class VectorField:
 
     @staticmethod
     def accumulate(dim: int, pairs) -> "VectorField":
-        """sum c * v over (c, v) pairs of an Expr and a VectorField, summed
-        into one dict with zeros dropped once at the end.  A coefficient
-        equal to 1 is not multiplied through."""
-        terms: dict[int, Expr] = {}
+        """sum c * v over (c, v) pairs of an Expr and a VectorField, with
+        zero components dropped.  `sum_of_products` sums a component with
+        two or more products: those over one denominator in at most one
+        variable are added in one monomial dict and cancelled once.  A
+        product over two or more variables stays the canonical `c * a`,
+        because there one gcd of the fused sum costs more than the gcds of
+        its terms (the `x+y+1` chart frame's report: 5.0 s fused, 2.1 s
+        per term).  A lone product is `c * a`, or `a` when c = 1."""
+        products: dict[int, list[tuple[Expr, Expr]]] = {}
         for c, v in pairs:
-            unit = c == _ONE
             for k, a in v.terms.items():
-                if not unit:
+                products.setdefault(k, []).append((c, a))
+        terms: dict[int, Expr] = {}
+        for k, prods in products.items():
+            if len(prods) > 1:
+                a = sum_of_products(prods)
+            else:
+                (c, a), = prods
+                if c != _ONE:
                     a = c * a
-                terms[k] = terms[k] + a if k in terms else a
-        return VectorField(dim, {k: a for k, a in terms.items()
-                                 if not a.is_zero()})
+            if not a.is_zero():
+                terms[k] = a
+        return VectorField(dim, terms)
 
     @staticmethod
     def combination(coeffs, vectors) -> "VectorField":

@@ -266,8 +266,10 @@ def test_eval_bindings_and_poles():
     assert e.eval({"x": Fraction(1), "y": Fraction(3)}) == Fraction(2)
     # Symbol keys work the same as names
     assert e.eval({t.get("x"): 1, t.get("y"): 4}) == Fraction(1)
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError) as info:
         e.eval({"x": 0, "y": 2})
+    assert str(info.value) \
+        == "denominator of (x+1)/(y-2) vanishes at the binding"
     with pytest.raises(ExprError):
         e.eval({"x": 1})
 

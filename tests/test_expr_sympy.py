@@ -14,8 +14,9 @@ sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from contact_tensor.expr import (KIND_COORDINATE, KIND_PARAMETER, Poly,
+from contact_tensor.expr import (KIND_COORDINATE, KIND_PARAMETER, Expr, Poly,
                                  SymbolTable, parse, poly_gcd)
+from contact_tensor.frame import VectorField
 
 NAMES = ("x", "y", "a")
 SETTINGS = hypothesis.settings(max_examples=40, deadline=None,
@@ -140,6 +141,57 @@ def test_derivatives_match_sympy_diff(s):
     for name in ("x", "y"):
         assert_matches(e.diff(t.get(name)), sympy.diff(sym(s), name))
     assert e.diff(t.get("a")).is_zero()
+
+
+_SHARED_DENS = ("1", "p", "p^2", "p*q")
+
+
+@st.composite
+def product_lists(draw):
+    """2-6 (c, a) pairs of fractions over the denominators 1, p, p^2 and
+    p*q, with p and q in x alone or in x and y; a coefficient may be 1,
+    and about half the lists sum to zero."""
+    univariate = draw(st.booleans())
+
+    def den():
+        return text({(ex, 0 if univariate else ey, 0): c
+                     for (ex, ey, _), c in draw(nonzero_polys).items()})
+
+    p, q = den(), den()
+    shapes = {"1": "1", "p": f"({p})", "p^2": f"({p})^2",
+              "p*q": f"({p})*({q})"}
+
+    def fraction():
+        den = shapes[draw(st.sampled_from(_SHARED_DENS))]
+        return f"({text(draw(polys))})/{den}"
+
+    if not draw(st.booleans()):
+        return [("1" if draw(st.booleans()) else fraction(), fraction())
+                for _ in range(draw(st.integers(2, 6)))]
+    # a list that sums to zero: 1-3 products and minus their sum, whose
+    # denominator is the lcm of theirs
+    pairs = [("1" if draw(st.booleans()) else fraction(), fraction())
+             for _ in range(draw(st.integers(1, 3)))]
+    return pairs + [("-1", "+".join(f"({c})*({a})" for c, a in pairs))]
+
+
+@SETTINGS
+@hypothesis.given(product_lists())
+@hypothesis.example([("1", "1/(x+1)"), ("x", "1/(x+1)^2"),
+                     ("-1", "(2*x+1)/(x+1)^2")])
+@hypothesis.example([("1/(x+y)", "y/(x+1)"), ("x", "1/(x+1)"),
+                     ("1", "1/((x+1)*(x+y))")])
+def test_accumulate_matches_the_term_by_term_sum(pairs):
+    t = table()
+    exprs = [(parse(c, t), parse(a, t)) for c, a in pairs]
+    out = VectorField.accumulate(
+        3, [(c, VectorField.make((a, 0, 0))) for c, a in exprs])
+    want = Expr.zero()
+    for c, a in exprs:
+        want = want + c * a
+    assert (out[1].num, out[1].den) == (want.num, want.den)
+    assert out.terms.keys() == ({1} if want else set())
+    assert_matches(out[1], sympy.Add(*[sym(c) * sym(a) for c, a in pairs]))
 
 
 @st.composite

@@ -284,3 +284,45 @@ def test_curvature_tables_store_no_zero_component():
         assert any(not v.is_zero() for v in stored)
         for v in stored:
             assert all(not c.is_zero() for c in v.terms.values())
+
+
+def _xy_table():
+    t = SymbolTable()
+    t.add("x", KIND_COORDINATE)
+    t.add("y", KIND_COORDINATE)
+    return t
+
+
+def test_accumulate_of_no_pairs_is_the_zero_field():
+    out = VectorField.accumulate(3, [])
+    assert out.dim == 3 and out.terms == {}
+
+
+def test_accumulate_of_one_term_is_the_product():
+    t = _xy_table()
+    v = VectorField.make((0, parse("y/(x+1)", t), 0))
+    assert VectorField.accumulate(3, [(Expr.one(), v)]).terms == v.terms
+    c = parse("(x+1)/(2*y)", t)
+    out = VectorField.accumulate(3, [(c, v)])
+    assert out.terms == {2: Expr.rational(1, 2)}
+
+
+def test_accumulate_drops_a_component_that_cancels_to_zero():
+    # e1: (x+1) * 1/(x+1) - 1 * 1 = 0 is not stored; e2: (x+1) * x stays
+    t = _xy_table()
+    u = VectorField.make((parse("1/(x+1)", t), parse("x", t), 0))
+    w = VectorField.make((1, 0, 0))
+    out = VectorField.accumulate(
+        3, [(parse("x+1", t), u), (Expr.integer(-1), w)])
+    assert out.terms == {2: parse("x^2+x", t)}
+
+
+def test_accumulate_merges_denominators_p_and_p_squared():
+    # 1/p and x/p^2 with p = x + 1 fall in two groups and leave one
+    # canonical entry, (2*x+1)/(x+1)^2
+    t = _xy_table()
+    e1 = VectorField.basis(3, 1)
+    out = VectorField.accumulate(3, [(parse("1/(x+1)", t), e1),
+                                     (parse("x/(x+1)^2", t), e1)])
+    assert out.terms == {1: parse("(2*x+1)/(x+1)^2", t)}
+    assert out[1] == parse("1/(x+1)", t) + parse("x/(x+1)^2", t)
