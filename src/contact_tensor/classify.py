@@ -18,7 +18,7 @@ so reports are reproducible.
 
 from __future__ import annotations
 
-import random
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -30,10 +30,6 @@ from .frame import FrameManifold, VectorField, coordinates_in
 
 SCOPE_GLOBAL = "global"
 SCOPE_LOCAL = "local"
-
-_SAMPLE_SEED = 174
-_SAMPLE_COUNT = 25
-_SAMPLE_ATTEMPTS = 40 * _SAMPLE_COUNT
 
 
 class ClassifyError(Exception):
@@ -203,27 +199,39 @@ def _is_parameter_only(m, e: Expr | None) -> bool:
     return e is None or not coordinates_in(e, m.symbols)
 
 
-def _sample_le_one(e: Expr) -> bool | None:
-    """Check e <= 1 at random rational parameter bindings; None (unknown)
-    when too many of the bindings are poles of e."""
-    names = sorted(e.variables())
-    if not names:
-        return e.eval({}) <= 1
-    rng = random.Random(_SAMPLE_SEED)
-    done = 0
-    for _ in range(_SAMPLE_ATTEMPTS):
-        bindings = {n: Fraction(rng.randint(-24, 24), rng.randint(1, 8))
-                    for n in names}
+def _kappa_above_one(kappa: Expr) -> dict[str, int] | None:
+    """The first binding where kappa > 1, or None.  It tries all parameters
+    0 and, with one parameter, +B and -B for B a power of two past every
+    real root of the numerator and denominator of 1 - kappa (Cauchy's
+    bound), where their signs are the signs at infinity.  Poles are
+    skipped."""
+    names = sorted(kappa.variables())
+    tries = [dict.fromkeys(names, 0)]
+    if len(names) == 1:
+        rest = Expr.one() - kappa
+        top = max(abs(Fraction(c) / p.leading()[1])
+                  for p in (rest.num, rest.den) for c in p.terms.values())
+        b = 1 << math.ceil(top).bit_length()
+        tries += [{names[0]: b}, {names[0]: -b}]
+    for at in tries:
         try:
-            val = e.eval(bindings)
+            if kappa.eval(at) > 1:
+                return at
         except PoleError:
-            continue
-        if val > 1:
-            return False
-        done += 1
-        if done == _SAMPLE_COUNT:
-            return True
+            pass
     return None
+
+
+def _kappa_le_one(kappa: Expr) -> bool | None:
+    """Decide kappa <= 1 wherever kappa is defined: True when 1 - kappa =
+    n/d (d monic) has every term of n and d a positive multiple of an even
+    monomial, so n >= 0 and d > 0; False at a binding where kappa > 1;
+    None (unknown) otherwise."""
+    rest = Expr.one() - kappa
+    if all(c > 0 and not any(e % 2 for _, e in m)
+           for p in (rest.num, rest.den) for m, c in p.terms.items()):
+        return True
+    return False if _kappa_above_one(kappa) is not None else None
 
 
 def solve_kappa_mu(curv: CurvatureTables, structure: ContactStructure,
@@ -252,7 +260,7 @@ def solve_kappa_mu(curv: CurvatureTables, structure: ContactStructure,
     if solver.state == "point":
         kappa, mu = solver.point
         const = (_is_parameter_only(m, kappa) and _is_parameter_only(m, mu))
-        le_one = _sample_le_one(kappa) if const else None
+        le_one = _kappa_le_one(kappa) if const else None
         return KappaMuVerdict(status="consistent", kappa=kappa, mu=mu,
                               constant_flag=const, kappa_le_one=le_one)
     if solver.state == "line":
@@ -267,7 +275,7 @@ def solve_kappa_mu(curv: CurvatureTables, structure: ContactStructure,
             mu = Expr.zero()
             relation = f"({a})*kappa + ({b})*mu = ({c})"
         const = (_is_parameter_only(m, kappa) and _is_parameter_only(m, mu))
-        le_one = (_sample_le_one(kappa)
+        le_one = (_kappa_le_one(kappa)
                   if const and kappa is not None else None)
         return KappaMuVerdict(status="underdetermined", kappa=kappa, mu=mu,
                               relation=relation, constant_flag=const,
@@ -477,8 +485,12 @@ def classify_structure(curv: CurvatureTables,
             diagnostics.append("nullity condition solved with non-constant "
                                "coefficients; not a (kappa,mu) structure")
         if kappa_mu is not None and kappa_mu.kappa_le_one is False:
-            diagnostics.append("sampled kappa > 1; nullity solution is "
-                               "outside the admissible range")
+            at = _kappa_above_one(kappa_mu.kappa)
+            where = ", ".join(f"{n}={v}" for n, v in at.items())
+            diagnostics.append(
+                f"kappa > 1{' at ' + where if at else ''} (kappa = "
+                f"{kappa_mu.kappa.eval(at)}); nullity solution is outside "
+                "the admissible range")
         phi_sym, phi_rec = _phi_scan(curv, structure, SCOPE_GLOBAL)
         try:
             loc_phi_sym, loc_phi_rec = _phi_scan(curv, structure, SCOPE_LOCAL)

@@ -39,13 +39,6 @@ class PoleError(ExprError):
     """Raised when evaluation or substitution hits a vanishing denominator."""
 
 
-class _EvalPoleError(PoleError):
-    # the pole of Expr.eval, holding the Expr and rendering it only when the
-    # message is read: a sampler that discards its poles formats nothing
-    def __str__(self) -> str:
-        return f"denominator of {self.args[0]} vanishes at the binding"
-
-
 @dataclass(frozen=True)
 class Symbol:
     name: str
@@ -262,21 +255,7 @@ class Poly:
         return Poly(out)
 
     def eval(self, bindings: dict[str, Fraction]) -> Fraction:
-        """Exact value at rational bindings; in one variable by Horner's
-        scheme in integers."""
-        names = self.variables()
-        if len(names) == 1:
-            # at x = p/q, lcd * q^d * value = sum c_e lcd p^e q^(d-e)
-            x = bindings[names.pop()]
-            coeffs = {m[0][1] if m else 0: c for m, c in self.terms.items()}
-            lcd = math.lcm(*(c.denominator for c in coeffs.values()))
-            num, q_pow = 0, 1
-            for e in range(max(coeffs), -1, -1):
-                c = coeffs.get(e, 0)
-                num = (num * x.numerator
-                       + c.numerator * (lcd // c.denominator) * q_pow)
-                q_pow *= x.denominator
-            return Fraction(num, lcd * q_pow // x.denominator)
+        """Exact value at rational bindings."""
         total = Fraction(0)
         for m, c in self.terms.items():
             v = c
@@ -623,7 +602,7 @@ class Expr:
             raise ExprError(f"unbound symbol {missing[0]!r} in eval")
         dv = self.den.eval(vals)
         if dv == 0:
-            raise _EvalPoleError(self)
+            raise PoleError(f"denominator of {self} vanishes at the binding")
         return self.num.eval(vals) / dv
 
     def substitute(self, sym, replacement) -> "Expr":

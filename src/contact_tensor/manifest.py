@@ -201,7 +201,7 @@ def ingest_manifest(doc: dict) -> IngestResult:
         if key not in _TOP_KEYS:
             errors.append(f"{key}: unknown field")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         errors.append(f"schema_version: expected {SCHEMA_VERSION}, "
                       f"got {version!r}")
     name = doc.get("name", "manifest")
@@ -270,7 +270,7 @@ def ingest_manifest(doc: dict) -> IngestResult:
                 errors.append(f"{path}: expected an object")
                 continue
             i, j = rec.get("i"), rec.get("j")
-            if not (isinstance(i, int) and isinstance(j, int)
+            if not (type(i) is int and type(j) is int
                     and 1 <= i < j <= dim):
                 errors.append(f"{path}: expected indices 1 <= i < j <= {dim}")
                 continue

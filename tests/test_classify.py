@@ -240,14 +240,17 @@ def test_constant_kappa_is_compared_once(monkeypatch):
     real_eval = Expr.eval
     monkeypatch.setattr(Expr, "eval",
                         lambda e, b: calls.append(b) or real_eval(e, b))
-    assert classify._sample_le_one(Expr.rational(3, 4)) is True
-    assert classify._sample_le_one(Expr.integer(4)) is False
-    assert len(calls) == 2
+    for kappa, want in ((Expr.rational(3, 4), True), (Expr.one(), True),
+                        (Expr.integer(4), False)):
+        calls.clear()
+        assert classify._kappa_le_one(kappa) is want
+        assert len(calls) <= 1
 
 
-def test_kappa_sampler_gives_up_when_every_binding_is_a_pole():
-    # every value the sampler draws for lambda is a pole of kappa, so it
-    # answers None (unknown) after a bounded number of attempts
+def test_kappa_rule_answers_none_on_the_all_pole_kappa():
+    # kappa = 1/prod(lambda - v) has a pole at every p/q with |p| <= 24 and
+    # q <= 8, the origin among them, and |kappa| <= 1 at +-B past its
+    # roots, so the rule answers None (unknown) from three bindings
     t = SymbolTable()
     lam = Expr.symbol(t.add("lambda", KIND_PARAMETER))
     den = Expr.one()
@@ -256,12 +259,41 @@ def test_kappa_sampler_gives_up_when_every_binding_is_a_pole():
         den = den * (lam - Expr.rational(v))
     result = []
     worker = threading.Thread(
-        target=lambda: result.append(classify._sample_le_one(1 / den)),
+        target=lambda: result.append(classify._kappa_le_one(1 / den)),
         daemon=True)
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
     assert result == [None]
+
+
+@pytest.mark.parametrize("text, answers, witness", [
+    ("1-lambda^2", {True}, None),
+    ("(a^2-lambda^2)/a^2", {True}, None),
+    ("1001/1000-lambda^2", {False}, {"lambda": 0}),
+    ("lambda^2", {False}, None),
+    ("2-a^2-lambda^2", {False}, {"a": 0, "lambda": 0}),
+    ("1/lambda", {False, None}, None),
+    ("1-(lambda-1)^2", {True, None}, None),
+])
+def test_kappa_le_one_is_certified_or_witnessed(text, answers, witness,
+                                                monkeypatch):
+    t = SymbolTable()
+    for name in ("lambda", "a"):
+        t.add(name, KIND_PARAMETER)
+    kappa = parse(text, t)
+    calls = []
+    real_eval = Expr.eval
+    monkeypatch.setattr(Expr, "eval",
+                        lambda e, b: calls.append(b) or real_eval(e, b))
+    got = classify._kappa_le_one(kappa)
+    assert got in answers
+    if got is True:
+        assert calls == []      # a certificate, not an evaluation
+    if got is False:
+        at = classify._kappa_above_one(kappa)
+        assert real_eval(kappa, at) > 1
+        assert witness is None or at == witness
 
 
 def test_mixed_line_solution():

@@ -193,4 +193,5 @@ def test_d_homothetic_deformation_of_kmu_matches_the_known_formulas():
     assert parse(km["kappa"], m.symbols) == (kappa + a * a - one) / (a * a)
     assert parse(km["mu"], m.symbols) == (mu + 2 * a - 2 * one) / a
     assert (km["kappa"], km["mu"]) == ("(a^2-lambda^2)/a^2", "(2*a+mu-2)/a")
+    assert km["kappa_le_one"] is True
     assert all(v is True for v in report["self_check"].values())

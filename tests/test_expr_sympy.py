@@ -241,8 +241,8 @@ _RATIONALS = st.fractions(-5, 5, max_denominator=6)
 
 @st.composite
 def polys_with_a_point(draw):
-    """A polynomial with rational coefficients in x alone (Horner's
-    scheme) or in x, y and a, and a rational point."""
+    """A polynomial with rational coefficients in x alone or in x, y and
+    a, and a rational point."""
     names = draw(st.sampled_from((("x",), NAMES)))
     exps = st.tuples(*[st.integers(0, 6) for _ in names])
     coeffs = draw(st.dictionaries(exps, _RATIONALS.filter(bool), max_size=5))

@@ -232,6 +232,21 @@ def test_cli_report_round_trip(tmp_path, capsys):
     assert json.loads(second)["curvature"] == doc["curvature"]
 
 
+def test_cli_report_names_the_binding_where_kappa_exceeds_one(tmp_path,
+                                                             capsys):
+    # [e2,e3] = 201/100 e1 gives kappa = -lambda^2 + 40401/40000, which is
+    # above 1 at lambda = 0
+    doc = export_entry(build("kmu"))
+    doc["brackets"][2]["components"][0] = "201/100"
+    path = tmp_path / "kmu-201.json"
+    path.write_text(manifest_to_json(doc))
+    assert cli.main(["report", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["classification"]["kappa_mu"]["kappa_le_one"] is False
+    assert any("kappa > 1 at lambda=0 (kappa = 40401/40000)" in d
+               for d in report["diagnostics"])
+
+
 def test_cli_report_set_bindings(tmp_path, capsys):
     path = write_manifest(tmp_path, "kmu")
     rc = cli.main(["report", path, "--set", "lambda=1/2", "--set", "mu=0",
@@ -588,11 +603,19 @@ def _chart_3d(frame):
                   symbols=[{"name": n, "kind": "coordinate"} for n in "abc"]),
      "error: brackets[0].components[0]: sum needs more than 250000 "
      "coefficient products at position 14\n"),
+    (_abstract_3d(schema_version=True),
+     "error: schema_version: expected 1, got True"),
+    (_abstract_3d(schema_version=1.0),
+     "error: schema_version: expected 1, got 1.0"),
+    (_abstract_3d(brackets=[{"i": True, "j": 2,
+                             "components": ["0", "0", "2"]}]),
+     "error: brackets[0]: expected indices 1 <= i < j <= 3"),
 ], ids=["singular-metric", "singular-chart", "coordinate-phi", "coordinate-xi",
         "deep-parens", "huge-exponent", "dimension-17", "dimension-101",
         "asymmetric-metric", "coordinate-metric", "superscript-digit",
         "long-literal", "long-exponent", "huge-result", "nested-power",
-        "large-power", "large-product", "large-sum"])
+        "large-power", "large-product", "large-sum", "schema-version-bool",
+        "schema-version-float", "bracket-index-bool"])
 def test_cli_report_hostile_manifest_is_an_input_error(doc, message,
                                                        tmp_path, capsys):
     path = tmp_path / "hostile.json"
