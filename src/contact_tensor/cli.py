@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -238,7 +239,9 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # parse_args changes no parser (append copies its default list)
     parser = _Parser(prog="contact-tensor",
                      description="frame-based contact metric manifold "
                                  "calculator")

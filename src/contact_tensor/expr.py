@@ -187,7 +187,8 @@ class Poly:
         return _dict_leading(self.terms)
 
     def scale(self, c: Fraction) -> "Poly":
-        return Poly({m: co * c for m, co in self.terms.items()})
+        out = {m: co * c for m, co in self.terms.items()}
+        return _normalised(out, list(out))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -204,19 +205,26 @@ class Poly:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out[m] + c if m in out else c
-        return Poly(out)
+        return _normalised(out, other.terms)
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return _normalised({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out[m] - c if m in out else -c
+        return _normalised(out, other.terms)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if other == _P_ONE:     # a Poly is never mutated, so it can be shared
             return self
         if self == _P_ONE:
             return other
+        if len(self.terms) == 1 == len(other.terms):
+            ((ma, ca),), ((mb, cb),) = self.terms.items(), other.terms.items()
+            m = _mono_mul(ma, mb)
+            return _normalised({m: ca * cb}, (m,))
         out: dict[Mono, int | Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
@@ -270,6 +278,19 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({_poly_str(self)})"
+
+
+def _normalised(terms: dict[Mono, int | Fraction], changed=()) -> Poly:
+    # Poly(terms) when only the entries at `changed` may need normalising
+    for m in changed:
+        c = terms[m]
+        if not c:
+            del terms[m]
+        elif c.__class__ is not int and c.denominator == 1:
+            terms[m] = c.numerator
+    p = object.__new__(Poly)
+    p.terms = terms
+    return p
 
 
 _P_ZERO = Poly({})
@@ -521,13 +542,17 @@ class Expr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.num.terms:
+            return self
+        if self.den == _P_ONE and other.den == _P_ONE:
+            return Expr(self.num - other.num, _P_ONE)
         return self + (-other)
 
     def __rsub__(self, other) -> "Expr":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other) -> "Expr":
         other = _coerce(other)
@@ -550,6 +575,8 @@ class Expr:
             return NotImplemented
         if other.is_zero():
             raise ExprError("division by an identically zero expression")
+        if other.is_constant():     # what the product below gives
+            return Expr(self.num.scale(1 / other.constant_value()), self.den)
         return self * Expr(*_monic(other.den, other.num))
 
     def __rtruediv__(self, other) -> "Expr":
@@ -574,7 +601,7 @@ class Expr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num.terms == other.num.terms and self.den == other.den
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
@@ -588,6 +615,8 @@ class Expr:
         # (n/d)' = (n' - (n/d)*d')/d through the canonical operations: each
         # gcd runs against d or a factor of d, never against d^2
         dn, dd = self.num.diff(sym.name), self.den.diff(sym.name)
+        if not dn.terms and not dd.terms:
+            return _E_ZERO
         return (Expr(dn, _P_ONE) - self * Expr(dd, _P_ONE)) \
             / Expr(self.den, _P_ONE)
 
@@ -662,15 +691,19 @@ def sum_of_products(pairs) -> Expr:
     denominator in at most one variable are summed uncancelled, one
     monomial dict per denominator, and each sum is cancelled once; any
     other product is the canonical `c * a` (see `VectorField.accumulate`)."""
-    groups: dict[Poly, dict[Mono, int | Fraction]] = {}
+    ones: dict[Mono, int | Fraction] = {}
+    groups: dict[Poly, dict[Mono, int | Fraction]] = {_P_ONE: ones}
     total = _E_ZERO
     for c, a in pairs:
         b, d = c.den, a.den
-        den = d if b == _P_ONE else b if d == _P_ONE else b * d
-        if len(den.variables()) > 1:
-            total = total + c * a
-            continue
-        out = groups.setdefault(den, {})
+        if b == _P_ONE and d == _P_ONE:
+            out = ones
+        else:
+            den = d if b == _P_ONE else b if d == _P_ONE else b * d
+            if len(den.variables()) > 1:
+                total = total + c * a
+                continue
+            out = groups.setdefault(den, {})
         for mc, cc in c.num.terms.items():
             for ma, ca in a.num.terms.items():
                 m, v = _mono_mul(mc, ma), cc * ca
@@ -683,7 +716,7 @@ def sum_of_products(pairs) -> Expr:
 
 
 def _coerce(value) -> "Expr":
-    if isinstance(value, Expr):
+    if value.__class__ is Expr:
         return value
     if isinstance(value, (int, Fraction)):
         return Expr(Poly.const(value), _P_ONE)

@@ -36,7 +36,7 @@ def as_expr(value) -> Expr:
     raise FrameError(f"expected an expression, got {value!r}")
 
 
-_ONE = Expr.one()
+_ZERO, _ONE = Expr.zero(), Expr.one()
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class VectorField:
     @staticmethod
     def basis(dim: int, i: int) -> "VectorField":
         # i is 1-based
-        return VectorField(dim, {i: Expr.one()})
+        return VectorField(dim, {i: _ONE})
 
     @property
     def components(self) -> tuple[Expr, ...]:
@@ -72,7 +72,7 @@ class VectorField:
         return tuple(self[k] for k in range(1, self.dim + 1))
 
     def __getitem__(self, i: int) -> Expr:
-        return self.terms.get(i, Expr.zero())
+        return self.terms.get(i, _ZERO)
 
     def items(self):
         return self.terms.items()
@@ -100,7 +100,14 @@ class VectorField:
         return VectorField(self.dim, terms)
 
     def __sub__(self, other: "VectorField") -> "VectorField":
-        return self + -other
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            total = terms[k] - c if k in terms else -c
+            if total.is_zero():
+                del terms[k]
+            else:
+                terms[k] = total
+        return VectorField(self.dim, terms)
 
     def __neg__(self) -> "VectorField":
         return VectorField(self.dim, {k: -c for k, c in self.terms.items()})
@@ -278,7 +285,10 @@ class FrameManifold:
         return total
 
     def derivative(self, i: int, v: VectorField) -> VectorField:
-        """e_i applied to each frame component of v."""
+        """e_i applied to each frame component of v: the zero field at once
+        in abstract mode with no coordinate, where all are parameter-only."""
+        if self.mode == MODE_ABSTRACT and not self._coordinate_names:
+            return VectorField.zero(v.dim)
         return v.map(lambda c: self.directional_derivative(i, c))
 
     def chart_inverse(self):

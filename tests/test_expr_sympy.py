@@ -2,7 +2,8 @@
 
 Every operation on canonical Exprs must agree with ``sympy.cancel`` and
 return a canonical result: coprime numerator and denominator, denominator
-monic.  `Poly.eval` is checked against term-by-term evaluation.  sympy and
+monic.  `Poly.eval` is checked against term-by-term evaluation, and `Poly`
+results against the normalising constructor.  sympy and
 hypothesis are test-only; the package does not need them.
 """
 
@@ -15,7 +16,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from contact_tensor.expr import (KIND_COORDINATE, KIND_PARAMETER, Expr, Poly,
-                                 SymbolTable, parse, poly_gcd)
+                                 SymbolTable, parse, poly_gcd,
+                                 sum_of_products)
 from contact_tensor.frame import VectorField
 
 NAMES = ("x", "y", "a")
@@ -265,3 +267,67 @@ def test_poly_eval_matches_term_by_term_evaluation(case):
         total += v
     value = poly.eval(point)
     assert type(value) is Fraction and value == total
+
+
+_THIRDS = st.sampled_from((Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3),
+                           Fraction(-1, 3), Fraction(2, 3), Fraction(5, 6)))
+
+
+def poly_of(d: dict) -> Poly:
+    # a monomial lists its names in sorted order
+    return Poly({tuple(sorted((n, e) for n, e in zip(NAMES, k) if e)): c
+                 for k, c in d.items()})
+
+
+@st.composite
+def fraction_poly_pairs(draw):
+    """p with Fraction coefficients and q sharing p's monomials with a
+    coefficient that makes a sum or difference integral or zero (1/2 + 1/2,
+    1/3 - 1/3), plus integer terms of their own."""
+    p = draw(st.dictionaries(_EXPONENTS, _THIRDS, min_size=1, max_size=3))
+    q = {m: draw(st.sampled_from((c, -c, 1 - c, -1 - c, 2 * c)))
+         for m, c in p.items()}
+    for extra in (p, q):
+        for m, c in draw(polys).items():
+            extra.setdefault(m, c)
+    return poly_of(p), poly_of(q)
+
+
+def assert_normalised(p: Poly):
+    """No stored zero, no integral Fraction, and equal to a Poly built
+    through the normalising constructor."""
+    for c in p.terms.values():
+        assert c and (type(c) is int or c.denominator != 1), p.terms
+    assert p == Poly(dict(p.terms))
+
+
+@SETTINGS
+@hypothesis.given(fraction_poly_pairs(), operands())
+@hypothesis.example((Poly({(): Fraction(1, 2), (("x", 1),): Fraction(1, 3)}),
+                     Poly({(): Fraction(1, 2), (("x", 1),): Fraction(1, 3)})),
+                    ("(x)/(1)", "(x)/(1)"))
+def test_results_are_normalised_and_differences_are_direct(polys_pq, pair):
+    p, q = polys_pq
+    for r in (p + q, p - q, q - p, -p, p * q, p * p,
+              p.scale(Fraction(3, 2)), p.scale(2), q.scale(Fraction(-6))):
+        assert_normalised(r)
+    one = Poly.const(1)
+    a, b = Expr(p, one), Expr(q, one)
+    t = table()
+    den = parse("x+1", t)
+    for products in ([(a, b), (b, -a)], [(a, a), (b, b), (a, -b)],
+                     [(a / den, b), (b, -a / den), (a, b)]):
+        out = sum_of_products(products)
+        assert_normalised(out.num)
+        want = Expr.zero()
+        for c, e in products:
+            want = want + c * e
+        assert out == want
+    lhs, rhs = (parse(s, t) for s in pair)
+    for u, v in ((a, b), (b, a), (lhs, rhs), (rhs, lhs), (a, rhs),
+                 (lhs, b), (lhs, lhs)):
+        assert u - v == u + (-v)
+        assert_normalised((u - v).num)
+        fu = VectorField.make((u, v, 0, u, 1))
+        fv = VectorField.make((v, v, u, 0, 1))
+        assert (fu - fv).terms == (fu + (-fv)).terms

@@ -139,6 +139,43 @@ def test_directional_derivative_abstract():
         mc.directional_derivative(1, Expr.symbol(x))
 
 
+def test_derivative_on_a_coordinate_free_abstract_manifold_is_zero(
+        monkeypatch):
+    # with no coordinate declared every component is parameter-only, so
+    # derivative answers the zero field without differentiating any
+    t = SymbolTable()
+    a = Expr.symbol(t.add("a", KIND_PARAMETER))
+    m = FrameManifold.abstract(3, t, {(1, 2): (0, 0, a)})
+
+    def refuse(self, i, f):
+        raise AssertionError("directional_derivative called")
+
+    monkeypatch.setattr(FrameManifold, "directional_derivative", refuse)
+    v = VectorField.make((a, a * a + 1, 2))
+    for i in (1, 2, 3):
+        out = m.derivative(i, v)
+        assert out.dim == 3 and out.is_zero()
+
+
+def test_declared_coordinate_keeps_the_abstract_guard():
+    # a coordinate symbol may be declared in abstract mode; a component
+    # that depends on it cannot be differentiated by any entry point
+    t = SymbolTable()
+    x = Expr.symbol(t.add("x", KIND_COORDINATE))
+    a = Expr.symbol(t.add("a", KIND_PARAMETER))
+    m = FrameManifold.abstract(3, t, {(1, 2): (0, 0, a)})
+    v = VectorField.make((0, x, 0))
+    assert m.derivative(1, VectorField.make((a, 0, 1))).is_zero()
+    with pytest.raises(FrameError):
+        m.directional_derivative(1, x * a)
+    with pytest.raises(FrameError):
+        m.derivative(1, v)
+    with pytest.raises(FrameError):
+        m.bracket(m.basis(1), v)
+    with pytest.raises(FrameError):
+        m.bracket(v, m.basis(3))
+
+
 def test_bracket_is_bilinear_and_leibniz():
     # [fX, Y] = f [X, Y] - (Y f) X on a chart frame
     m = chart_3d()

@@ -285,6 +285,34 @@ def test_cli_set_errors(tmp_path, capsys):
                 "conversion limit\n")
 
 
+def test_cli_main_called_again_answers_as_a_fresh_call(tmp_path, capsys):
+    # main builds its parser once per process: a later call must not see
+    # an earlier call's arguments, so the --set bindings of the first
+    # report must not reach the last one, which binds nothing
+    path = write_manifest(tmp_path, "kmu")
+    calls = [["report", path, "--set", "lambda=1/2", "--set", "mu=0",
+              "--format", "json"],
+             ["report"],
+             ["export", "kmu"],
+             ["demo", "kmu", "--set", "mu=1", "--format", "json"],
+             ["report", path, "--format", "json"]]
+
+    def run(argv):
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    parser = cli._build_parser()
+    assert [run(argv) for argv in calls] == fresh
+    assert cli._build_parser() is parser
+    assert [code for code, _, _ in fresh] == [0, 1, 0, 0, 0]
+    assert fresh[0][1] != fresh[4][1]
+
+
 def test_cli_report_file_errors(tmp_path, capsys):
     assert cli.main(["report", str(tmp_path / "none.json")]) == 1
     assert "error:" in capsys.readouterr().err
