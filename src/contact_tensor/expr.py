@@ -327,53 +327,10 @@ def _poly_divexact(f: Poly, g: Poly) -> Poly:
     return Poly(q)
 
 
-def _deg_in(f: Poly, name: str) -> int:
-    d = 0
-    for m in f.terms:
-        for n, e in m:
-            if n == name and e > d:
-                d = e
-    return d
-
-
-def _univar(f: Poly, name: str) -> dict[int, Poly]:
-    """View f as univariate in `name` with polynomial coefficients."""
-    out: dict[int, dict[Mono, int | Fraction]] = {}
-    for m, c in f.terms.items():
-        exps = dict(m)
-        e = exps.pop(name, 0)
-        rest = tuple(sorted(exps.items()))
-        out.setdefault(e, {})[rest] = c
-    return {e: Poly(d) for e, d in out.items()}
-
-
-def _prem(f: Poly, g: Poly, name: str) -> Poly:
-    # pseudo-remainder of f by g in the main variable `name`
-    dg = _deg_in(g, name)
-    lg = _univar(g, name)[dg]
-    out = f
-    while out and _deg_in(out, name) >= dg:
-        df = _deg_in(out, name)
-        lf = _univar(out, name)[df]
-        shift = Poly({((name, df - dg),): 1}) if df > dg else _P_ONE
-        out = lg * out - lf * g * shift
-    return out
-
-
-def _content_primitive(f: Poly, name: str) -> tuple[Poly, Poly]:
-    coeffs = list(_univar(f, name).values())
-    content = _P_ZERO
-    for c in coeffs:
-        content = poly_gcd(content, c)
-    if content.is_constant():
-        return content, f.scale(Fraction(1, content.constant_value()))
-    return content, _poly_divexact(f, content)
-
-
 def _dense(f: Poly, name: str) -> list[int]:
     # coefficients of f, univariate in `name`, indexed by degree, times the
     # lcm of their denominators and divided by their content
-    out = [0] * (_deg_in(f, name) + 1)
+    out = [0] * (max(m[0][1] if m else 0 for m in f.terms) + 1)
     for m, c in f.terms.items():
         out[m[0][1] if m else 0] = c
     den = math.lcm(*(c.denominator for c in out))
@@ -415,14 +372,49 @@ def _dense_gcd(f: Poly, g: Poly, name: str) -> Poly:
                  for e, c in enumerate(a)})
 
 
+def _coeffs(f: Poly, name: str) -> list[Poly]:
+    # f as a list, indexed by degree in `name`, of polynomials in the other
+    # names; each exponent is read by name and each rest monomial re-sorted
+    out: dict[int, dict[Mono, int | Fraction]] = {}
+    for m, c in f.terms.items():
+        exps = dict(m)
+        e = exps.pop(name, 0)
+        out.setdefault(e, {})[tuple(sorted(exps.items()))] = c
+    return [_normalised(out.get(e, {})) for e in range(max(out) + 1)]
+
+
+def _from_coeffs(a: list[Poly], name: str) -> Poly:
+    # inverse of _coeffs; `name` sorts before every name of the coefficients
+    return _normalised({((name, e),) + m if e else m: c
+                        for e, p in enumerate(a) for m, c in p.terms.items()})
+
+
+def _content_split(a: list[Poly]) -> tuple[Poly, list[Poly]]:
+    # the content of a (the gcd of its entries) and a divided by it, scaled
+    # to coprime integer coefficients
+    content = _P_ZERO
+    for c in a:
+        content = poly_gcd(content, c)
+        if content and content.is_constant():
+            break
+    else:
+        a = [_poly_divexact(c, content) for c in a]
+    values = [v for p in a for v in p.terms.values()]
+    den = math.lcm(*(v.denominator for v in values))
+    r = Fraction(den, math.gcd(*(v.numerator * (den // v.denominator)
+                                 for v in values)))
+    return content, a if r == 1 else [p.scale(r) for p in a]
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """A gcd of f and g, unique up to a rational unit.
 
-    In one variable, a primitive pseudo-remainder sequence over the integers
-    on dense coefficient lists, made monic at the end.  In several,
-    recursive content-primitive computation with a primitive
-    pseudo-remainder sequence in the alphabetically first variable; the
-    contents recurse down to the univariate case.
+    A primitive pseudo-remainder sequence over the integers (Brown 1971):
+    in one variable on dense integer coefficient lists, made monic at the
+    end; in several on dense lists in the alphabetically first variable
+    whose entries are polynomials in the others, where the content of each
+    list (the gcd of its entries, by recursion) is divided out and the rest
+    scaled to coprime integer coefficients.
     """
     if f.is_zero() or f == g:
         return g
@@ -434,18 +426,25 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     if len(names) == 1:
         return _dense_gcd(f, g, *names)
     name = min(names)
-    cf, pf = _content_primitive(f, name)
-    cg, pg = _content_primitive(g, name)
-    c = poly_gcd(cf, cg)
-    if _deg_in(pf, name) < _deg_in(pg, name):
-        pf, pg = pg, pf
-    while pg:
-        r = _prem(pf, pg, name)
-        pf = pg
-        pg = _content_primitive(r, name)[1] if r else _P_ZERO
-        if pg:      # monic, or the rational coefficients grow exponentially
-            pg = pg.scale(Fraction(1, pg.leading()[1]))
-    return c * _content_primitive(pf, name)[1]
+    cf, a = _content_split(_coeffs(f, name))
+    cg, b = _content_split(_coeffs(g, name))
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        lb, db = b[-1], len(b) - 1
+        for k in range(len(a) - 1, db - 1, -1):
+            q = a[k]
+            if q:
+                # a <- lb*a - q*name^(k-db)*b clears a[k]
+                for i in range(k):
+                    a[i] *= lb
+                for i in range(db):
+                    a[k - db + i] -= q * b[i]
+        del a[db:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, _content_split(a)[1] if a else a
+    return poly_gcd(cf, cg) * _from_coeffs(a, name)
 
 
 # ---------------------------------------------------------------------------

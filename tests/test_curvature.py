@@ -6,6 +6,7 @@ Fraction oracle in _oracles or against the classical identities.
 """
 
 import copy
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -33,7 +34,7 @@ from contact_tensor.frame import (
     FrameManifold,
     VectorField,
 )
-from contact_tensor.report import build_report
+from contact_tensor.report import build_report, render_json
 
 from _frames import (NON_IDENTITY_METRICS, chart_manifest,
                      deformed_kmu_manifest, entry, heisenberg_manifest,
@@ -395,8 +396,14 @@ def test_oracle_cross_check_chart_connection_pointwise():
 
 
 def test_two_coordinate_chart_frame_self_checks_hold():
-    checks = build_report(chart_frame_xy())["self_check"]
+    report = build_report(chart_frame_xy())
+    checks = report["self_check"]
     assert checks and all(v is True for v in checks.values())
+    # the only pinned report whose denominators involve two coordinates,
+    # so the only digest that the multivariate poly_gcd can move
+    out = render_json(report)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "255bab50e9ec44de0205fe729cf79e23e88b8697c203fc91279fce3cf68d9eca")
 
 
 # ---------------------------------------------------------------------------

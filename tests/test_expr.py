@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import threading
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -144,16 +145,42 @@ def monic(p):
     ("-2*x^2+x", "-7*x", "x"),
     ("(2/3*x-1/4)*(x+5/7)^2", "(6/5*x+6/7)*(x^2+1/9)", "x+5/7"),
     ("1/2*x^2-1/8", "3/4*x+3/8", "x+1/2"),
+    # the remainder sequence on coefficient lists in the first variable (x,
+    # or a when a occurs): a content only in the other variables, a gcd
+    # free of the main variable, an operand free of it, rational
+    # coefficients scaled to integers, and two nonzero remainders
+    ("(y+1)*x+(y+1)", "(y+1)*x-(y+1)", "y+1"),
+    ("(x*y-1)*(a*x+y)", "(x*y-1)*(a*y+2)", "x*y-1"),
+    ("x*y+x", "a*x*y+a*x+y+1", "y+1"),
+    ("(1/2*x+2/3*y)*(x-1/3*y)", "(2/3*x*y+1/2)*(3/4*x+y)", "x+4/3*y"),
+    ("(x+y)*(x^2+x*y+1)", "(x+y)*(x^2-y)", "x+y"),
 ], ids=["common-square", "coprime", "divides", "divides-reversed",
         "rational", "y-only", "y-and-xy", "parameter-only",
         "negative-leading", "negative-leading-monomial", "rational-square",
-        "rational-halves"])
+        "rational-halves", "content-only", "constant-in-main-variable",
+        "operand-free-of-main-variable", "fraction-coefficients",
+        "two-remainders"])
 def test_poly_gcd_cases(f, g, want):
     t = make_table()
     got = poly_gcd(parse(f, t).num, parse(g, t).num)
     assert monic(got) == parse(want, t).num
     if len(got.variables()) == 1:   # the univariate gcd comes out monic
         assert got == monic(got)
+
+
+def test_poly_gcd_reads_unsorted_monomials_by_name():
+    # a Poly built directly may list the names of a monomial out of sorted
+    # order; the gcd reads exponents by name, so it answers at once
+    f = Poly({(("x", 1), ("y", 2)): -3, (("x", 1), ("y", 1), ("a", 1)): 2,
+              (("x", 1), ("a", 1)): -3, (("y", 1),): Fraction(1, 2)})
+    g = parse("x+1", make_table()).num
+    result = []
+    worker = threading.Thread(
+        target=lambda: result.append(poly_gcd(f, g)), daemon=True)
+    worker.start()
+    worker.join(timeout=20)
+    assert not worker.is_alive()
+    assert len(result) == 1 and result[0].is_constant()
 
 
 @pytest.mark.parametrize("p", ["x^2+x+3", "2*x+1"])

@@ -7,6 +7,7 @@ results against the normalising constructor.  sympy and
 hypothesis are test-only; the package does not need them.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -226,6 +227,26 @@ def test_poly_gcd_matches_sympy_gcd(common, p, q):
     t = table()
     f = parse(f"({text(common)})*({text(p)})", t).num
     g = parse(f"({text(common)})*({text(q)})", t).num
+    assert_gcd_matches(f, g)
+
+
+@st.composite
+def dense_factors(draw):
+    """A factor with a nonzero coefficient on every monomial of degree at
+    most 1 in each of two or three of x, y and a."""
+    names = draw(st.sampled_from((("x", "y"), ("x", "a"), ("y", "a"),
+                                  NAMES)))
+    return "+".join(
+        f"({draw(_COEFFS)})" + "".join(f"*{n}^{e}" for n, e in zip(names, k))
+        for k in itertools.product(range(2), repeat=len(names)))
+
+
+@SETTINGS
+@hypothesis.given(dense_factors(), nonzero_polys, nonzero_polys)
+def test_poly_gcd_matches_sympy_gcd_on_a_dense_common_factor(common, p, q):
+    t = table()
+    f = parse(f"({common})*({text(p)})", t).num
+    g = parse(f"({common})*({text(q)})", t).num
     assert_gcd_matches(f, g)
 
 
