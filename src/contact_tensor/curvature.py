@@ -273,14 +273,16 @@ def torsion_residuals(conn: ConnectionTable) -> list:
 
 
 def metric_compat_residuals(conn: ConnectionTable) -> list:
+    """e_i g(e_j, e_k) - g(nabla_i e_j, e_k) - g(e_j, nabla_i e_k) over
+    j <= k.  Frame construction keeps the metric parameter-only, so the
+    derivative term is zero and is not computed."""
     m = conn.manifold
     out = []
     for i in range(1, m.dim + 1):
         for j in range(1, m.dim + 1):
             for k in range(j, m.dim + 1):
                 ej, ek = m.basis(j), m.basis(k)
-                res = (m.directional_derivative(i, m.metric_entry(j, k))
-                       - m.g(conn.nabla_basis(i, j), ek)
+                res = (-m.g(conn.nabla_basis(i, j), ek)
                        - m.g(ej, conn.nabla_basis(i, k)))
                 if not res.is_zero():
                     out.append(((i, j, k), res))
@@ -342,9 +344,10 @@ def second_bianchi_residuals(curv: CurvatureTables) -> list:
     """Cyclic sums in (w, i, j) of (nabla_w R)(e_i, e_j)e_k over
     w < i < j and every k.  nabla R is stored antisymmetric in (i, j), so
     the list is empty exactly when the check over all dim^4 tuples is, as
-    for first_bianchi_residuals.  A sum is +- the entries at
-    (w, i, j, k), (i, w, j, k) and (j, w, i, k), so it is formed only
-    where one of them is in the support."""
+    for first_bianchi_residuals.  The sum is formed as the stored entries
+    (w, i, j, k) - (i, w, j, k) + (j, w, i, k), since
+    (nabla_i R)(e_j, e_w) = -(nabla_i R)(e_w, e_j), and only where one of
+    them is in the support."""
     out = []
     idx = range(1, curv.manifold.dim + 1)
     support = set(curv.nabla_r_support)
@@ -354,7 +357,7 @@ def second_bianchi_residuals(curv: CurvatureTables) -> list:
                     or (j, w, i, k) in support):
                 continue
             res = (curv.nabla_r(w, i, j, k)
-                   + curv.nabla_r(i, j, w, k)
+                   - curv.nabla_r(i, w, j, k)
                    + curv.nabla_r(j, w, i, k))
             if not res.is_zero():
                 out.append(((w, i, j, k), res))

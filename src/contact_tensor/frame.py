@@ -37,19 +37,35 @@ def as_expr(value) -> Expr:
 
 
 _ZERO, _ONE = Expr.zero(), Expr.one()
+# the shared zero and basis fields by dim and (dim, i): constants of the
+# dimension alone, filled on first use
+_ZERO_FIELDS: dict[int, "VectorField"] = {}
+_BASIS_FIELDS: dict[tuple[int, int], "VectorField"] = {}
 
 
-@dataclass(frozen=True)
 class VectorField:
     """A vector field given by its nonzero frame components.
 
     `terms` maps a 1-based frame index to a nonzero component; an absent
     index is a zero component, and no operation stores a zero.  `terms`
-    is a dict, so a VectorField cannot be hashed.
+    is a dict, so a VectorField cannot be hashed.  A VectorField is never
+    mutated after construction, so the zero and basis fields are shared.
     """
 
-    dim: int
-    terms: dict[int, Expr]
+    __slots__ = ("dim", "terms")
+    __hash__ = None
+
+    def __init__(self, dim: int, terms: dict[int, Expr]):
+        self.dim = dim
+        self.terms = terms
+
+    def __eq__(self, other):
+        if not isinstance(other, VectorField):
+            return NotImplemented
+        return self.dim == other.dim and self.terms == other.terms
+
+    def __repr__(self) -> str:
+        return f"VectorField(dim={self.dim!r}, terms={self.terms!r})"
 
     @staticmethod
     def make(components) -> "VectorField":
@@ -59,12 +75,18 @@ class VectorField:
 
     @staticmethod
     def zero(dim: int) -> "VectorField":
-        return VectorField(dim, {})
+        v = _ZERO_FIELDS.get(dim)
+        if v is None:
+            v = _ZERO_FIELDS[dim] = VectorField(dim, {})
+        return v
 
     @staticmethod
     def basis(dim: int, i: int) -> "VectorField":
         # i is 1-based
-        return VectorField(dim, {i: _ONE})
+        v = _BASIS_FIELDS.get((dim, i))
+        if v is None:
+            v = _BASIS_FIELDS[dim, i] = VectorField(dim, {i: _ONE})
+        return v
 
     @property
     def components(self) -> tuple[Expr, ...]:

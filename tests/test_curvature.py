@@ -16,6 +16,7 @@ import pytest
 from contact_tensor.catalog import build, entry_ids
 from contact_tensor.classify import SymmetryVerdict, is_locally_symmetric
 from contact_tensor.curvature import (
+    ConnectionTable,
     first_bianchi_residuals,
     h_direction_phi_derivative_residuals,
     koszul,
@@ -567,6 +568,25 @@ def test_reduced_checks_agree_with_the_full_loops_on_valid_tables():
             and full_first_bianchi(curv) == [], name
         assert second_bianchi_residuals(curv) == [] \
             and full_second_bianchi(curv) == [], name
+
+
+def test_metric_compat_check_needs_no_derivative_and_sees_a_bad_entry(
+        monkeypatch):
+    # the metric is parameter-only, so the check never differentiates;
+    # adding e3 to nabla_{e1} e2 breaks g(nabla_1 e2, e3) + g(e2, nabla_1 e3)
+    def refuse(self, i, f):
+        raise AssertionError("directional_derivative called")
+
+    conns = {name: koszul(ent.manifold)
+             for name, ent in kernel_entries().items()}
+    monkeypatch.setattr(FrameManifold, "directional_derivative", refuse)
+    for name, conn in conns.items():
+        m = conn.manifold
+        assert metric_compat_residuals(conn) == [], name
+        rows = [list(row) for row in conn._rows]
+        rows[0][1] = rows[0][1] + m.basis(3)
+        bad = ConnectionTable(m, tuple(tuple(row) for row in rows))
+        assert metric_compat_residuals(bad), name
 
 
 @pytest.mark.parametrize("family, corruption", [

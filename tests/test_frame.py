@@ -1,11 +1,13 @@
 """Frame manifolds: brackets, chart calculus, validation."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from contact_tensor.catalog import build
+from contact_tensor import cli
+from contact_tensor.catalog import build, entry_ids
 from contact_tensor.curvature import koszul, riemann
 from contact_tensor.expr import (
     Expr,
@@ -20,6 +22,8 @@ from contact_tensor.frame import (
     VectorField,
 )
 from contact_tensor.linalg import SingularMatrixError
+
+from _frames import heisenberg_manifest
 
 
 def chart_3d():
@@ -306,6 +310,44 @@ def test_vector_field_stores_only_nonzero_components():
     # c2 = 1 - lambda - mu/2 vanishes, so [e1, e3] = -c2 e2 stores nothing
     kmu = build("kmu").substitute({"lambda": 1, "mu": 0})
     assert kmu.manifold.bracket_basis(1, 3).terms == {}
+
+
+def test_vector_field_compares_by_dim_and_terms_and_is_unhashable():
+    x = Expr.integer(3)
+    v = VectorField(3, {2: x})
+    assert v == VectorField(3, {2: x}) == VectorField.make((0, 3, 0))
+    assert v != VectorField(5, {2: x})
+    assert v != VectorField(3, {1: x})
+    assert VectorField.zero(3) != VectorField.zero(5)
+    assert v != (3, {2: x}) and v.__eq__("v") is NotImplemented
+    with pytest.raises(TypeError):
+        hash(v)
+    assert repr(VectorField.zero(2)) == "VectorField(dim=2, terms={})"
+
+
+def test_zero_and_basis_fields_are_shared():
+    assert VectorField.zero(5) is VectorField.zero(5)
+    assert VectorField.basis(5, 2) is VectorField.basis(5, 2)
+    assert VectorField.basis(5, 2) is not VectorField.basis(5, 3)
+    assert VectorField.basis(5, 2) is not VectorField.basis(7, 2)
+
+
+def test_shared_fields_are_never_mutated_by_the_cli(tmp_path):
+    # the zero and basis fields are shared by every caller, so a command
+    # that wrote into one would change the next command's results
+    shared = {dim: (VectorField.zero(dim),
+                    [VectorField.basis(dim, i) for i in range(1, dim + 1)])
+              for dim in (3, 5)}
+    for name in entry_ids():
+        assert cli.main(["demo", name, "--format", "json"]) == 0
+    path = tmp_path / "h5.json"
+    path.write_text(json.dumps(heisenberg_manifest(2)))
+    assert cli.main(["report", str(path), "--format", "json"]) == 0
+    for dim, (zero, basis) in shared.items():
+        assert VectorField.zero(dim) is zero and zero.terms == {}
+        for i, e in enumerate(basis, 1):
+            assert VectorField.basis(dim, i) is e
+            assert e.terms == {i: Expr.one()}
 
 
 def test_curvature_tables_store_no_zero_component():
