@@ -128,13 +128,15 @@ def _slots(idxs) -> list[tuple[int, int, int]]:
     return [(i, j, k) for i, j in combinations(idxs, 2) for k in idxs]
 
 
-def _nullity_sides(curv: CurvatureTables, structure: ContactStructure,
-                   i: int, j: int) -> tuple[VectorField, VectorField]:
-    """R(e_i, e_j)xi and eta(e_j)e_i - eta(e_i)e_j."""
+def _nullity_sides(curv: CurvatureTables, structure: ContactStructure
+                   ) -> list[tuple[int, int, VectorField, VectorField]]:
+    """(i, j, R(e_i, e_j)xi, eta(e_j)e_i - eta(e_i)e_j) over i < j in
+    lexicographic order, one table for both nullity scans."""
     m = curv.manifold
     eta = structure.eta
-    return (curv.riemann_apply(m.basis(i), m.basis(j), structure.xi),
-            m.basis(i).scale(eta[j]) - m.basis(j).scale(eta[i]))
+    return [(i, j, curv.riemann_apply(m.basis(i), m.basis(j), structure.xi),
+             m.basis(i).scale(eta[j]) - m.basis(j).scale(eta[i]))
+            for i, j in combinations(range(1, m.dim + 1), 2)]
 
 
 def is_sasakian(curv: CurvatureTables, structure: ContactStructure) -> SasakianVerdict:
@@ -144,8 +146,11 @@ def is_sasakian(curv: CurvatureTables, structure: ContactStructure) -> SasakianV
     i < j decides it.  The first failing pair is the witness (j, i), xi-like
     slot first: the pair a scan over both orders, j outer, meets first.
     """
-    for i, j in combinations(range(1, curv.manifold.dim + 1), 2):
-        lhs, rhs = _nullity_sides(curv, structure, i, j)
+    return _sasakian(_nullity_sides(curv, structure))
+
+
+def _sasakian(sides) -> SasakianVerdict:
+    for i, j, lhs, rhs in sides:
         if not (lhs - rhs).is_zero():
             return SasakianVerdict(False, (j, i))
     return SasakianVerdict(True)
@@ -242,21 +247,25 @@ def solve_kappa_mu(curv: CurvatureTables, structure: ContactStructure,
     set is tracked incrementally, so the first violated equation is the
     inconsistency witness.
     """
+    return _solve_kappa_mu(curv, structure, h,
+                           _nullity_sides(curv, structure))
+
+
+def _solve_kappa_mu(curv: CurvatureTables, structure: ContactStructure,
+                    h: HOperator, sides) -> KappaMuVerdict:
     m = curv.manifold
     eta = structure.eta
     xi_idx = _basis_index(m, structure.xi)
     solver = _AffineSolver()
-    for i in range(1, m.dim + 1):
-        for j in range(i + 1, m.dim + 1):
-            lhs, a_vec = _nullity_sides(curv, structure, i, j)
-            b_vec = (h.apply(m.basis(i)).scale(eta[j])
-                     - h.apply(m.basis(j)).scale(eta[i]))
-            for l in range(1, m.dim + 1):
-                if not solver.feed(a_vec[l], b_vec[l], lhs[l], (i, j, l)):
-                    return KappaMuVerdict(
-                        status="inconsistent",
-                        witness=(i, j, xi_idx) if xi_idx else (i, j),
-                        witness_component=l)
+    for i, j, lhs, a_vec in sides:
+        b_vec = (h.apply(m.basis(i)).scale(eta[j])
+                 - h.apply(m.basis(j)).scale(eta[i]))
+        for l in range(1, m.dim + 1):
+            if not solver.feed(a_vec[l], b_vec[l], lhs[l], (i, j, l)):
+                return KappaMuVerdict(
+                    status="inconsistent",
+                    witness=(i, j, xi_idx) if xi_idx else (i, j),
+                    witness_component=l)
     if solver.state == "point":
         kappa, mu = solver.point
         const = (_is_parameter_only(m, kappa) and _is_parameter_only(m, mu))
@@ -312,55 +321,60 @@ def constant_curvature(curv: CurvatureTables) -> Expr | None:
 
 
 def is_locally_symmetric(curv: CurvatureTables) -> SymmetryVerdict:
-    """nabla R = 0, scanned over its support (the i < j keys where it can
-    be nonzero, in the dense scan's order)."""
-    for w, i, j, k in curv.nabla_r_support:
-        val = curv.nabla_r(w, i, j, k)
-        if not val.is_zero():
-            return SymmetryVerdict(False, (w, i, j, k, min(val.terms)))
-    return SymmetryVerdict(True)
+    """nabla R = 0: its support (the i < j keys with a nonzero field, in
+    the dense scan's order) is empty, or its first key is the witness."""
+    if not curv.nabla_r_support:
+        return SymmetryVerdict(True)
+    key = curv.nabla_r_support[0]
+    return SymmetryVerdict(False, (*key, min(curv.nabla_r(*key).terms)))
 
 
 def phi_symmetry(curv: CurvatureTables, structure: ContactStructure,
                  scope: str) -> SymmetryVerdict:
     """phi^2((nabla_{e_w} R)(e_i, e_j) e_k) = 0 over the scope indices."""
-    return _phi_scan(curv, structure, scope)[0]
+    return _phi_scan(curv, structure, scope, {})[0]
 
 
 def solve_phi_recurrence(curv: CurvatureTables, structure: ContactStructure,
                          scope: str) -> RecurrenceVerdict:
     """Solve phi^2((nabla_{e_w} R)(e_i,e_j)e_k) = A(e_w) R(e_i,e_j)e_k."""
-    return _phi_scan(curv, structure, scope)[1]
+    return _phi_scan(curv, structure, scope, {})[1]
 
 
 def _phi_scan(curv: CurvatureTables, structure: ContactStructure,
-              scope: str) -> tuple[SymmetryVerdict, RecurrenceVerdict]:
+              scope: str, squares: dict
+              ) -> tuple[SymmetryVerdict, RecurrenceVerdict]:
     """phi-symmetry and phi-recurrence over the scope indices, applying
-    phi^2 once to each nabla R field of the scan.
+    phi^2 once to each nonzero nabla R field, memoized in squares by key
+    so that scans sharing it share the work.
 
     The curvature coefficients do not depend on w, so either every
     direction determines its A component by an exact ratio, or no
     direction does and the relation is vacuous.  A must have a nonzero
     in-scope component to count as recurrent.  Every ratio is 0 before
     the first nonzero phi^2 field, so recurrence cannot fail before the
-    scan reaches the phi-symmetry witness.  Each w visits only its
-    in-scope support keys: a nonzero R(e_i, e_j)e_k puts every w in the
-    support, so both sides vanish at a skipped slot, as at a skipped l.
+    scan reaches the phi-symmetry witness.  Each w visits, in order, the
+    in-scope slots of riemann_support and of its nabla_r_support keys:
+    a slot with R != 0 and nabla R = 0 forces A(e_w) = 0, and both sides
+    vanish at any other skipped slot, as at a skipped l.
     """
     idxs = _scope_indices(structure, scope)
     in_scope = set(idxs)
-    slots: dict[int, list[tuple[int, int, int]]] = {w: [] for w in idxs}
+    r_slots = [s for s in curv.riemann_support if in_scope.issuperset(s)]
+    slots = {w: set(r_slots) for w in idxs}
     for w, i, j, k in curv.nabla_r_support:
         if in_scope.issuperset((w, i, j, k)):
-            slots[w].append((i, j, k))
+            slots[w].add((i, j, k))
     sym = SymmetryVerdict(True)
     components: dict[int, Expr] = {}
     for w in idxs:
         a_w = None
-        for i, j, k in slots[w]:
+        for i, j, k in sorted(slots[w]):
             lhs_vec = curv.nabla_r(w, i, j, k)
             if not lhs_vec.is_zero():
-                lhs_vec = _phi_square(structure, lhs_vec)
+                if (w, i, j, k) not in squares:
+                    squares[w, i, j, k] = _phi_square(structure, lhs_vec)
+                lhs_vec = squares[w, i, j, k]
             if sym.ok and not lhs_vec.is_zero():
                 sym = SymmetryVerdict(False, (w, i, j, k, min(lhs_vec.terms)))
             rhs_vec = curv.riemann(i, j, k)
@@ -473,9 +487,11 @@ def classify_structure(curv: CurvatureTables,
             diagnostics.append(
                 "contact metric condition violated: "
                 + cm.violations[0].describe())
-        sasakian = is_sasakian(curv, structure)
+        sides = _nullity_sides(curv, structure)
+        sasakian = _sasakian(sides)
         try:
-            kappa_mu = solve_kappa_mu(curv, structure, structure.compute_h())
+            kappa_mu = _solve_kappa_mu(curv, structure,
+                                       structure.compute_h(), sides)
         except ContactError as exc:
             # a manifest can carry a phi whose h breaks the invariants
             kappa_mu = None
@@ -491,9 +507,11 @@ def classify_structure(curv: CurvatureTables,
                 f"kappa > 1{' at ' + where if at else ''} (kappa = "
                 f"{kappa_mu.kappa.eval(at)}); nullity solution is outside "
                 "the admissible range")
-        phi_sym, phi_rec = _phi_scan(curv, structure, SCOPE_GLOBAL)
+        squares: dict = {}
+        phi_sym, phi_rec = _phi_scan(curv, structure, SCOPE_GLOBAL, squares)
         try:
-            loc_phi_sym, loc_phi_rec = _phi_scan(curv, structure, SCOPE_LOCAL)
+            loc_phi_sym, loc_phi_rec = _phi_scan(curv, structure,
+                                                 SCOPE_LOCAL, squares)
         except ClassifyError as exc:
             diagnostics.append(f"local phi classifiers skipped: {exc}")
     report = ClassificationReport(

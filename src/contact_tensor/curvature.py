@@ -88,17 +88,13 @@ class StructureDerivatives:
 
 
 class CurvatureTables:
-    """Riemann, Ricci and scalar curvature plus lazily memoized nabla R.
+    """Riemann, Ricci and scalar curvature plus the exact nabla R table.
 
-    R(e_i, e_j)e_k and (nabla_w R)(e_i, e_j)e_k are computed for i < j
+    R(e_i, e_j)e_k and (nabla_w R)(e_i, e_j)e_k are stored for i < j
     only; i > j negates the i < j entry and i = j is the zero field.
-    nabla_r_support is the sorted tuple of keys (w, i, j, k), i < j, where
-    some term of the nabla R kernel has a nonzero R field, built without
-    arithmetic.  Outside it every term is empty, so nabla_r returns the
-    shared zero field; inside it values are computed on demand.  The
-    eager tables and the support are never mutated, and each nabla R
-    cache slot is written once with a pure function of its key, so
-    concurrent readers at worst duplicate a computation.
+    riemann_support and nabla_r_support are the sorted keys (i, j, k) and
+    (w, i, j, k), i < j, whose field is nonzero; every other key reads
+    the zero field.  All tables are built eagerly and never mutated.
     """
 
     def __init__(self, manifold: FrameManifold, connection: ConnectionTable):
@@ -112,43 +108,53 @@ class CurvatureTables:
                 r = self._riemann_basis(i, j, k)
                 self._riemann[i, j, k] = r
                 self._riemann[j, i, k] = -r
+        self.riemann_support = tuple(key for key, r in self._riemann.items()
+                                     if key[0] < key[1] and r.terms)
         self.ricci = tuple(
             tuple(self._ricci_entry(j, k) for k in range(1, dim + 1))
             for j in range(1, dim + 1))
         self.ricci_operator, self.scalar = ricci_operator_of(manifold,
                                                              self.ricci)
-        self.nabla_r_support = self._nabla_r_support()
-        # None marks a support key whose field is not computed yet
-        self._nabla_r_cache: dict[tuple[int, int, int, int],
-                                  VectorField | None] = dict.fromkeys(
-                                      self.nabla_r_support)
+        self._nabla_r = self._nabla_r_table()
+        self.nabla_r_support = tuple(sorted(self._nabla_r))
 
-    def _nabla_r_support(self) -> tuple[tuple[int, int, int, int], ...]:
-        # the keys (w, i, j, k), i < j, whose kernel terms read a stored
-        # nonzero R(e_a, e_b)e_c, with col[l] = [x : Gamma^l_wx != 0]:
-        # (w, a, b, c) and (w, a, b, x), x in col[c]; (w, x, b, c), x in
-        # col[a]; (w, a, x, c), x in col[b].  R is stored in both orders
-        # of (a, b), so the last two reach both halves of the pair.
-        idx = range(1, self.manifold.dim + 1)
-        nonzero = [key for key, r in self._riemann.items() if r.terms]
-        keys = set()
+    def _nabla_r_table(self) -> dict[tuple[int, int, int, int], VectorField]:
+        # the kernel of nabla_r, one pass per direction w: each stored
+        # nonzero R_abc = R(e_a, e_b)e_c, both orders of (a, b), is
+        # scattered into the keys (w, i, j, k), i < j, whose terms read
+        # it, with col[l] = [(x, -Gamma^l_wx)]: (w, a, b, c) takes
+        # nabla_w of R_abc, (w, x, b, c) and (w, a, x, c) the R-of-nabla
+        # terms of the first two slots, (w, a, b, x) that of the third;
+        # a key is opened only for a term with a nonzero field
+        m, conn = self.manifold, self.connection
+        idx = range(1, m.dim + 1)
+        nonzero = [(key, r) for key, r in self._riemann.items() if r.terms]
+        table = {}
         for w in idx:
-            col: dict[int, list[int]] = {}
+            col: dict[int, list[tuple[int, Expr]]] = {}
             for x in idx:
-                for l in self.connection.nabla_basis(w, x).terms:
-                    col.setdefault(l, []).append(x)
-            for a, b, c in nonzero:
+                for l, g in conn.nabla_basis(w, x).items():
+                    col.setdefault(l, []).append((x, -g))
+            pairs: dict[tuple[int, int, int, int], list] = {}
+            for (a, b, c), r in nonzero:
                 if a < b:
-                    keys.add((w, a, b, c))
-                    for x in col.get(c, ()):
-                        keys.add((w, a, b, x))
-                for x in col.get(a, ()):
+                    own = [(v, conn.nabla_basis(w, l)) for l, v in r.items()]
+                    own.append((_ONE, m.derivative(w, r)))
+                    if any(f.terms for _, f in own):
+                        pairs.setdefault((w, a, b, c), []).extend(own)
+                    for x, g in col.get(c, ()):
+                        pairs.setdefault((w, a, b, x), []).append((g, r))
+                for x, g in col.get(a, ()):
                     if x < b:
-                        keys.add((w, x, b, c))
-                for x in col.get(b, ()):
+                        pairs.setdefault((w, x, b, c), []).append((g, r))
+                for x, g in col.get(b, ()):
                     if a < x:
-                        keys.add((w, a, x, c))
-        return tuple(sorted(keys))
+                        pairs.setdefault((w, a, x, c), []).append((g, r))
+            for key, terms in pairs.items():
+                out = VectorField.accumulate(m.dim, terms)
+                if out.terms:
+                    table[key] = out
+        return table
 
     def _riemann_basis(self, i: int, j: int, k: int) -> VectorField:
         # nabla_i nabla_j e_k - nabla_j nabla_i e_k - sum_l c^l_ij nabla_l e_k
@@ -185,34 +191,14 @@ class CurvatureTables:
         return all(r.is_zero() for r in self._riemann.values())
 
     def nabla_r(self, w: int, i: int, j: int, k: int) -> VectorField:
-        """(nabla_{e_w} R)(e_i, e_j) e_k, lazily computed and memoized:
+        """(nabla_{e_w} R)(e_i, e_j) e_k, read from the table:
 
         nabla_w (R(e_i,e_j)e_k) - R(nabla_w e_i, e_j)e_k
         - R(e_i, nabla_w e_j)e_k - R(e_i,e_j)(nabla_w e_k).
         """
-        if i >= j:
-            return self._zero if i == j else -self._nabla_r_pair(w, j, i, k)
-        return self._nabla_r_pair(w, i, j, k)
-
-    def _nabla_r_pair(self, w: int, i: int, j: int, k: int) -> VectorField:
-        key = (w, i, j, k)
-        cached = self._nabla_r_cache.get(key, self._zero)
-        if cached is not None:
-            return cached
-        m, conn, r = self.manifold, self.connection, self._riemann
-        # nabla_w (R_ijk): the derivative step, then R_ijk's components
-        # along nabla_w e_l; R(e_i, e_i) = 0 drops l = j and l = i below
-        rijk = r[i, j, k]
-        pairs = [(_ONE, m.derivative(w, rijk))]
-        pairs += [(c, conn.nabla_basis(w, l)) for l, c in rijk.items()]
-        pairs += [(-c, r[l, j, k])
-                  for l, c in conn.nabla_basis(w, i).items() if l != j]
-        pairs += [(-c, r[i, l, k])
-                  for l, c in conn.nabla_basis(w, j).items() if l != i]
-        pairs += [(-c, r[i, j, l]) for l, c in conn.nabla_basis(w, k).items()]
-        out = VectorField.accumulate(m.dim, pairs)
-        self._nabla_r_cache[key] = out
-        return out
+        if i > j:
+            return -self._nabla_r.get((w, j, i, k), self._zero)
+        return self._nabla_r.get((w, i, j, k), self._zero)
 
 
 def ricci_operator_of(manifold: FrameManifold,
@@ -347,20 +333,17 @@ def second_bianchi_residuals(curv: CurvatureTables) -> list:
     for first_bianchi_residuals.  The sum is formed as the stored entries
     (w, i, j, k) - (i, w, j, k) + (j, w, i, k), since
     (nabla_i R)(e_j, e_w) = -(nabla_i R)(e_w, e_j), and only where one of
-    them is in the support."""
+    them is nonzero: a support key (a, b, c, k) with a not in (b, c) is
+    one of the three at the sorted (a, b, c)."""
+    sums = sorted({(*sorted((a, b, c)), k)
+                   for a, b, c, k in curv.nabla_r_support if a not in (b, c)})
     out = []
-    idx = range(1, curv.manifold.dim + 1)
-    support = set(curv.nabla_r_support)
-    for w, i, j in combinations(idx, 3):
-        for k in idx:
-            if not ((w, i, j, k) in support or (i, w, j, k) in support
-                    or (j, w, i, k) in support):
-                continue
-            res = (curv.nabla_r(w, i, j, k)
-                   - curv.nabla_r(i, w, j, k)
-                   + curv.nabla_r(j, w, i, k))
-            if not res.is_zero():
-                out.append(((w, i, j, k), res))
+    for w, i, j, k in sums:
+        res = (curv.nabla_r(w, i, j, k)
+               - curv.nabla_r(i, w, j, k)
+               + curv.nabla_r(j, w, i, k))
+        if not res.is_zero():
+            out.append(((w, i, j, k), res))
     return out
 
 

@@ -27,8 +27,10 @@ REPORT_SCHEMA_VERSION = 1
 
 
 def _vf(v: VectorField) -> list[str]:
-    terms = v.terms
-    return [str(terms[k]) if k in terms else "0" for k in range(1, v.dim + 1)]
+    out = ["0"] * v.dim
+    for k, c in v.terms.items():
+        out[k - 1] = str(c)
+    return out
 
 
 _RENAMED = {"constant_flag": "constant", "lam": "lambda"}

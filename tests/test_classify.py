@@ -1,5 +1,6 @@
 """Classifier verdicts on the catalog entries, frozen exactly."""
 
+import itertools
 import threading
 from fractions import Fraction
 
@@ -588,28 +589,48 @@ def test_phi_verdicts_match_the_reference_scans(group):
             ref_phi_recurrence(curv, structure, SCOPE_LOCAL))
 
 
-def test_classify_applies_phi_square_once_per_field_and_scope(monkeypatch):
-    ent = entry(heisenberg_manifest(3))
+@pytest.mark.parametrize("make, calls", [
+    (lambda: entry(heisenberg_manifest(2)), 25),
+    (lambda: entry(heisenberg_manifest(3)), 67),
+    # the global and the local scan both read one nabla R field
+    (lambda: build("example41"), 3),
+], ids=["heisenberg5", "heisenberg7", "example41"])
+def test_classify_applies_phi_square_once_per_nonzero_field(
+        make, calls, monkeypatch):
+    ent = make()
     curv = riemann(ent.manifold, koszul(ent.manifold))
-    scans = []
-    scan, square = classify._phi_scan, classify._phi_square
-
-    def counted_scan(*args):
-        scans.append([])
-        return scan(*args)
+    # nabla_r returns the stored field for i < j, so one id is one field
+    fields = {id(curv.nabla_r(*key)) for key in curv.nabla_r_support}
+    seen = []
+    square = classify._phi_square
 
     def counted_square(structure, v):
-        # the scans read memoized nabla R fields, so one id is one field
-        scans[-1].append(id(v))
+        seen.append(id(v))
         return square(structure, v)
 
-    monkeypatch.setattr(classify, "_phi_scan", counted_scan)
     monkeypatch.setattr(classify, "_phi_square", counted_square)
     classify_structure(curv, ent.structure)
-    assert len(scans) == 2
-    assert all(len(set(fields)) == len(fields) for fields in scans)
-    # phi^2 of the nonzero nabla R fields only, at the support keys
-    assert sum(map(len, scans)) == 67
+    assert len(seen) == len(set(seen)) == calls
+    assert set(seen) <= fields
+
+
+def test_classify_contracts_r_with_xi_once_per_pair(monkeypatch):
+    # is_sasakian and solve_kappa_mu share one R(e_i, e_j)xi table
+    ent = entry(heisenberg_manifest(3))
+    curv = riemann(ent.manifold, koszul(ent.manifold))
+    pairs = []
+    apply = type(curv).riemann_apply
+
+    def counted_apply(tables, x, y, z):
+        pairs.append((min(x.terms), min(y.terms)))
+        return apply(tables, x, y, z)
+
+    monkeypatch.setattr(type(curv), "riemann_apply", counted_apply)
+    rep = classify_structure(curv, ent.structure)
+    assert pairs == list(itertools.combinations(range(1, 8), 2))
+    assert rep.sasakian == is_sasakian(curv, ent.structure)
+    assert rep.kappa_mu == solve_kappa_mu(curv, ent.structure,
+                                          ent.structure.compute_h())
 
 
 # ---------------------------------------------------------------------------

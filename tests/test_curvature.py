@@ -615,9 +615,10 @@ def test_reduced_second_bianchi_sees_a_corrupted_nabla_r_entry():
     # (nabla_{e3} R)(e1, e2)e1 + e1: the cyclic sum at (1, 2, 3), k = 1
     curv = _h5_tables()
     bad = copy.copy(curv)
-    bad._nabla_r_cache = dict(curv._nabla_r_cache)
-    bad._nabla_r_cache[3, 1, 2, 1] = (curv.nabla_r(3, 1, 2, 1)
-                                      + VectorField.basis(5, 1))
+    bad._nabla_r = dict(curv._nabla_r)
+    bad._nabla_r[3, 1, 2, 1] = (curv.nabla_r(3, 1, 2, 1)
+                                + VectorField.basis(5, 1))
+    bad.nabla_r_support = tuple(sorted(bad._nabla_r))
     assert second_bianchi_residuals(bad) != []
     assert full_second_bianchi(bad) != []
 
@@ -721,6 +722,7 @@ def support_inputs():
     out = {name: ent.manifold for name, ent in kernel_entries().items()}
     out.update(lowering_inputs())
     out["chart-xy"] = chart_frame_xy().manifold
+    out["heisenberg7"] = entry(heisenberg_manifest(3)).manifold
     return out
 
 
@@ -758,13 +760,18 @@ def test_nabla_r_vanishes_outside_its_support(name):
     support = curv.nabla_r_support
     assert list(support) == sorted(set(support))
     assert all(i < j for _, i, j, _ in support)
+    assert not any(curv.nabla_r(*key).is_zero() for key in support)
+    # the support is exactly the dense scan's nonzero keys
     idx = range(1, m.dim + 1)
-    for w in idx:
-        for i, j in itertools.combinations(idx, 2):
-            for k in idx:
-                if (w, i, j, k) not in support:
-                    assert ref_nabla_r(curv, w, i, j, k).is_zero(), \
-                        (w, i, j, k)
+    dense = [(w, i, j, k) for w in idx
+             for i, j in itertools.combinations(idx, 2) for k in idx
+             if not ref_nabla_r(curv, w, i, j, k).is_zero()]
+    assert list(support) == dense
+    assert len(support) == {"heisenberg5": 96, "heisenberg7": 264}.get(
+        name, len(support))
+    assert list(curv.riemann_support) == [
+        (i, j, k) for i, j in itertools.combinations(idx, 2) for k in idx
+        if not curv.riemann(i, j, k).is_zero()]
     # the walks over the support against the dense scans
     assert is_locally_symmetric(curv) == ref_locally_symmetric(curv)
     assert second_bianchi_residuals(curv) \
