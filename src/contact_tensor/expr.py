@@ -342,36 +342,6 @@ def _primitive(a: list[int]) -> list[int]:
     return a if g == 1 else [c // g for c in a]
 
 
-def _dense_gcd(f: Poly, g: Poly, name: str) -> Poly:
-    # primitive remainder sequence over Z, made monic only at the end: the
-    # content division keeps the integers from growing along the sequence
-    a, b = _dense(f, name), _dense(g, name)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        lb, db = b[-1], len(b) - 1
-        for k in range(len(a) - 1, db - 1, -1):
-            q = a[k]
-            if q:
-                # a <- (lb/s)*a - (q/s)*x^(k-db)*b clears a[k]; the scalar
-                # factor does not change the primitive part
-                s = math.gcd(q, lb)
-                scale, q = lb // s, q // s
-                if scale != 1:
-                    for i in range(k):
-                        a[i] *= scale
-                for i in range(db):
-                    a[k - db + i] -= q * b[i]
-        del a[db:]
-        while a and not a[-1]:
-            a.pop()
-        a, b = b, _primitive(a) if a else a
-    lead = a[-1]
-    return Poly({((name, e),) if e else _M_ONE:
-                 c if lead == 1 else Fraction(c, lead)
-                 for e, c in enumerate(a)})
-
-
 def _coeffs(f: Poly, name: str) -> list[Poly]:
     # f as a list, indexed by degree in `name`, of polynomials in the other
     # names; each exponent is read by name and each rest monomial re-sorted
@@ -406,15 +376,40 @@ def _content_split(a: list[Poly]) -> tuple[Poly, list[Poly]]:
     return content, a if r == 1 else [p.scale(r) for p in a]
 
 
+def _prs(a: list, b: list, primitive) -> list:
+    # primitive pseudo-remainder sequence (Brown 1971) on dense coefficient
+    # lists indexed by degree, whose entries are ints or Polys; a and b are
+    # overwritten.  `primitive` divides the content out of each nonzero
+    # remainder, which keeps the coefficients from growing along the
+    # sequence.  Returns the last nonzero remainder, a gcd up to a unit.
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        lb, db = b[-1], len(b) - 1
+        for k in range(len(a) - 1, db - 1, -1):
+            q = a[k]
+            if q:
+                # a <- lb*a - q*x^(k-db)*b clears a[k]
+                for i in range(k):
+                    a[i] *= lb
+                for i in range(db):
+                    a[k - db + i] -= q * b[i]
+        del a[db:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, primitive(a) if a else a
+    return a
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """A gcd of f and g, unique up to a rational unit.
 
-    A primitive pseudo-remainder sequence over the integers (Brown 1971):
-    in one variable on dense integer coefficient lists, made monic at the
-    end; in several on dense lists in the alphabetically first variable
-    whose entries are polynomials in the others, where the content of each
-    list (the gcd of its entries, by recursion) is divided out and the rest
-    scaled to coprime integer coefficients.
+    One primitive pseudo-remainder sequence over the integers (Brown 1971),
+    `_prs`, on dense coefficient lists in the alphabetically first variable:
+    in one variable the entries are integers and the result is made monic;
+    in several they are polynomials in the other variables, the content of
+    each list (the gcd of its entries, by recursion) is divided out and the
+    rest scaled to coprime integer coefficients.
     """
     if f.is_zero() or f == g:
         return g
@@ -423,27 +418,16 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     if f.is_constant() or g.is_constant():
         return _P_ONE
     names = f.variables() | g.variables()
-    if len(names) == 1:
-        return _dense_gcd(f, g, *names)
     name = min(names)
+    if len(names) == 1:
+        a = _prs(_dense(f, name), _dense(g, name), _primitive)
+        lead = a[-1]
+        return Poly({((name, e),) if e else _M_ONE:
+                     c if lead == 1 else Fraction(c, lead)
+                     for e, c in enumerate(a)})
     cf, a = _content_split(_coeffs(f, name))
     cg, b = _content_split(_coeffs(g, name))
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        lb, db = b[-1], len(b) - 1
-        for k in range(len(a) - 1, db - 1, -1):
-            q = a[k]
-            if q:
-                # a <- lb*a - q*name^(k-db)*b clears a[k]
-                for i in range(k):
-                    a[i] *= lb
-                for i in range(db):
-                    a[k - db + i] -= q * b[i]
-        del a[db:]
-        while a and not a[-1]:
-            a.pop()
-        a, b = b, _content_split(a)[1] if a else a
+    a = _prs(a, b, lambda r: _content_split(r)[1])
     return poly_gcd(cf, cg) * _from_coeffs(a, name)
 
 

@@ -105,3 +105,27 @@ def test_demo_and_export_bytes_are_pinned(entry_id, capsys):
 
     assert (digest(["demo", entry_id, "--format", "json"]),
             digest(["export", entry_id])) == CATALOG_DIGESTS[entry_id]
+
+
+# sha256 of `demo <id>` as text with color off; example41's covers the
+# three-index nullity witness line R(e1,e2)e3
+TEXT_DIGESTS = {
+    "example41":
+        "4703fc990b25b227f48d85ca8958ee59beefa5416e7989ed529ac24e0134fa98",
+    "kmu": "f20949eb73c3609c34c3b89bc4d6a47b644dfc8247ca8adc0a1779e715c946c7",
+    "sphere":
+        "5795007df6f845991bdba549c671c2e9f23cdeeeb849e90d6444b32d1c2d7edd",
+    "flat3":
+        "a06801688949534fbe2465866587a6abdeaa70a2d7e295d1838ff1362d89b11e",
+    "flat5":
+        "75ed7a221a0ce205f6b03154d9c374abf1922494aa0b339f26396f5650781ebf",
+}
+
+
+@pytest.mark.parametrize("entry_id", list(TEXT_DIGESTS))
+def test_demo_text_bytes_are_pinned(entry_id, capsys, monkeypatch):
+    monkeypatch.delenv("CONTACT_TENSOR_COLOR", raising=False)
+    assert cli.main(["demo", entry_id]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() \
+        == TEXT_DIGESTS[entry_id]

@@ -198,6 +198,36 @@ def test_flat_space_with_rotation_structure():
         assert [str(c) for c in verdict.A.components] == ["0", "0", "1"]
 
 
+def test_warped_product_is_phi_recurrent():
+    # frame e1 = d/dx, e2 = d/dy / x^2, e3 = d/dz: the metric is the warped
+    # product dx^2 + x^4 dy^2 + dz^2 with K(e1, e2) = -f''/f = -2/x^2 for
+    # f = x^2.  R takes values in span(e1, e2), where phi^2 = -id, and
+    # nabla_w R = e_w(log|K|) R, so both scopes are recurrent with
+    # A = -d log|K| = (2/x) e^1
+    doc = chart_manifest("x")
+    doc["frame"] = [["1", "0", "0"], ["0", "1/x^2", "0"], ["0", "0", "1"]]
+    ent = entry(doc)
+    m = ent.manifold
+    curv = riemann(m, koszul(m))
+    rep = classify_structure(curv, ent.structure)
+    k = m.g(curv.riemann(1, 2, 2), VectorField.basis(3, 1))
+    assert k == parse("-2/x^2", m.symbols)
+    a = -m.directional_derivative(1, k) / k
+    assert a == parse("2/x", m.symbols)
+    for verdict, scope in ((rep.phi_recurrent, SCOPE_GLOBAL),
+                           (rep.locally_phi_recurrent, SCOPE_LOCAL)):
+        assert verdict.status == "recurrent"
+        assert verdict.scope == scope
+        assert verdict.A == VectorField.make((a, 0, 0))
+    assert rep.locally_symmetric.ok is False
+    assert rep.phi_symmetric.ok is False
+    # almost contact, but d eta = 0 while g(X, phi Y) does not vanish
+    assert rep.contact_valid is False
+    assert rep.diagnostics == (
+        "contact metric condition violated: "
+        "d eta(X,Y) = g(X, phi Y) fails at (1,2): 0 != -1",)
+
+
 def test_h_squared_law():
     # h^2 = (kappa - 1) phi^2 whenever the nullity condition is consistent
     for name, bindings in (("kmu", None), ("sphere", None),
@@ -384,6 +414,25 @@ def test_unconstrained_system():
     assert km.kappa is None and km.mu is None
     assert km.relation is None
     assert km.constant_flag is True
+
+
+@pytest.mark.parametrize("equations, state", [
+    # a parallel line with another right side
+    ([(1, 1, 1, "l1"), (2, 2, 3, "l2")], "empty"),
+    # the same line, scaled
+    ([(1, 1, 1, "l1"), (2, 2, 2, "l2")], "line"),
+    # an equation that the solved point (kappa, mu) = (1, 2) violates
+    ([(1, 0, 1, "k"), (0, 1, 2, "m"), (1, 1, 4, "sum")], "empty"),
+])
+def test_affine_solver_exits(equations, state):
+    solver = classify._AffineSolver()
+    eqs = [(Expr.integer(a), Expr.integer(b), Expr.integer(c), tag)
+           for a, b, c, tag in equations]
+    for eq in eqs[:-1]:
+        assert solver.feed(*eq) is True
+    assert solver.feed(*eqs[-1]) is (state != "empty")
+    assert solver.state == state
+    assert solver.witness == (eqs[-1][3] if state == "empty" else None)
 
 
 @pytest.mark.parametrize("metric, const", [

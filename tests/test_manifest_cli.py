@@ -20,7 +20,7 @@ from contact_tensor.manifest import (
 )
 from contact_tensor.report import analyse, build_report, failed_self_checks
 
-from _frames import deformed_kmu_manifest
+from _frames import chart_manifest, deformed_kmu_manifest
 
 
 # an integer literal or result longer than the interpreter's int/str digit
@@ -261,6 +261,40 @@ def test_cli_report_set_bindings(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["classification"]["kappa_mu"]["kappa"] == "3/4"
     assert doc["classification"]["kappa_mu"]["mu"] == "1000"
+
+
+def _chart_with(c):
+    # example41 with its denominator x replaced by x+c, declaring a
+    # parameter a
+    doc = chart_manifest(f"x+{c}")
+    doc["symbols"].append({"name": "a", "kind": "parameter"})
+    return doc
+
+
+def _cyclic_without_structure(c):
+    # the sphere's cyclic brackets scaled by c, with no phi or xi
+    return {"schema_version": 1, "name": "cyclic", "dimension": 3,
+            "mode": "abstract",
+            "symbols": [{"name": "a", "kind": "parameter"}],
+            "brackets": [{"i": 1, "j": 2, "components": ["0", "0", c]},
+                         {"i": 2, "j": 3, "components": [c, "0", "0"]},
+                         {"i": 1, "j": 3, "components": ["0", f"-{c}", "0"]}]}
+
+
+@pytest.mark.parametrize("make", [_chart_with, _cyclic_without_structure],
+                         ids=["chart", "abstract-no-structure"])
+def test_cli_report_set_equals_the_manifest_written_with_the_value(
+        make, tmp_path, capsys):
+    # --set substitutes through the chart frame and through an entry without
+    # a structure; the report must equal that of the value written in
+    reports = []
+    for value, flags in (("a", ["--set", "a=2"]), ("2", [])):
+        path = tmp_path / f"m-{value}.json"
+        path.write_text(manifest_to_json(make(value)))
+        assert cli.main(["report", str(path), *flags, "--format",
+                         "json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def test_cli_set_errors(tmp_path, capsys):
