@@ -116,20 +116,6 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted(exps.items()))
 
 
-def _mono_div(a: Mono, b: Mono) -> Mono | None:
-    # a / b, or None when b does not divide a
-    exps = dict(a)
-    for name, e in b:
-        r = exps.get(name, 0) - e
-        if r < 0:
-            return None
-        if r == 0:
-            exps.pop(name, None)
-        else:
-            exps[name] = r
-    return tuple(sorted(exps.items()))
-
-
 def _mono_key(m: Mono) -> tuple:
     # (-degree, [(name, -e), ...]): ascending order of this key is graded
     # lex descending; it relies on the names of m being sorted.  A plain
@@ -139,12 +125,6 @@ def _mono_key(m: Mono) -> tuple:
         degree += e
         exps.append((name, -e))
     return -degree, exps
-
-
-def _dict_leading(terms: dict[Mono, int | Fraction]
-                  ) -> tuple[Mono, int | Fraction]:
-    best = min(terms, key=_mono_key)
-    return best, terms[best]
 
 
 # a power that needs more coefficient products than this raises ExprError
@@ -184,7 +164,8 @@ class Poly:
     def leading(self) -> tuple[Mono, int | Fraction]:
         if not self.terms:
             raise ExprError("zero polynomial has no leading term")
-        return _dict_leading(self.terms)
+        best = min(self.terms, key=_mono_key)
+        return best, self.terms[best]
 
     def scale(self, c: Fraction) -> "Poly":
         out = {m: co * c for m, co in self.terms.items()}
@@ -297,138 +278,159 @@ _P_ZERO = Poly({})
 _P_ONE = Poly.const(1)
 
 
-def _poly_divexact(f: Poly, g: Poly) -> Poly:
-    """Exact polynomial division; the caller guarantees g divides f."""
-    if g.is_zero():
-        raise ExprError("division by the zero polynomial")
-    if g == _P_ONE:
-        return f
-    if f == g:
-        return _P_ONE
-    q: dict[Mono, int | Fraction] = {}
-    rem = dict(f.terms)
-    glm, glc = g.leading()
-    while rem:
-        rlm, rlc = _dict_leading(rem)
-        m = _mono_div(rlm, glm)
-        if m is None:
-            raise ExprError("inexact polynomial division")
-        # a monic divisor, as poly_gcd gives in one variable, keeps an
-        # integral quotient in int
-        c = rlc if glc == 1 else Fraction(rlc, glc)
-        q[m] = c
-        for gm, gc in g.terms.items():
-            key = _mono_mul(m, gm)
-            v = rem.get(key, 0) - c * gc
-            if v:
-                rem[key] = v
-            else:
-                rem.pop(key, None)
-    return Poly(q)
+def poly_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
+    """(h, f/h, g/h) for a gcd h of f and g, unique up to a rational unit.
 
-
-def _dense(f: Poly, name: str) -> list[int]:
-    # coefficients of f, univariate in `name`, indexed by degree, times the
-    # lcm of their denominators and divided by their content
-    out = [0] * (max(m[0][1] if m else 0 for m in f.terms) + 1)
-    for m, c in f.terms.items():
-        out[m[0][1] if m else 0] = c
-    den = math.lcm(*(c.denominator for c in out))
-    return _primitive([c.numerator * (den // c.denominator) for c in out])
-
-
-def _primitive(a: list[int]) -> list[int]:
-    g = math.gcd(*a)
-    return a if g == 1 else [c // g for c in a]
-
-
-def _coeffs(f: Poly, name: str) -> list[Poly]:
-    # f as a list, indexed by degree in `name`, of polynomials in the other
-    # names; each exponent is read by name and each rest monomial re-sorted
-    out: dict[int, dict[Mono, int | Fraction]] = {}
-    for m, c in f.terms.items():
-        exps = dict(m)
-        e = exps.pop(name, 0)
-        out.setdefault(e, {})[tuple(sorted(exps.items()))] = c
-    return [_normalised(out.get(e, {})) for e in range(max(out) + 1)]
-
-
-def _from_coeffs(a: list[Poly], name: str) -> Poly:
-    # inverse of _coeffs; `name` sorts before every name of the coefficients
-    return _normalised({((name, e),) + m if e else m: c
-                        for e, p in enumerate(a) for m, c in p.terms.items()})
-
-
-def _content_split(a: list[Poly]) -> tuple[Poly, list[Poly]]:
-    # the content of a (the gcd of its entries) and a divided by it, scaled
-    # to coprime integer coefficients
-    content = _P_ZERO
-    for c in a:
-        content = poly_gcd(content, c)
-        if content and content.is_constant():
-            break
-    else:
-        a = [_poly_divexact(c, content) for c in a]
-    values = [v for p in a for v in p.terms.values()]
-    den = math.lcm(*(v.denominator for v in values))
-    r = Fraction(den, math.gcd(*(v.numerator * (den // v.denominator)
-                                 for v in values)))
-    return content, a if r == 1 else [p.scale(r) for p in a]
-
-
-def _prs(a: list, b: list, primitive) -> list:
-    # primitive pseudo-remainder sequence (Brown 1971) on dense coefficient
-    # lists indexed by degree, whose entries are ints or Polys; a and b are
-    # overwritten.  `primitive` divides the content out of each nonzero
-    # remainder, which keeps the coefficients from growing along the
-    # sequence.  Returns the last nonzero remainder, a gcd up to a unit.
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        lb, db = b[-1], len(b) - 1
-        for k in range(len(a) - 1, db - 1, -1):
-            q = a[k]
-            if q:
-                # a <- lb*a - q*x^(k-db)*b clears a[k]
-                for i in range(k):
-                    a[i] *= lb
-                for i in range(db):
-                    a[k - db + i] -= q * b[i]
-        del a[db:]
-        while a and not a[-1]:
-            a.pop()
-        a, b = b, primitive(a) if a else a
-    return a
-
-
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """A gcd of f and g, unique up to a rational unit.
-
-    One primitive pseudo-remainder sequence over the integers (Brown 1971),
-    `_prs`, on dense coefficient lists in the alphabetically first variable:
-    in one variable the entries are integers and the result is made monic;
-    in several they are polynomials in the other variables, the content of
-    each list (the gcd of its entries, by recursion) is divided out and the
-    rest scaled to coprime integer coefficients.
+    A zero or equal operand is returned as h, and a constant h returns f
+    and g themselves.  Otherwise f and g are read once into dense lists
+    over Z, denominators cleared: indexed by degree in the alphabetically
+    first variable, with entries such lists in the next variable, down to
+    ints in the last.  The zero is ``[]`` at a list level and ``0`` at the
+    last, so an entry's class gives its level.  Each level runs a primitive
+    pseudo-remainder sequence (Brown 1971), contents by recursion on the
+    same lists; the cofactors come by exact division on them.  h is divided
+    by its last integer coefficient, so in one variable it is monic.
     """
-    if f.is_zero() or f == g:
-        return g
-    if g.is_zero():
-        return f
+    if not f.terms:
+        return g, _P_ZERO, _P_ONE
+    if not g.terms:
+        return f, _P_ONE, _P_ZERO
+    if f == g:
+        return f, _P_ONE, _P_ONE
     if f.is_constant() or g.is_constant():
-        return _P_ONE
-    names = f.variables() | g.variables()
-    name = min(names)
-    if len(names) == 1:
-        a = _prs(_dense(f, name), _dense(g, name), _primitive)
-        lead = a[-1]
-        return Poly({((name, e),) if e else _M_ONE:
-                     c if lead == 1 else Fraction(c, lead)
-                     for e, c in enumerate(a)})
-    cf, a = _content_split(_coeffs(f, name))
-    cg, b = _content_split(_coeffs(g, name))
-    a = _prs(a, b, lambda r: _content_split(r)[1])
-    return poly_gcd(cf, cg) * _from_coeffs(a, name)
+        return _P_ONE, f, g
+    *outer, last = names = sorted(f.variables() | g.variables())
+
+    # entries p and q at one level; an int level is worked inline
+    def add(p, q, s):
+        # p + s*q for lists p and q, where s is 1 or -1
+        if not q:
+            return p
+        ints = q[-1].__class__ is int
+        out = p + [q[-1].__class__()] * (len(q) - len(p))
+        for i, y in enumerate(q):
+            if y:
+                out[i] = out[i] + s * y if ints else add(out[i], y, s)
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    def mul(p, q):
+        if p.__class__ is int:
+            return p * q
+        if not p or not q:
+            return []
+        out = [p[-1].__class__()] * (len(p) + len(q) - 1)
+        ints = p[-1].__class__ is int
+        for i, x in enumerate(p):
+            if x:
+                for j, y in enumerate(q):
+                    if y:
+                        out[i + j] = out[i + j] + x * y if ints \
+                            else add(out[i + j], mul(x, y), 1)
+        return out
+
+    def div(p, q):
+        # p/q, where q divides p exactly
+        if p.__class__ is int:
+            return p // q
+        dq, lq, ints = len(q) - 1, q[-1], q[-1].__class__ is int
+        r, out = p[:], [None] * (len(p) - dq)
+        for k in range(len(p) - 1, dq - 1, -1):
+            c = out[k - dq] = r[k] // lq if ints else div(r[k], lq)
+            if c:
+                for i in range(dq):
+                    r[k - dq + i] = r[k - dq + i] - c * q[i] if ints \
+                        else add(r[k - dq + i], mul(c, q[i]), -1)
+        return out
+
+    def constant(p):
+        # the int that p is, or None when p is not constant
+        while p.__class__ is list:
+            if len(p) != 1:
+                return None
+            p = p[0]
+        return p
+
+    def split(p):
+        # the content of a nonzero p (the gcd of its entries) and p over it
+        if p[-1].__class__ is int:
+            c = math.gcd(*p)
+            return c, p if c == 1 else [x // c for x in p]
+        c = p[-1]
+        for x in p[:-1]:
+            if x and constant(c) not in (1, -1):
+                c = gcd(c, x)
+        return c, p if constant(c) in (1, -1) else [div(x, c) for x in p]
+
+    def gcd(p, q):
+        if p.__class__ is int:
+            return math.gcd(p, q)
+        (cp, a), (cq, b) = split(p), split(q)
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            a = a[:]    # written in place below, and may be the caller's
+            lb, db, ints = b[-1], len(b) - 1, b[-1].__class__ is int
+            for k in range(len(a) - 1, db - 1, -1):
+                q = a[k]
+                # a <- lb*a - q*x^(k-db)*b clears a[k]
+                if q and ints:
+                    for i in range(k):
+                        a[i] *= lb
+                    for i in range(db):
+                        a[k - db + i] -= q * b[i]
+                elif q:
+                    for i in range(k):
+                        a[i] = mul(a[i], lb)
+                    for i in range(db):
+                        a[k - db + i] = add(a[k - db + i], mul(q, b[i]), -1)
+            del a[db:]
+            while a and not a[-1]:
+                a.pop()
+            a, b = b, split(a)[1] if a else a
+        c = gcd(cp, cq)
+        return a if constant(c) in (1, -1) else [mul(x, c) for x in a]
+
+    def dense(p):
+        # p times the lcm of its denominators, and that lcm
+        den = math.lcm(*(c.denominator for c in p.terms.values()))
+        out = []
+        for m, c in p.terms.items():
+            exps, node = dict(m), out
+            for name in outer:
+                e = exps.get(name, 0)
+                node.extend([] for _ in range(e + 1 - len(node)))
+                node = node[e]
+            e = exps.get(last, 0)
+            node.extend([0] * (e + 1 - len(node)))
+            node[e] = c if den == 1 else c.numerator * (den // c.denominator)
+        return out, den
+
+    def sparse(p, n, d):
+        # the Poly of p times n/d
+        r = n // d if n % d == 0 else Fraction(n, d)
+        out, todo = {}, [(p, 0, ())]
+        while todo:
+            p, i, mono = todo.pop()
+            for e, c in enumerate(p):
+                if c:
+                    m = mono + ((names[i], e),) if e else mono
+                    if c.__class__ is int:
+                        out[m] = c * r
+                    else:
+                        todo.append((c, i + 1, m))
+        return _normalised(out) if r.__class__ is int else Poly(out)
+
+    (a, da), (b, db) = dense(f), dense(g)
+    h = gcd(a, b)
+    if constant(h) is not None:
+        return _P_ONE, f, g
+    u = h
+    while u.__class__ is list:
+        u = u[-1]
+    return (sparse(h, 1, u), sparse(div(a, h), u, da),
+            sparse(div(b, h), u, db))
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +510,7 @@ class Expr:
         # Henrici: with g = gcd(b, d), b = g*b1 and d = g*d1, the sum
         # a/b + c/d = (a*d1 + c*b1)/(g*b1*d1) is coprime to b1 and d1, so
         # only a factor of g can cancel
-        g = poly_gcd(b, d)
-        b1, d1 = _poly_divexact(b, g), _poly_divexact(d, g)
+        g, b1, d1 = poly_gcd(b, d)
         n = a * d1 + c * b1
         if not n.terms:
             return _E_ZERO
@@ -654,10 +655,7 @@ def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     # num and den with their common factor divided out
     if num.is_constant() or den.is_constant():
         return num, den
-    g = poly_gcd(num, den)
-    if g.is_constant():
-        return num, den
-    return _poly_divexact(num, g), _poly_divexact(den, g)
+    return poly_gcd(num, den)[1:]
 
 
 def _monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:

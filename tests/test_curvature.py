@@ -407,6 +407,18 @@ def test_two_coordinate_chart_frame_self_checks_hold():
         "255bab50e9ec44de0205fe729cf79e23e88b8697c203fc91279fce3cf68d9eca")
 
 
+def test_product_denominator_chart_frame_report_is_pinned():
+    # the x*y+1 frame: its denominators have degree 2 in x and y together,
+    # so its report runs the several-variable poly_gcd on larger operands
+    # than the x+y+1 frame's
+    report = build_report(entry(chart_manifest("x*y+1")))
+    checks = report["self_check"]
+    assert checks and all(v is True for v in checks.values())
+    out = render_json(report)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "12fa2881d8e3c8c64daf00ab570961bc49918323aa5147afc37d7896ac827fd4")
+
+
 # ---------------------------------------------------------------------------
 # reference forms of the kernels (one VectorField per term) and of the
 # identity checks (every index tuple), kept to test the fused kernels and

@@ -162,10 +162,34 @@ def monic(p):
         "two-remainders"])
 def test_poly_gcd_cases(f, g, want):
     t = make_table()
-    got = poly_gcd(parse(f, t).num, parse(g, t).num)
-    assert monic(got) == parse(want, t).num
-    if len(got.variables()) == 1:   # the univariate gcd comes out monic
-        assert got == monic(got)
+    f, g = parse(f, t).num, parse(g, t).num
+    h, f1, g1 = poly_gcd(f, g)
+    assert monic(h) == parse(want, t).num
+    assert h * f1 == f and h * g1 == g      # the cofactors are exact
+    if len(h.variables()) == 1:   # the univariate gcd comes out monic
+        assert h == monic(h)
+
+
+@pytest.mark.parametrize("f, g, want", [
+    ("0", "2*x+2", ("2*x+2", "0", "1")),
+    ("x*y-1", "0", ("x*y-1", "1", "0")),
+    ("0", "0", ("0", "0", "1")),
+    ("2*x*y+a", "2*x*y+a", ("2*x*y+a", "1", "1")),
+    ("3/2", "x+1", ("1", "3/2", "x+1")),
+    ("x^2-y", "-4", ("1", "x^2-y", "-4")),
+    ("x^2+1", "x+y", ("1", "x^2+1", "x+y")),
+], ids=["zero-left", "zero-right", "both-zero", "equal", "constant-left",
+        "constant-right", "coprime"])
+def test_poly_gcd_early_returns(f, g, want):
+    # a zero, equal or constant operand returns before the dense form, and
+    # a constant gcd returns the operands themselves as the cofactors
+    t = make_table()
+    f, g = parse(f, t).num, parse(g, t).num
+    h, f1, g1 = got = poly_gcd(f, g)
+    assert got == tuple(parse(w, t).num for w in want)
+    assert h * f1 == f and h * g1 == g
+    if want[0] == "1":
+        assert f1 is f and g1 is g
 
 
 def test_poly_gcd_reads_unsorted_monomials_by_name():
@@ -176,7 +200,7 @@ def test_poly_gcd_reads_unsorted_monomials_by_name():
     g = parse("x+1", make_table()).num
     result = []
     worker = threading.Thread(
-        target=lambda: result.append(poly_gcd(f, g)), daemon=True)
+        target=lambda: result.append(poly_gcd(f, g)[0]), daemon=True)
     worker.start()
     worker.join(timeout=20)
     assert not worker.is_alive()

@@ -81,7 +81,7 @@ def assert_matches(e, expected):
     num, den = to_sympy(e.num), to_sympy(e.den)
     want_num, want_den = sympy.fraction(sympy.cancel(expected))
     assert sympy.expand(num * want_den - den * want_num) == 0
-    assert poly_gcd(e.num, e.den).is_constant()
+    assert poly_gcd(e.num, e.den)[0].is_constant()
     assert sympy.gcd(num, den).is_number
     assert e.den.leading()[1] == 1
     if e.is_zero():
@@ -117,7 +117,7 @@ def test_powers_match_sympy_cancel(pair, k):
 def xy_polys(x_max=2, y_max=2, min_size=1):
     # polynomials in the two coordinates x and y only: with the parameter a
     # as a third variable, a cube of a three-term factor can keep the
-    # multivariate poly_gcd busy for minutes (ROADMAP item 1)
+    # multivariate poly_gcd busy for minutes (ROADMAP item 2)
     exps = st.tuples(st.integers(0, x_max), st.integers(0, y_max),
                      st.just(0))
     return st.dictionaries(exps, _COEFFS, min_size=min_size, max_size=3)
@@ -213,7 +213,9 @@ def univariate_gcd_operands(draw):
 
 
 def assert_gcd_matches(f, g):
-    got = to_sympy(poly_gcd(f, g))
+    h, f1, g1 = poly_gcd(f, g)
+    assert h * f1 == f and h * g1 == g      # the cofactors are exact
+    got = to_sympy(h)
     sf, sg = to_sympy(f), to_sympy(g)
     for multiple in (sf, sg):
         assert sympy.fraction(sympy.cancel(multiple / got))[1].is_number
