@@ -25,7 +25,6 @@ from .catalog import CatalogEntry, CatalogError, build, entry_ids
 from .classify import SelfCheckError
 from .expr import ExprError
 from .frame import FrameError
-from .linalg import SingularMatrixError
 from .manifest import (ManifestError, entry_from_ingest, export_entry,
                        load_manifest, manifest_to_json, to_json)
 from .report import (analyse, build_report, failed_self_checks,
@@ -189,7 +188,7 @@ def _sweep_row(entry: CatalogEntry, lam: Fraction, mu: Fraction) -> dict:
             km = c.kappa_mu
             row["kappa"] = (None if km is None or km.kappa is None
                             else str(km.kappa))
-    except (CliError, SingularMatrixError) as exc:
+    except CliError as exc:
         raise CliError(f"lambda={lam}, mu={mu}: {exc}") from None
     failed_checks = failed_self_checks(analysis.self_check)
     if failed_checks:
@@ -292,7 +291,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, CatalogError, SingularMatrixError) as exc:
+    except (CliError, CatalogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ManifestError as exc:

@@ -8,7 +8,9 @@ expressed in this frame; coordinate components never leave this module.
 
 Frame indices are 1-based in every public argument, witness, and report,
 matching the e1..en labels used in rendered output.  Instances are immutable
-after construction; lazily derived tables are cached write-once.
+and complete at construction: the metric inverse and, in chart mode, the
+chart inverse and the bracket table are built there, so a singular metric
+or chart frame matrix raises SingularMatrixError from the constructor.
 """
 
 from __future__ import annotations
@@ -196,7 +198,8 @@ class FrameManifold:
     given on frame pairs and must be parameter-only (constant along the
     manifold); it defaults to the identity, the orthonormal-frame case.
     It is held as sparse rows, metric_rows[i-1] = g(e_i, .), and its
-    inverse as sparse rows built once on first use.
+    inverse as sparse rows.  The metric is inverted first, so a singular
+    metric is named before a singular chart frame matrix.
     """
 
     def __init__(self, mode, dim, symbols, metric, structure, chart_frame):
@@ -206,13 +209,17 @@ class FrameManifold:
         self.dim = dim
         self.symbols = symbols
         self.metric_rows = metric
-        self._structure = structure
         self.chart_frame = chart_frame
         self._coordinate_names = frozenset(
             s.name for s in symbols.coordinates())
-        self._metric_inverse = None
-        self._chart_inverse = None
-        self._chart_brackets = None
+        self._metric_inverse = tuple(VectorField.make(row) for row in invert(
+            [list(row.components) for row in metric], "metric"))
+        if mode == MODE_CHART:
+            self._chart_inverse = invert(
+                [[row[a] for a in range(1, dim + 1)] for row in chart_frame],
+                "chart frame matrix")
+            structure = self.brackets_from_chart()
+        self._brackets = structure
 
     # -- construction -------------------------------------------------------
 
@@ -263,10 +270,6 @@ class FrameManifold:
 
     def metric_inverse(self) -> tuple[VectorField, ...]:
         """Rows of the inverse metric as sparse vector fields."""
-        if self._metric_inverse is None:
-            inv = invert([list(row.components) for row in self.metric_rows],
-                         "metric")
-            self._metric_inverse = tuple(VectorField.make(row) for row in inv)
         return self._metric_inverse
 
     def lower(self, v: VectorField) -> VectorField:
@@ -318,40 +321,32 @@ class FrameManifold:
         """Inverse of the chart coefficient matrix (rows = frame fields)."""
         if self.mode != MODE_CHART:
             raise FrameError("chart_inverse is defined in chart mode only")
-        if self._chart_inverse is None:
-            mat = [[row[a] for a in range(1, self.dim + 1)]
-                   for row in self.chart_frame]
-            self._chart_inverse = invert(mat, "chart frame matrix")
         return self._chart_inverse
 
     def brackets_from_chart(self) -> dict:
-        """All frame brackets re-expressed in the frame, computed from the
-        chart by differentiating the coefficient rows.  Chart mode only."""
+        """All frame brackets re-expressed in the frame, derived afresh
+        from the chart by differentiating the coefficient rows; the
+        constructor stores them once.  Chart mode only."""
         if self.mode != MODE_CHART:
             raise FrameError("brackets_from_chart requires chart mode")
-        if self._chart_brackets is None:
-            inv_rows = [VectorField.make(row)
-                        for row in self.chart_inverse()]
-            rows = self.chart_frame
-            table: dict[tuple[int, int], VectorField] = {}
-            for i in range(1, self.dim + 1):
-                for j in range(i + 1, self.dim + 1):
-                    # coordinate components of [e_i, e_j]
-                    coord = (self.derivative(i, rows[j - 1])
-                             - self.derivative(j, rows[i - 1]))
-                    table[(i, j)] = VectorField.combination(coord, inv_rows)
-            self._chart_brackets = table
-        return self._chart_brackets
+        inv_rows = [VectorField.make(row) for row in self.chart_inverse()]
+        rows = self.chart_frame
+        table: dict[tuple[int, int], VectorField] = {}
+        for i in range(1, self.dim + 1):
+            for j in range(i + 1, self.dim + 1):
+                # coordinate components of [e_i, e_j]
+                coord = (self.derivative(i, rows[j - 1])
+                         - self.derivative(j, rows[i - 1]))
+                table[(i, j)] = VectorField.combination(coord, inv_rows)
+        return table
 
     def bracket_basis(self, i: int, j: int) -> VectorField:
         """[e_i, e_j] as a frame vector field (antisymmetric in i, j)."""
         if i == j:
             return VectorField.zero(self.dim)
-        table = (self._structure if self.mode == MODE_ABSTRACT
-                 else self.brackets_from_chart())
         if i < j:
-            return table.get((i, j), VectorField.zero(self.dim))
-        return -table.get((j, i), VectorField.zero(self.dim))
+            return self._brackets.get((i, j), VectorField.zero(self.dim))
+        return -self._brackets.get((j, i), VectorField.zero(self.dim))
 
     def bracket(self, x: VectorField, y: VectorField) -> VectorField:
         """Lie bracket of two frame vector fields, with the Leibniz terms
@@ -382,18 +377,8 @@ class FrameManifold:
 
     # -- validation and substitution ----------------------------------------
 
-    def check_invertible(self) -> None:
-        """Build the cached inverses that the connection and the brackets
-        need, the metric's first: a singular metric or chart frame matrix
-        raises SingularMatrixError, and a singular metric is named first."""
-        self.metric_inverse()
-        if self.mode == MODE_CHART:
-            self.chart_inverse()
-
     def validate(self) -> list[str]:
-        """Structural validation; returns human-readable issues.  Raises
-        SingularMatrixError as check_invertible does."""
-        self.check_invertible()
+        """The Jacobi check as human-readable issues, empty when it holds."""
         jac = self.check_jacobi()
         if jac.ok:
             return []
@@ -406,7 +391,7 @@ class FrameManifold:
         metric = tuple(row.map(sub) for row in self.metric_rows)
         if self.mode == MODE_ABSTRACT:
             structure = {pair: vf.map(sub)
-                         for pair, vf in self._structure.items()}
+                         for pair, vf in self._brackets.items()}
             return FrameManifold(self.mode, self.dim, self.symbols, metric,
                                  structure, None)
         frame = tuple(row.map(sub) for row in self.chart_frame)

@@ -19,6 +19,7 @@ from .expr import (Expr, ExprError, ExprParseError, KIND_COORDINATE,
                    KIND_PARAMETER, SymbolTable, parse)
 from .frame import (FrameError, FrameManifold, MODE_ABSTRACT, MODE_CHART,
                     VectorField, check_metric, coordinates_in)
+from .linalg import SingularMatrixError
 
 SCHEMA_VERSION = 1
 # reports grow as dim^5 (dimension 21 takes 15 s, 350 MB): bound the input
@@ -255,6 +256,8 @@ def ingest_manifest(doc: dict) -> IngestResult:
                     dim, table, tuple(tuple(r) for r in rows), metric=metric)
             except FrameError as exc:
                 errors.append(f"frame: {exc}")
+            except SingularMatrixError as exc:
+                errors.append(str(exc))
     else:
         if "frame" in doc:
             errors.append("frame: not allowed in abstract mode "
@@ -291,6 +294,8 @@ def ingest_manifest(doc: dict) -> IngestResult:
                                                   metric=metric)
             except FrameError as exc:
                 errors.append(f"brackets: {exc}")
+            except SingularMatrixError as exc:
+                errors.append(str(exc))
 
     structure = None
     has_phi, has_xi = "phi" in doc, "xi" in doc

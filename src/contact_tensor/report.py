@@ -66,10 +66,8 @@ class Analysis:
 
 def analyse(entry: CatalogEntry) -> Analysis:
     """Connection, curvature, classification and self checks, without the
-    Jacobi diagnostics and the rendered tables.  Raises SingularMatrixError
-    when the metric or the chart frame matrix is singular."""
+    Jacobi diagnostics and the rendered tables."""
     m = entry.manifold
-    m.check_invertible()
     conn = koszul(m)
     curv = riemann(m, conn)
     classification = classify_structure(curv, entry.structure)
@@ -87,8 +85,7 @@ def analyse(entry: CatalogEntry) -> Analysis:
 
 def build_report(entry: CatalogEntry) -> dict:
     """Full pipeline: brackets, structure tensors, connection, curvature,
-    classification, self checks.  Raises SingularMatrixError when the
-    metric or the chart frame matrix is singular."""
+    classification, self checks."""
     m = entry.manifold
     diagnostics = m.validate()
 

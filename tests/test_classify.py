@@ -38,7 +38,7 @@ from contact_tensor.expr import (
 )
 from contact_tensor.cli import SWEEP_LAMBDA_DEFAULT, SWEEP_MU_DEFAULT
 from contact_tensor.frame import FrameManifold, VectorField
-from contact_tensor.report import build_report
+from contact_tensor.report import build_report, render_text
 
 from _frames import (NON_IDENTITY_METRICS, chart_manifest,
                      deformed_kmu_manifest, entry, heisenberg_manifest,
@@ -176,6 +176,38 @@ def test_chart_entry_report():
     assert rep.locally_phi_recurrent.status == "not_recurrent"
     assert rep.locally_phi_recurrent.obstruction == (
         "component (2, 1, 2, 1, 2): lhs 16/x, curvature coefficient 0")
+
+
+def test_nullity_verdict_does_not_depend_on_the_frame():
+    # example41 with e2, e3 rotated by the angle with cos 3/5, sin 4/5:
+    # f2 = (3e2 - 4e3)/5, f3 = (4e2 + 3e3)/5, so xi = e3 = (4f2 + 3f3)/5
+    doc = {"schema_version": 1, "name": "example41-rotated", "dimension": 3,
+           "mode": "chart",
+           "symbols": [{"name": s, "kind": "coordinate"} for s in "xyz"],
+           "frame": [["0", "2/x", "0"],
+                     ["6/5", "-12*z/(5*x)", "(3*x*y+4)/5"],
+                     ["-8/5", "16*z/(5*x)", "(-4*x*y+3)/5"]],
+           "phi": [["0", "3/5", "-4/5"], ["-3/5", "0", "0"],
+                   ["4/5", "0", "0"]],
+           "xi": ["0", "4/5", "3/5"]}
+    report = build_report(entry(doc))
+    reference = build_report(build("example41"))
+    c, c0 = report["classification"], reference["classification"]
+    km = c["kappa_mu"]
+    assert km["status"] == "inconsistent"
+    assert (km["witness"], km["witness_component"]) == ([1, 2], 2)
+    assert ("  nullity (kappa, mu)      inconsistent, witness (1, 2)"
+            in render_text(report).splitlines())
+    assert report["diagnostics"] == [
+        "local phi classifiers skipped: eta has 2 nonzero frame components, "
+        "so the frame fields it annihilates do not span ker eta"]
+    assert all(report["self_check"].values())
+    for key in ("contact_valid", "sasakian", "flat"):
+        assert c[key] == c0[key], key
+    assert c["sasakian"]["ok"] is False
+    assert c["phi_recurrent"]["status"] == c0["phi_recurrent"]["status"]
+    assert report["curvature"]["scalar"] == reference["curvature"]["scalar"]
+    assert report["curvature"]["scalar"] == "0"
 
 
 def test_flat_space_with_rotation_structure():

@@ -9,7 +9,7 @@ from contact_tensor.contact import (
     HOperator,
     h_eigenstructure,
 )
-from contact_tensor.expr import Expr, parse
+from contact_tensor.expr import Expr, KIND_PARAMETER, SymbolTable, parse
 from contact_tensor.frame import VectorField
 from contact_tensor.report import build_report
 
@@ -63,6 +63,35 @@ def test_scaled_xi_breaks_the_axioms():
                for m in messages)
     assert any("g(phi X, phi Y) = g(X, Y) - eta(X)eta(Y)" in m
                for m in messages)
+
+
+def test_phi_that_moves_xi_breaks_the_axioms_and_h():
+    # on the sphere with xi = e1, phi(e1) = e2, phi(e2) = -e1, phi(e3) = 0
+    sphere = build("sphere")
+    st = ContactStructure(
+        sphere.manifold,
+        (VectorField.basis(3, 2), -VectorField.basis(3, 1),
+         VectorField.zero(3)),
+        VectorField.basis(3, 1))
+    messages = [v.describe() for v in st.validate_almost_contact()]
+    assert messages[0] == "phi(xi) = 0 fails at (): ['0', '1', '0'] != 0"
+    with pytest.raises(ContactError) as info:
+        st.compute_h()
+    assert str(info.value).startswith(
+        "h operator invariants fail, the structure is not contact metric: "
+        "h(xi) != 0")
+
+
+def test_h_eigenstructure_of_a_negative_diagonal():
+    # every nonzero eigenvalue is -lambda: lambda is the positive-leading
+    # one, and e2, e3 span D(-lambda)
+    t = SymbolTable()
+    lam = Expr.symbol(t.add("lambda", KIND_PARAMETER))
+    h = HOperator((VectorField.zero(3), VectorField.basis(3, 2).scale(-lam),
+                   VectorField.basis(3, 3).scale(-lam)))
+    eig = h_eigenstructure(h)
+    assert eig.lam == lam
+    assert (eig.d_plus, eig.d_minus, eig.d_zero) == ((), (2, 3), (1,))
 
 
 def test_rotation_on_flat_space_is_not_contact_metric():

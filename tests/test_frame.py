@@ -2,11 +2,12 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from contact_tensor import cli
+from contact_tensor import cli, frame
 from contact_tensor.catalog import build, entry_ids
 from contact_tensor.curvature import koszul, riemann
 from contact_tensor.expr import (
@@ -22,6 +23,7 @@ from contact_tensor.frame import (
     VectorField,
 )
 from contact_tensor.linalg import SingularMatrixError
+from contact_tensor.report import build_report
 
 from _frames import heisenberg_manifest
 
@@ -233,23 +235,47 @@ def test_jacobi_identity():
     assert any("Jacobi identity fails" in line for line in bad.validate())
 
 
-def test_validate_flags_singular_metric():
+def test_construction_rejects_singular_metric():
     t = SymbolTable()
     metric = ((1, 0, 0), (0, 0, 0), (0, 0, 1))
-    m = FrameManifold.abstract(3, t, {}, metric=metric)
     with pytest.raises(SingularMatrixError, match="^metric: determinant"):
-        m.validate()
+        FrameManifold.abstract(3, t, {}, metric=metric)
+    # singular at one parameter value: the substituted manifold is refused
+    a = Expr.symbol(t.add("a", KIND_PARAMETER))
+    m = FrameManifold.abstract(3, t, {}, metric=((a, 0, 0), (0, 1, 0),
+                                                 (0, 0, 1)))
+    with pytest.raises(SingularMatrixError, match="^metric: determinant"):
+        m.substitute_parameters({"a": 0})
 
 
-def test_validate_flags_dependent_chart_rows():
+def test_construction_rejects_dependent_chart_rows():
     t = SymbolTable()
     for n in ("x", "y", "z"):
         t.add(n, KIND_COORDINATE)
     rows = ((1, 0, 0), (1, 0, 0), (0, 0, 1))
-    m = FrameManifold.chart(3, t, rows)
     with pytest.raises(SingularMatrixError,
                        match="^chart frame matrix: determinant"):
-        m.validate()
+        FrameManifold.chart(3, t, rows)
+
+
+def test_tables_are_built_once_at_construction(monkeypatch):
+    calls = Counter()
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(frame, "invert", spy("invert", frame.invert))
+    monkeypatch.setattr(FrameManifold, "brackets_from_chart",
+                        spy("brackets", FrameManifold.brackets_from_chart))
+    ent = build("example41")
+    # the metric and the chart frame matrix, then one bracket derivation
+    assert calls == {"invert": 2, "brackets": 1}
+    calls.clear()
+    build_report(ent)
+    assert not calls
 
 
 def test_validate_clean():

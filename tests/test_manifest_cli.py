@@ -410,6 +410,12 @@ def test_cli_sweep_grid_values_past_the_digit_limit(tmp_path, capsys):
             "digits, the interpreter's int/str conversion limit\n")
 
 
+def test_cli_sweep_empty_grid_is_an_input_error(tmp_path, capsys):
+    path = write_manifest(tmp_path, "kmu")
+    assert cli.main(["sweep", path, "--lambda", ","]) == 1
+    assert capsys.readouterr().err == "error: --lambda: empty grid\n"
+
+
 def test_cli_sweep_lambda_zero_is_skipped(tmp_path, capsys):
     path = write_manifest(tmp_path, "kmu")
     assert cli.main(["sweep", path, "--lambda", "0", "--mu", "0"]) == 0
@@ -422,11 +428,15 @@ def test_cli_sweep_lambda_zero_is_skipped(tmp_path, capsys):
              "2/(mu-1) identically zero"),
     ("singular-metric", "lambda=1, mu=1: metric: determinant is "
                         "identically zero"),
+    # singular for every parameter value: refused at load, before the grid
+    ("singular-everywhere", "error: metric: determinant is identically "
+                            "zero\n"),
     ("no-structure", "sweep needs a manifest with a contact structure"),
     pytest.param("huge-result",
                  f"lambda=1, mu=0: a number in the result has more than "
                  f"{_DIGIT_LIMIT} digits", marks=needs_digit_limit),
-], ids=["pole", "singular-metric", "no-structure", "huge-result"])
+], ids=["pole", "singular-metric", "singular-everywhere", "no-structure",
+        "huge-result"])
 def test_cli_sweep_hostile_manifest_is_an_input_error(hostile, message,
                                                       tmp_path, capsys):
     doc = export_entry(build("kmu"))
@@ -434,6 +444,8 @@ def test_cli_sweep_hostile_manifest_is_an_input_error(hostile, message,
         doc["brackets"][2]["components"][0] = "2/(mu-1)"
     elif hostile == "singular-metric":
         doc["metric"][0][0] = "mu-1"
+    elif hostile == "singular-everywhere":
+        doc["metric"][0][0] = "0"
     elif hostile == "huge-result":
         doc["brackets"][2]["components"][0] = "(10^100)^100"
     else:
@@ -672,12 +684,41 @@ def _chart_3d(frame):
     (_abstract_3d(brackets=[{"i": True, "j": 2,
                              "components": ["0", "0", "2"]}]),
      "error: brackets[0]: expected indices 1 <= i < j <= 3"),
+    (_abstract_3d(xi=[1, "0", "0"]),
+     "error: xi[0]: expected an expression string, got int\n"),
+    (_abstract_3d(metric=[["1", "0", "0"], ["0", "1"], ["0", "0", "1"]]),
+     "error: metric[1]: expected 3 entries\n"),
+    (_abstract_3d(symbols="x"), "error: symbols: expected a list\n"),
+    (_abstract_3d(symbols=[{"name": "x", "kind": "coordinate"}] * 2),
+     "error: symbols[1]: symbol 'x' already declared\n"),
+    (_abstract_3d(symbols=[{"name": "2x", "kind": "coordinate"}]),
+     "error: symbols[0]: invalid symbol name '2x'\n"),
+    (dict(_chart_3d([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+          symbols=[{"name": n, "kind": "coordinate"} for n in "xy"]),
+     "error: frame: chart mode needs exactly 3 coordinate symbols, got 2\n"),
+    (_abstract_3d(brackets={"i": 1}), "error: brackets: expected a list\n"),
+    (_abstract_3d(brackets=[[1, 2, ["0", "0", "2"]]]),
+     "error: brackets[0]: expected an object\n"),
+    (_abstract_3d(brackets=[{"i": 1, "j": 2,
+                             "components": ["0", "0", "x"]}]),
+     "error: brackets: structure constant of [e1,e2] must be parameter-only, "
+     "found coordinate 'x' in x\n"),
+    # a singular metric is found at construction, so later errors follow it
+    (_abstract_3d(metric=[["1", "0", "0"], ["0", "0", "0"], ["0", "0", "1"]],
+                  xi=["x", "0", "0"]),
+     "error: metric: determinant is identically zero\n"
+     "error: xi[0]: must be parameter-only in abstract mode, found "
+     "coordinate 'x' in x\n"),
 ], ids=["singular-metric", "singular-chart", "coordinate-phi", "coordinate-xi",
         "deep-parens", "huge-exponent", "dimension-17", "dimension-101",
         "asymmetric-metric", "coordinate-metric", "superscript-digit",
         "long-literal", "long-exponent", "huge-result", "nested-power",
         "large-power", "large-product", "large-sum", "schema-version-bool",
-        "schema-version-float", "bracket-index-bool"])
+        "schema-version-float", "bracket-index-bool", "xi-not-a-string",
+        "short-metric-row", "symbols-not-a-list", "duplicate-symbol",
+        "invalid-symbol-name", "chart-two-coordinates",
+        "brackets-not-a-list", "bracket-not-an-object",
+        "coordinate-bracket", "singular-metric-and-coordinate-xi"])
 def test_cli_report_hostile_manifest_is_an_input_error(doc, message,
                                                        tmp_path, capsys):
     path = tmp_path / "hostile.json"

@@ -10,7 +10,7 @@ import pytest
 from contact_tensor import cli
 from contact_tensor.catalog import build, entry_ids
 from contact_tensor.manifest import export_entry, manifest_to_json
-from contact_tensor.report import build_report, render_json
+from contact_tensor.report import build_report, render_json, render_text
 
 from _frames import chart_manifest, entry, heisenberg_manifest
 
@@ -54,3 +54,10 @@ def test_render_json_rejects_a_value_json_cannot_encode():
         render_json({"kappa": [Fraction(1, 2)]})
     with pytest.raises(TypeError):
         render_json({1: "one"})
+
+
+def test_render_text_colors_a_failed_self_check_red():
+    report = build_report(build("sphere"))
+    report["self_check"]["torsion_free"] = False
+    assert render_text(report, color=True).endswith(
+        "\x1b[31mself-check: FAILED: torsion_free\x1b[0m\n")
