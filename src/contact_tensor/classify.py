@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .contact import ContactError, ContactStructure, HOperator
+from .contact import ContactStructure, HOperator
 from .curvature import CurvatureTables, ricci_operator_of
 from .expr import Expr, PoleError
 from .frame import FrameManifold, VectorField, coordinates_in
@@ -105,7 +105,7 @@ def _basis_index(m, v: VectorField) -> int | None:
 
 
 def _phi_square(structure: ContactStructure, v: VectorField) -> VectorField:
-    return structure.apply_phi(structure.apply_phi(v))
+    return VectorField.combination(v, structure.phi_square_rows)
 
 
 def _scope_indices(structure: ContactStructure, scope: str) -> tuple[int, ...]:
@@ -489,13 +489,10 @@ def classify_structure(curv: CurvatureTables,
                 + cm.violations[0].describe())
         sides = _nullity_sides(curv, structure)
         sasakian = _sasakian(sides)
-        try:
-            kappa_mu = _solve_kappa_mu(curv, structure,
-                                       structure.compute_h(), sides)
-        except ContactError as exc:
-            # a manifest can carry a phi whose h breaks the invariants
-            kappa_mu = None
-            diagnostics.append(f"nullity solver skipped: {exc}")
+        if structure.h is None:
+            diagnostics.append(f"nullity solver skipped: {structure.h_error}")
+        else:
+            kappa_mu = _solve_kappa_mu(curv, structure, structure.h, sides)
         if (kappa_mu is not None and kappa_mu.status == "consistent"
                 and not kappa_mu.constant_flag):
             diagnostics.append("nullity condition solved with non-constant "

@@ -91,9 +91,9 @@ def _apply_set(entry: CatalogEntry, bindings: dict[str, Fraction]) -> CatalogEnt
 
 @contextlib.contextmanager
 def _digit_limit():
-    # results are written out as strings (the report's tables, classify's
-    # diagnostics, the sweep's cells), and str() of an integer past the
-    # interpreter's int/str digit limit raises ValueError
+    # str() of an integer past the interpreter's int/str digit limit
+    # raises ValueError wherever an expression is written out: ingest's and
+    # h's error texts, the report's tables and diagnostics, the sweep cells
     try:
         yield
     except ValueError:
@@ -103,8 +103,7 @@ def _digit_limit():
 
 
 def _emit_report(entry: CatalogEntry, args, out) -> int:
-    with _digit_limit():
-        report = build_report(entry)
+    report = build_report(entry)
     if args.format == "json":
         out.write(render_json(report))
     else:
@@ -290,7 +289,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with _digit_limit():
+            return args.func(args)
     except (CliError, CatalogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -67,7 +67,10 @@ class ContactStructure:
 
     phi is supplied as frame images: phi_rows[i] = phi(e_(i+1)).  eta is
     the lowered xi, eta[i] = g(e_i, xi), never taken from input, and
-    eta(X) is g(X, xi).  h is computed on first use and cached write-once.
+    eta(X) is g(X, xi).  The constructor also builds phi_square_rows, the
+    images phi^2(e_(i+1)), and h: `h` is the HOperator, or None when h
+    fails its invariants, and then `h_error` is the ContactError that says
+    which.  Nothing is set after construction.
     """
 
     def __init__(self, manifold: FrameManifold, phi_rows, xi: VectorField):
@@ -81,7 +84,12 @@ class ContactStructure:
         self.phi_rows = rows
         self.xi = xi
         self.eta = manifold.lower(xi)
-        self._h = None
+        self.phi_square_rows = tuple(self.apply_phi(r) for r in rows)
+        # a manifest can carry a phi whose h breaks the invariants
+        try:
+            self.h, self.h_error = self.compute_h(), None
+        except ContactError as exc:
+            self.h, self.h_error = None, exc
 
     def apply_phi(self, x: VectorField) -> VectorField:
         return VectorField.combination(x, self.phi_rows)
@@ -113,9 +121,8 @@ class ContactStructure:
             out.append(Violation("phi(xi) = 0", (),
                                  [str(c) for c in phi_xi.components], "0"))
         for i in range(1, dim + 1):
-            ei = m.basis(i)
-            lhs = self.apply_phi(self.apply_phi(ei))
-            rhs = -ei + self.xi.scale(self.eta[i])
+            lhs = self.phi_square_rows[i - 1]
+            rhs = -m.basis(i) + self.xi.scale(self.eta[i])
             if not (lhs - rhs).is_zero():
                 out.append(Violation("phi^2 = -id + eta(x)xi", (i,),
                                      [str(c) for c in lhs.components],
@@ -125,9 +132,8 @@ class ContactStructure:
                 out.append(Violation("eta o phi = 0", (i,), str(val), "0"))
         for i in range(1, dim + 1):
             for j in range(i, dim + 1):
-                ei, ej = m.basis(i), m.basis(j)
-                lhs = m.g(self.apply_phi(ei), self.apply_phi(ej))
-                rhs = m.g(ei, ej) - self.eta[i] * self.eta[j]
+                lhs = m.g(self.phi_rows[i - 1], self.phi_rows[j - 1])
+                rhs = m.metric_entry(i, j) - self.eta[i] * self.eta[j]
                 if lhs != rhs:
                     out.append(Violation(
                         "g(phi X, phi Y) = g(X, Y) - eta(X)eta(Y)",
@@ -159,30 +165,26 @@ class ContactStructure:
     # -- the h operator -----------------------------------------------------
 
     def compute_h(self) -> HOperator:
-        """h X = (1/2)([xi, phi X] - phi [xi, X]) on the frame fields.
+        """h X = (1/2)([xi, phi X] - phi [xi, X]) on the frame fields,
+        derived afresh; the constructor stores it as `h`.
 
         The defining invariants h(xi) = 0, h phi = -phi h, tr h = 0 and
         self-adjointness are verified; a failure means the input structure
-        is not a contact metric structure and raises ContactError on every
-        call.  A verified h is cached.
+        is not a contact metric structure and raises ContactError.
         """
-        if self._h is not None:
-            return self._h
         m = self.manifold
         dim = m.dim
         rows = []
         for i in range(1, dim + 1):
-            ei = m.basis(i)
-            lie = m.bracket(self.xi, self.apply_phi(ei))
-            lie = lie - self.apply_phi(m.bracket(self.xi, ei))
+            lie = m.bracket(self.xi, self.phi_rows[i - 1])
+            lie = lie - self.apply_phi(m.bracket(self.xi, m.basis(i)))
             rows.append(lie.scale(Expr.rational(1, 2)))
         h = HOperator(tuple(rows))
         problems = []
         if not h.apply(self.xi).is_zero():
             problems.append("h(xi) != 0")
         for i in range(1, dim + 1):
-            ei = m.basis(i)
-            anti = h.apply(self.apply_phi(ei)) + self.apply_phi(h.apply(ei))
+            anti = h.apply(self.phi_rows[i - 1]) + self.apply_phi(rows[i - 1])
             if not anti.is_zero():
                 problems.append(f"(h phi + phi h)(e{i}) != 0")
         tr = Expr.zero()
@@ -193,12 +195,11 @@ class ContactStructure:
         for i in range(1, dim + 1):
             for j in range(i + 1, dim + 1):
                 ei, ej = m.basis(i), m.basis(j)
-                if m.g(h.apply(ei), ej) != m.g(ei, h.apply(ej)):
+                if m.g(rows[i - 1], ej) != m.g(ei, rows[j - 1]):
                     problems.append(f"h is not self-adjoint at (e{i},e{j})")
         if problems:
             raise ContactError("h operator invariants fail, the structure "
                                "is not contact metric: " + "; ".join(problems))
-        self._h = h
         return h
 
 

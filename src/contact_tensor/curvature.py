@@ -90,8 +90,9 @@ class StructureDerivatives:
 class CurvatureTables:
     """Riemann, Ricci and scalar curvature plus the exact nabla R table.
 
-    R(e_i, e_j)e_k and (nabla_w R)(e_i, e_j)e_k are stored for i < j
-    only; i > j negates the i < j entry and i = j is the zero field.
+    R(e_i, e_j)e_k is computed for i < j and stored with its negated
+    i > j copy; (nabla_w R)(e_i, e_j)e_k is stored for i < j only, and
+    i > j negates the i < j entry on read.  i = j is the zero field.
     riemann_support and nabla_r_support are the sorted keys (i, j, k) and
     (w, i, j, k), i < j, whose field is nonzero; every other key reads
     the zero field.  All tables are built eagerly and never mutated.
@@ -347,82 +348,14 @@ def second_bianchi_residuals(curv: CurvatureTables) -> list:
     return out
 
 
-def reeb_curvature_identity_residuals(curv: CurvatureTables,
-                                      structure) -> list:
-    """Optional check of the expansion of g(R(xi,X)Y,Z) through the
-    covariant derivatives of phi and of phi h.  Holds on every contact
-    metric manifold; no classifier depends on it."""
-    m = curv.manifold
-    conn = curv.connection
-    dim = m.dim
-    der = nabla_structure_tensors(conn, structure)
-    xi = structure.xi
-    h = structure.compute_h()
-
-    def phih(v):
-        return structure.apply_phi(h.apply(v))
-
-    def d_phih(k, j):
-        # (nabla_{e_k} (phi h)) e_j
-        return (conn.covariant_derivative(m.basis(k), phih(m.basis(j)))
-                - phih(conn.nabla_basis(k, j)))
-
-    out = []
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            for k in range(1, dim + 1):
-                ei, ek = m.basis(i), m.basis(k)
-                lhs = m.g(curv.riemann_apply(xi, ei, m.basis(j)), ek)
-                rhs = (m.g(der.nabla_phi[i - 1][j - 1], ek)
-                       + m.g(d_phih(k, j) - d_phih(j, k), ei))
-                res = lhs - rhs
-                if not res.is_zero():
-                    out.append(((i, j, k), res))
-    return out
-
-
-def h_direction_phi_derivative_residuals(curv: CurvatureTables,
-                                         structure) -> list:
-    """Optional check of the closed form for 2 (nabla_{hX} phi) Y in terms
-    of curvature against the Reeb field.  Holds on every contact metric
-    manifold; no classifier depends on it."""
-    m = curv.manifold
-    conn = curv.connection
-    dim = m.dim
-    h = structure.compute_h()
-    xi = structure.xi
-    phi = structure.apply_phi
-    out = []
-    for i in range(1, dim + 1):
-        x = m.basis(i)
-        hx = h.apply(x)
-        for j in range(1, dim + 1):
-            y = m.basis(j)
-            lhs = (conn.covariant_derivative(hx, phi(y))
-                   - phi(conn.covariant_derivative(hx, y))) \
-                .scale(Expr.integer(2))
-            rhs = (-curv.riemann_apply(xi, x, y)
-                   - phi(curv.riemann_apply(xi, x, phi(y)))
-                   + phi(curv.riemann_apply(xi, phi(x), y))
-                   - curv.riemann_apply(xi, phi(x), phi(y))
-                   + xi.scale(2 * m.g(x + hx, y))
-                   + (x + hx).scale(-2 * m.g(y, xi)))
-            res = lhs - rhs
-            if not res.is_zero():
-                out.append(((i, j), res))
-    return out
-
-
 __all__ = [
     "ConnectionTable",
     "CurvatureTables",
     "StructureDerivatives",
     "first_bianchi_residuals",
-    "h_direction_phi_derivative_residuals",
     "koszul",
     "metric_compat_residuals",
     "nabla_structure_tensors",
-    "reeb_curvature_identity_residuals",
     "ricci_operator_of",
     "riemann",
     "riemann_symmetry_residuals",

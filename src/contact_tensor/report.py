@@ -97,20 +97,17 @@ def build_report(entry: CatalogEntry) -> dict:
     structure_section = None
     if entry.structure is not None:
         s = entry.structure
-        h = None
-        try:
-            h = s.compute_h()
-        except ContactError as exc:
-            diagnostics.append(f"h operator: {exc}")
         structure_section = {
             "eta": _vf(s.eta),
             "xi": _vf(s.xi),
             "phi": _json(s.phi_rows),
         }
-        if h is not None:
-            structure_section["h"] = _json(h.rows)
+        if s.h is None:
+            diagnostics.append(f"h operator: {s.h_error}")
+        else:
+            structure_section["h"] = _json(s.h.rows)
             try:
-                structure_section["h_eigen"] = _json(h_eigenstructure(h))
+                structure_section["h_eigen"] = _json(h_eigenstructure(s.h))
             except ContactError:
                 structure_section["h_eigen"] = None
 

@@ -5,6 +5,8 @@
 - example41 with its denominator x replaced by a polynomial p(x): a chart
   frame whose connection and curvature components depend on x, so the
   derivative terms of the covariant derivative do not vanish.
+- example41 with e2 and e3 rotated by the Cayley map of a coordinate, the
+  one frame whose eta has non-constant frame components.
 - the D-homothetic deformation of the kmu family by a parameter a: metric
   diag(a^2, a, a), xi = e1/a, phi unchanged.
 - the sphere's cyclic brackets under a non-identity metric.
@@ -58,6 +60,23 @@ def chart_manifest(p):
             "metric": _identity(3),
             "phi": [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "0"]],
             "xi": ["0", "0", "1"]}
+
+
+def cayley_example41_manifest(t="x"):
+    """example41 with e2 and e3 turned by the Cayley rotation of t:
+    e2' = c e2 + s e3 and e3' = -s e2 + c e3, with c = (1 - t^2)/(1 + t^2)
+    and s = 2t/(1 + t^2); phi and xi are rewritten in the new frame, so
+    eta has the non-constant frame components (0, s, c)."""
+    c, s = f"(1-({t})^2)/(1+({t})^2)", f"2*({t})/(1+({t})^2)"
+    return {"schema_version": 1, "name": "example41-cayley", "dimension": 3,
+            "mode": "chart",
+            "symbols": [{"name": n, "kind": "coordinate"} for n in "xyz"],
+            "frame": [["0", "2/x", "0"],
+                      [f"2*{c}", f"-4*z/x*{c}", f"x*y*{c}+{s}"],
+                      [f"-2*{s}", f"4*z/x*{s}", f"-x*y*{s}+{c}"]],
+            "metric": _identity(3),
+            "phi": [["0", c, f"-{s}"], [f"-{c}", "0", "0"], [s, "0", "0"]],
+            "xi": ["0", s, c]}
 
 
 def entry(doc):

@@ -38,11 +38,12 @@ from contact_tensor.expr import (
 )
 from contact_tensor.cli import SWEEP_LAMBDA_DEFAULT, SWEEP_MU_DEFAULT
 from contact_tensor.frame import FrameManifold, VectorField
+from contact_tensor.manifest import CatalogEntry
 from contact_tensor.report import build_report, render_text
 
-from _frames import (NON_IDENTITY_METRICS, chart_manifest,
-                     deformed_kmu_manifest, entry, heisenberg_manifest,
-                     rotation_structure, sphere_brackets)
+from _frames import (NON_IDENTITY_METRICS, cayley_example41_manifest,
+                     chart_manifest, deformed_kmu_manifest, entry,
+                     heisenberg_manifest, rotation_structure, sphere_brackets)
 
 
 def classified(name, bindings=None):
@@ -190,6 +191,17 @@ def test_nullity_verdict_does_not_depend_on_the_frame():
            "phi": [["0", "3/5", "-4/5"], ["-3/5", "0", "0"],
                    ["4/5", "0", "0"]],
            "xi": ["0", "4/5", "3/5"]}
+    _assert_example41_verdicts(doc)
+
+
+def test_nullity_verdict_does_not_depend_on_a_coordinate_rotation():
+    # the Cayley rotation by t = x turns eta's frame components into
+    # functions, so the derivative terms of d eta do not vanish
+    _assert_example41_verdicts(cayley_example41_manifest("x"))
+
+
+def _assert_example41_verdicts(doc):
+    # the frame-independent parts of a rotated example41's report
     report = build_report(entry(doc))
     reference = build_report(build("example41"))
     c, c0 = report["classification"], reference["classification"]
@@ -201,7 +213,8 @@ def test_nullity_verdict_does_not_depend_on_the_frame():
     assert report["diagnostics"] == [
         "local phi classifiers skipped: eta has 2 nonzero frame components, "
         "so the frame fields it annihilates do not span ker eta"]
-    assert all(report["self_check"].values())
+    assert list(report["self_check"].values()) == [True] * 6
+    assert c["contact_valid"] is True
     for key in ("contact_valid", "sasakian", "flat"):
         assert c[key] == c0[key], key
     assert c["sasakian"]["ok"] is False
@@ -562,6 +575,39 @@ def test_broken_phi_skips_nullity_solver():
     assert any(d.startswith("nullity solver skipped:")
                for d in rep.diagnostics)
     assert any("h operator invariants fail" in d for d in rep.diagnostics)
+
+
+def test_h_is_derived_once_per_structure(monkeypatch):
+    calls = []
+    derive = ContactStructure.compute_h
+
+    def counted(self):
+        calls.append(self)
+        return derive(self)
+
+    monkeypatch.setattr(ContactStructure, "compute_h", counted)
+    kmu = build("kmu")
+    assert len(calls) == 1
+    build_report(kmu)
+    assert len(calls) == 1
+    # a failing h is derived once too: its error is kept, not raised again
+    ent = build("example41")
+    calls.clear()
+    broken = _broken_phi(ent)
+    assert calls == [broken]
+    classify_structure(riemann(ent.manifold, koszul(ent.manifold)), broken)
+    report = build_report(CatalogEntry(ent.id, ent.manifold, broken))
+    assert calls == [broken]
+    skipped = [d for d in report["diagnostics"]
+               if d.startswith("nullity solver skipped: ")]
+    h_lines = [d for d in report["diagnostics"]
+               if d.startswith("h operator: ")]
+    assert skipped == [f"nullity solver skipped: {broken.h_error}"]
+    assert h_lines == [f"h operator: {broken.h_error}"]
+    assert (report["diagnostics"].index(skipped[0])
+            < report["diagnostics"].index(h_lines[0]))
+    assert list(report["structure"]) == ["eta", "xi", "phi"]
+    assert report["classification"]["kappa_mu"] is None
 
 
 @pytest.mark.parametrize("n", [2, 3, 4], ids=["H5", "H7", "H9"])

@@ -9,8 +9,9 @@ from contact_tensor.contact import (
     HOperator,
     h_eigenstructure,
 )
-from contact_tensor.expr import Expr, KIND_PARAMETER, SymbolTable, parse
-from contact_tensor.frame import VectorField
+from contact_tensor.expr import (Expr, KIND_COORDINATE, KIND_PARAMETER,
+                                 SymbolTable, parse)
+from contact_tensor.frame import FrameError, FrameManifold, VectorField
 from contact_tensor.report import build_report
 
 from _frames import deformed_kmu_manifest, entry, rotation_structure
@@ -101,8 +102,12 @@ def test_rotation_on_flat_space_is_not_contact_metric():
     assert st.validate_almost_contact() == []
     rep = st.check_contact_metric()
     assert not rep.ok
-    assert rep.violations[0].describe() \
-        == "d eta(X,Y) = g(X, phi Y) fails at (1,2): 0 != -1"
+    assert [v.describe() for v in rep.violations] \
+        == ["d eta(X,Y) = g(X, phi Y) fails at (1,2): 0 != -1"]
+    # in the last plane the only failing pair is the last one
+    st = rotation_structure(fl.manifold, xi_index=1, plane=(2, 3))
+    assert [v.describe() for v in st.check_contact_metric().violations] \
+        == ["d eta(X,Y) = g(X, phi Y) fails at (2,3): 0 != -1"]
 
 
 def test_h_operator_values():
@@ -127,19 +132,45 @@ def test_h_invariant_violations_are_reported():
         (VectorField.make((1, 1, 0)), VectorField.basis(3, 1),
          VectorField.zero(3)),
         VectorField.basis(3, 3))
-    with pytest.raises(ContactError) as info:
-        broken.compute_h()
-    msg = str(info.value)
+    # the constructor keeps the error; compute_h derives h and raises
+    assert broken.h is None
+    msg = str(broken.h_error)
     assert "h operator invariants fail" in msg
     assert "h is not self-adjoint at (e1,e2)" in msg
-    # a failed h is not cached: every call raises again
-    with pytest.raises(ContactError, match="h operator invariants fail"):
+    with pytest.raises(ContactError) as info:
         broken.compute_h()
+    assert str(info.value) == msg
 
 
-def test_h_is_computed_once_per_structure():
-    st = build("kmu").structure
-    assert st.compute_h() is st.compute_h()
+def _identity_chart(phi, xi):
+    # the coordinate partials of R^3 as the frame, so each bracket of
+    # frame fields vanishes and h is half the xi-derivative of phi
+    return entry({"schema_version": 1, "name": "m", "dimension": 3,
+                  "mode": "chart",
+                  "symbols": [{"name": n, "kind": "coordinate"}
+                              for n in "xyz"],
+                  "frame": [["1", "0", "0"], ["0", "1", "0"],
+                            ["0", "0", "1"]],
+                  "phi": phi, "xi": xi}).structure
+
+
+def test_h_invariants_are_checked_up_to_the_last_index():
+    # phi(e1) = x e1, phi(e2) = x e3, phi(e3) = -x e2 and xi = e1 give
+    # h(e1) = e1/2, h(e2) = e3/2 and h(e3) = -e2/2: tr h = xi(tr phi)/2
+    # is nonzero, and the failures reach e3 and the pair (e2, e3)
+    st = _identity_chart([["x", "0", "0"], ["0", "0", "x"],
+                          ["0", "-x", "0"]], ["1", "0", "0"])
+    assert str(st.h_error) == (
+        "h operator invariants fail, the structure is not contact metric: "
+        "h(xi) != 0; (h phi + phi h)(e1) != 0; (h phi + phi h)(e2) != 0; "
+        "(h phi + phi h)(e3) != 0; tr h = 1/2 != 0; "
+        "h is not self-adjoint at (e2,e3)")
+    # phi(e3) = x e3 alone fails only at the last index
+    st = _identity_chart([["0", "0", "0"], ["0", "0", "0"],
+                          ["0", "0", "x"]], ["1", "0", "0"])
+    assert str(st.h_error) == (
+        "h operator invariants fail, the structure is not contact metric: "
+        "(h phi + phi h)(e3) != 0; tr h = 1/2 != 0")
 
 
 def test_h_eigenstructure_cases():
@@ -190,6 +221,18 @@ def test_structure_shape_checks():
     with pytest.raises(ContactError):
         ContactStructure(m, (VectorField.zero(3),) * 3,
                          VectorField.make((1, 0)))
+
+
+def test_coordinate_xi_on_an_abstract_frame_fails_at_construction():
+    # h needs [xi, phi X], and an abstract frame cannot differentiate a
+    # coordinate function; ingest refuses such a manifest before this
+    t = SymbolTable()
+    x = Expr.symbol(t.add("x", KIND_COORDINATE))
+    m = FrameManifold.abstract(3, t, {(1, 2): (0, 0, 2)})
+    rows = (VectorField.zero(3), VectorField.basis(3, 3),
+            -VectorField.basis(3, 2))
+    with pytest.raises(FrameError, match="cannot be differentiated"):
+        ContactStructure(m, rows, VectorField.make((x, 0, 0)))
 
 
 def test_substitute_parameters_on_structure():

@@ -18,11 +18,9 @@ from contact_tensor.classify import SymmetryVerdict, is_locally_symmetric
 from contact_tensor.curvature import (
     ConnectionTable,
     first_bianchi_residuals,
-    h_direction_phi_derivative_residuals,
     koszul,
     metric_compat_residuals,
     nabla_structure_tensors,
-    reeb_curvature_identity_residuals,
     riemann,
     riemann_symmetry_residuals,
     second_bianchi_residuals,
@@ -48,6 +46,8 @@ from _oracles import (
     riemann_table,
     scalar_curvature,
 )
+from _reeb import (h_direction_phi_derivative_residuals,
+                   reeb_curvature_identity_residuals)
 
 
 def tables_for(name):

@@ -601,6 +601,10 @@ def _abstract_3d(**fields):
     return doc
 
 
+# x times an integer of 8,000 digits, built from literals under the limit
+_LONG_X = "x*" + "9" * 4000 + "*" + "9" * 4000
+
+
 def _chart_3d(frame):
     return {"schema_version": 1, "name": "m", "dimension": 3,
             "mode": "chart",
@@ -709,6 +713,18 @@ def _chart_3d(frame):
      "error: metric: determinant is identically zero\n"
      "error: xi[0]: must be parameter-only in abstract mode, found "
      "coordinate 'x' in x\n"),
+    # an error text that quotes a coordinate-dependent entry whose
+    # coefficient is past the digit limit
+    *(pytest.param(
+        _abstract_3d(**{key: value}),
+        f"error: a number in the result has more than {_DIGIT_LIMIT} "
+        "digits, the interpreter's int/str conversion limit\n",
+        marks=needs_digit_limit) for key, value in (
+            ("xi", [_LONG_X, "0", "0"]),
+            ("metric", [[_LONG_X, "0", "0"], ["0", "1", "0"],
+                        ["0", "0", "1"]]),
+            ("brackets", [{"i": 1, "j": 2,
+                           "components": ["0", "0", _LONG_X]}]))),
 ], ids=["singular-metric", "singular-chart", "coordinate-phi", "coordinate-xi",
         "deep-parens", "huge-exponent", "dimension-17", "dimension-101",
         "asymmetric-metric", "coordinate-metric", "superscript-digit",
@@ -718,7 +734,9 @@ def _chart_3d(frame):
         "short-metric-row", "symbols-not-a-list", "duplicate-symbol",
         "invalid-symbol-name", "chart-two-coordinates",
         "brackets-not-a-list", "bracket-not-an-object",
-        "coordinate-bracket", "singular-metric-and-coordinate-xi"])
+        "coordinate-bracket", "singular-metric-and-coordinate-xi",
+        "long-coordinate-xi", "long-coordinate-metric",
+        "long-coordinate-bracket"])
 def test_cli_report_hostile_manifest_is_an_input_error(doc, message,
                                                        tmp_path, capsys):
     path = tmp_path / "hostile.json"
