@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr import Expr
-from .frame import FrameManifold, VectorField, _make_substituter
+from .frame import FrameManifold, VectorField, parameter_values
 
 
 class ContactError(Exception):
@@ -96,10 +96,10 @@ class ContactStructure:
 
     def substitute_parameters(self, bindings: dict) -> "ContactStructure":
         """Same structure over the parameter-substituted manifold."""
-        sub = _make_substituter(self.manifold.symbols, bindings)
+        values = parameter_values(self.manifold.symbols, bindings)
         manifold = self.manifold.substitute_parameters(bindings)
-        rows = tuple(r.map(sub) for r in self.phi_rows)
-        return ContactStructure(manifold, rows, self.xi.map(sub))
+        rows = tuple(r.bind(values) for r in self.phi_rows)
+        return ContactStructure(manifold, rows, self.xi.bind(values))
 
     # -- axioms -------------------------------------------------------------
 

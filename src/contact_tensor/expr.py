@@ -36,7 +36,7 @@ class ExprParseError(ExprError):
 
 
 class PoleError(ExprError):
-    """Raised when evaluation or substitution hits a vanishing denominator."""
+    """Raised when evaluation or binding hits a vanishing denominator."""
 
 
 @dataclass(frozen=True)
@@ -243,15 +243,20 @@ class Poly:
             out[tuple(sorted(exps.items()))] = c * e
         return Poly(out)
 
-    def eval(self, bindings: dict[str, Fraction]) -> Fraction:
-        """Exact value at rational bindings."""
-        total = Fraction(0)
+    def bind(self, values: dict[str, Fraction]) -> "Poly":
+        """Each variable named in `values` replaced by its rational value,
+        in one pass; a constant when every variable is bound."""
+        out: dict[Mono, int | Fraction] = {}
         for m, c in self.terms.items():
-            v = c
+            rest = []
             for name, e in m:
-                v *= bindings[name] ** e
-            total += v
-        return total
+                if name in values:
+                    c = c * values[name] ** e
+                else:
+                    rest.append((name, e))
+            rest = tuple(rest)      # a subsequence of m, so still sorted
+            out[rest] = out[rest] + c if rest in out else c
+        return Poly(out)
 
     def sorted_terms(self) -> list[tuple[Mono, int | Fraction]]:
         # graded lex, descending; deterministic render order
@@ -613,26 +618,28 @@ class Expr:
         missing = sorted(self.variables() - set(vals))
         if missing:
             raise ExprError(f"unbound symbol {missing[0]!r} in eval")
-        dv = self.den.eval(vals)
+        dv = self.den.bind(vals).constant_value()
         if dv == 0:
             raise PoleError(f"denominator of {self} vanishes at the binding")
-        return self.num.eval(vals) / dv
+        return self.num.bind(vals).constant_value() / dv
 
-    def substitute(self, sym, replacement) -> "Expr":
-        """Replace a symbol by an expression and recanonicalize."""
-        name = sym.name if isinstance(sym, Symbol) else str(sym)
-        rep = _coerce(replacement)
-        if rep is NotImplemented:
-            raise ExprError(f"cannot substitute {replacement!r}")
-        if name not in self.variables():
+    def bind(self, values: dict[str, Fraction]) -> "Expr":
+        """Each variable named in `values` replaced by its rational value:
+        numerator and denominator are bound together and the quotient is
+        made canonical once, so the result does not depend on the order of
+        the bindings.  A denominator that binds to zero raises PoleError
+        naming the bound symbols it contains."""
+        bound = self.variables() & values.keys()
+        if not bound:
             return self
-        num = _subs_poly(self.num, name, rep)
-        den = _subs_poly(self.den, name, rep)
-        if den.is_zero():
-            raise PoleError(
-                f"substituting {name} makes the denominator of {self} "
-                "identically zero")
-        return num / den
+        num, den = self.num.bind(values), self.den.bind(values)
+        if not den.terms:
+            names = ", ".join(sorted(self.den.variables() & bound))
+            raise PoleError(f"substituting {names} makes the denominator of "
+                            f"{self} identically zero")
+        if not num.terms:
+            return _E_ZERO
+        return Expr(*_monic(*_cancel(num, den)))
 
     # -- rendering ----------------------------------------------------------
 
@@ -702,19 +709,6 @@ def _coerce(value) -> "Expr":
     if isinstance(value, (int, Fraction)):
         return Expr(Poly.const(value), _P_ONE)
     return NotImplemented
-
-
-def _subs_poly(p: Poly, name: str, rep: Expr) -> Expr:
-    total = _E_ZERO
-    for m, c in p.terms.items():
-        exps = dict(m)
-        e = exps.pop(name, 0)
-        rest = tuple(sorted(exps.items()))
-        term = Expr(Poly({rest: c}), _P_ONE)
-        if e:
-            term = term * rep ** e
-        total = total + term
-    return total
 
 
 _E_ZERO = Expr(_P_ZERO, _P_ONE)

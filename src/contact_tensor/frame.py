@@ -113,6 +113,10 @@ class VectorField:
                 terms[k] = v
         return VectorField(self.dim, terms)
 
+    def bind(self, values: dict[str, Fraction]) -> "VectorField":
+        """Each component bound through `Expr.bind`."""
+        return self.map(lambda c: c.bind(values))
+
     def __add__(self, other: "VectorField") -> "VectorField":
         terms = dict(self.terms)
         for k, c in other.terms.items():
@@ -386,15 +390,16 @@ class FrameManifold:
         return [f"Jacobi identity fails on triples {triples}"]
 
     def substitute_parameters(self, bindings: dict) -> "FrameManifold":
-        """New manifold with parameter symbols replaced by rationals."""
-        sub = _make_substituter(self.symbols, bindings)
-        metric = tuple(row.map(sub) for row in self.metric_rows)
+        """New manifold with parameter symbols replaced by rationals, all
+        bindings applied at once through `Expr.bind`."""
+        values = parameter_values(self.symbols, bindings)
+        metric = tuple(row.bind(values) for row in self.metric_rows)
         if self.mode == MODE_ABSTRACT:
-            structure = {pair: vf.map(sub)
+            structure = {pair: vf.bind(values)
                          for pair, vf in self._brackets.items()}
             return FrameManifold(self.mode, self.dim, self.symbols, metric,
                                  structure, None)
-        frame = tuple(row.map(sub) for row in self.chart_frame)
+        frame = tuple(row.bind(values) for row in self.chart_frame)
         return FrameManifold(self.mode, self.dim, self.symbols, metric,
                              None, frame)
 
@@ -411,11 +416,23 @@ def coordinates_in(e: Expr, symbols: SymbolTable) -> frozenset[str]:
     return e.variables() & {s.name for s in symbols.coordinates()}
 
 
-def _require_parameter_only(e: Expr, symbols: SymbolTable, what: str):
+def coordinate_found(e: Expr, symbols: SymbolTable) -> str | None:
+    """The text "found coordinate 'x' in <e>" for the first coordinate
+    that e depends on, or None when e is parameter-only."""
     bad = coordinates_in(e, symbols)
-    if bad:
-        raise FrameError(f"{what} must be parameter-only, found "
-                         f"coordinate {sorted(bad)[0]!r} in {e}")
+    if not bad:
+        return None
+    try:
+        text = str(e)
+    except ValueError:  # a placeholder, so that the error text can be formed
+        text = "an expression with a number past the int/str digit limit"
+    return f"found coordinate {sorted(bad)[0]!r} in {text}"
+
+
+def _require_parameter_only(e: Expr, symbols: SymbolTable, what: str):
+    found = coordinate_found(e, symbols)
+    if found:
+        raise FrameError(f"{what} must be parameter-only, {found}")
 
 
 def check_metric(metric, dim: int, symbols: SymbolTable):
@@ -437,22 +454,19 @@ def check_metric(metric, dim: int, symbols: SymbolTable):
     return tuple(VectorField.make(row) for row in rows)
 
 
-def _make_substituter(symbols: SymbolTable, bindings: dict):
-    pairs = []
+def parameter_values(symbols: SymbolTable,
+                     bindings: dict) -> dict[str, Fraction]:
+    """The bindings as a name -> Fraction dict for `Expr.bind`; keys are
+    names or Symbols.  An unknown name raises ExprError and a coordinate
+    FrameError."""
+    values = {}
     for key, value in bindings.items():
         name = key.name if isinstance(key, Symbol) else str(key)
-        sym = symbols.get(name)
-        if sym.kind == KIND_COORDINATE:
+        if symbols.get(name).kind == KIND_COORDINATE:
             raise FrameError(f"cannot bind coordinate {name!r}; only "
                              "parameters are substitutable")
-        pairs.append((sym, Expr.rational(Fraction(value))))
-
-    def sub(e: Expr) -> Expr:
-        for sym, val in pairs:
-            e = e.substitute(sym, val)
-        return e
-
-    return sub
+        values[name] = Fraction(value)
+    return values
 
 
 __all__ = [
@@ -464,5 +478,7 @@ __all__ = [
     "JacobiViolation",
     "VectorField",
     "as_expr",
+    "coordinate_found",
     "coordinates_in",
+    "parameter_values",
 ]

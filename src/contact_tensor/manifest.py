@@ -18,7 +18,7 @@ from .contact import ContactStructure
 from .expr import (Expr, ExprError, ExprParseError, KIND_COORDINATE,
                    KIND_PARAMETER, SymbolTable, parse)
 from .frame import (FrameError, FrameManifold, MODE_ABSTRACT, MODE_CHART,
-                    VectorField, check_metric, coordinates_in)
+                    VectorField, check_metric, coordinate_found)
 from .linalg import SingularMatrixError
 
 SCHEMA_VERSION = 1
@@ -160,12 +160,23 @@ def _parse_expr(text, table: SymbolTable, path: str, errors: list[str],
     except (ExprParseError, ExprError) as exc:
         errors.append(f"{path}: {exc}")
         return None
-    bad = coordinates_in(e, table) if parameter_only else ()
-    if bad:
+    found = coordinate_found(e, table) if parameter_only else None
+    if found:
         errors.append(f"{path}: must be parameter-only in abstract mode, "
-                      f"found coordinate {sorted(bad)[0]!r} in {e}")
+                      f"{found}")
         return None
     return e
+
+
+def _parse_row(values, dim: int, table: SymbolTable, path: str,
+               errors: list[str], parameter_only: bool = False):
+    # a list of dim expression strings, entry k at path[k]
+    if not isinstance(values, list) or len(values) != dim:
+        errors.append(f"{path}: expected {dim} entries")
+        return None
+    parsed = [_parse_expr(v, table, f"{path}[{k}]", errors, parameter_only)
+              for k, v in enumerate(values)]
+    return None if any(p is None for p in parsed) else parsed
 
 
 def _parse_matrix(rows, dim: int, table: SymbolTable, path: str,
@@ -173,20 +184,9 @@ def _parse_matrix(rows, dim: int, table: SymbolTable, path: str,
     if not isinstance(rows, list) or len(rows) != dim:
         errors.append(f"{path}: expected {dim} rows")
         return None
-    out = []
-    ok = True
-    for r, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            errors.append(f"{path}[{r}]: expected {dim} entries")
-            ok = False
-            continue
-        parsed = [_parse_expr(cell, table, f"{path}[{r}][{c}]", errors,
-                              parameter_only)
-                  for c, cell in enumerate(row)]
-        if any(p is None for p in parsed):
-            ok = False
-        out.append(parsed)
-    return out if ok else None
+    out = [_parse_row(row, dim, table, f"{path}[{r}]", errors, parameter_only)
+           for r, row in enumerate(rows)]
+    return None if any(r is None for r in out) else out
 
 
 def ingest_manifest(doc: dict) -> IngestResult:
@@ -280,13 +280,9 @@ def ingest_manifest(doc: dict) -> IngestResult:
             if (i, j) in brackets:
                 errors.append(f"{path}: duplicate pair ({i},{j})")
                 continue
-            comps = rec.get("components")
-            if not isinstance(comps, list) or len(comps) != dim:
-                errors.append(f"{path}.components: expected {dim} entries")
-                continue
-            parsed = [_parse_expr(c, table, f"{path}.components[{k}]", errors)
-                      for k, c in enumerate(comps)]
-            if all(p is not None for p in parsed):
+            parsed = _parse_row(rec.get("components"), dim, table,
+                                f"{path}.components", errors)
+            if parsed is not None:
                 brackets[(i, j)] = tuple(parsed)
         if not errors:
             try:
@@ -306,20 +302,11 @@ def ingest_manifest(doc: dict) -> IngestResult:
         parameter_only = mode == MODE_ABSTRACT
         phi_rows = _parse_matrix(doc["phi"], dim, table, "phi", errors,
                                  parameter_only)
-        xi_raw = doc["xi"]
-        xi = None
-        if not isinstance(xi_raw, list) or len(xi_raw) != dim:
-            errors.append(f"xi: expected {dim} entries")
-        else:
-            parsed = [_parse_expr(c, table, f"xi[{k}]", errors,
-                                  parameter_only)
-                      for k, c in enumerate(xi_raw)]
-            if all(p is not None for p in parsed):
-                xi = VectorField.make(parsed)
+        xi = _parse_row(doc["xi"], dim, table, "xi", errors, parameter_only)
         if manifold is not None and phi_rows is not None and xi is not None:
             structure = ContactStructure(
-                manifold,
-                tuple(VectorField.make(r) for r in phi_rows), xi)
+                manifold, tuple(VectorField.make(r) for r in phi_rows),
+                VectorField.make(xi))
 
     if errors:
         raise ManifestError(errors)

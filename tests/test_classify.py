@@ -351,6 +351,9 @@ def test_kappa_rule_answers_none_on_the_all_pole_kappa():
     ("2-a^2-lambda^2", {False}, {"a": 0, "lambda": 0}),
     ("1/lambda", {False, None}, None),
     ("1-(lambda-1)^2", {True, None}, None),
+    # 1 - kappa = lambda^2*(lambda^2-lambda+1) >= 0, but the lambda^3 term
+    # defeats the certificate and kappa = 1 at lambda = 0 is no witness
+    ("1-lambda^4+lambda^3-lambda^2", {None}, None),
 ])
 def test_kappa_le_one_is_certified_or_witnessed(text, answers, witness,
                                                 monkeypatch):
@@ -445,6 +448,61 @@ def test_non_constant_solution_is_flagged():
     assert km.mu == parse("x^2", t)
     assert km.constant_flag is False
     assert km.kappa_le_one is None
+
+
+def test_solution_line_without_kappa_fixes_mu_alone():
+    # the equation 0*kappa + mu = 2 fixes mu and leaves kappa free.  The
+    # sides are hand-built: in eta(e_j)e_i - eta(e_i)e_j the e_i component
+    # is eta(e_j), so a nonzero eta gives some equation a kappa term
+    m = identity_chart()
+    st = rotation_structure(m, xi_index=3, plane=(1, 2))
+    fake_h = HOperator((VectorField.basis(3, 1), -VectorField.basis(3, 2),
+                        VectorField.zero(3)))
+    sides = [(1, 3, VectorField.make((2, 0, 0)), VectorField.zero(3))]
+    km = classify._solve_kappa_mu(_StubCurvature(m, {}), st, fake_h, sides)
+    assert km.status == "underdetermined"
+    assert km.kappa is None and km.relation is None
+    assert km.mu == Expr.integer(2)
+    assert km.constant_flag is True and km.kappa_le_one is None
+
+
+def test_non_constant_nullity_solution_gets_a_diagnostic():
+    # a contact metric chart on z != 0 whose nullity condition holds with
+    # kappa = 1 - 1/z^4 and mu = 2 - 2/z^2: a generalized (kappa, mu) space
+    # (Koufogiorgos and Tsichlias), so not a (kappa, mu) structure
+    doc = {"schema_version": 1, "name": "generalized-kappa-mu",
+           "dimension": 3, "mode": "chart",
+           "symbols": [{"name": n, "kind": "coordinate"} for n in "xyz"],
+           "frame": [["1", "0", "0"], ["-2*y*z", "2*x/z^3", "-1/z^2"],
+                     ["0", "1/z", "0"]],
+           "phi": [["0", "0", "0"], ["0", "0", "1"], ["0", "-1", "0"]],
+           "xi": ["1", "0", "0"]}
+    ent = entry(doc)
+    m = ent.manifold
+    c = classify_structure(riemann(m, koszul(m)), ent.structure)
+    assert c.contact_valid is True
+    km = c.kappa_mu
+    assert km.status == "consistent" and km.constant_flag is False
+    assert km.kappa == parse("1-1/z^4", m.symbols)
+    assert km.mu == parse("2-2/z^2", m.symbols)
+    assert ("nullity condition solved with non-constant coefficients; not "
+            "a (kappa,mu) structure") in c.diagnostics
+
+
+def test_render_text_prints_the_nullity_relation():
+    # the mixed line of test_mixed_line_solution, put into a report
+    ent = build("sphere")
+    m = ent.manifold
+    fake_h = HOperator((VectorField.zero(3), VectorField.basis(3, 2),
+                        VectorField.basis(3, 3)))
+    km = solve_kappa_mu(riemann(m, koszul(m)), ent.structure, fake_h)
+    report = build_report(ent)
+    report["classification"]["kappa_mu"].update(
+        status=km.status, kappa=str(km.kappa), mu=str(km.mu),
+        relation=km.relation)
+    assert ("  nullity (kappa, mu)      underdetermined, kappa = 1, mu = 0, "
+            "relation (-1)*kappa + (-1)*mu = (-1)"
+            in render_text(report).splitlines())
 
 
 def test_unconstrained_system():

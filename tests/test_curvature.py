@@ -601,6 +601,28 @@ def test_metric_compat_check_needs_no_derivative_and_sees_a_bad_entry(
         assert metric_compat_residuals(bad), name
 
 
+def test_residual_checks_see_a_bad_entry_at_the_last_index():
+    # nabla_{e_n} e_n + e_n breaks metric compatibility at (n, n, n) alone,
+    # and nabla_{e_(n-1)} e_n + e_1 torsion freeness at (n - 1, n) alone:
+    # each sits at the last index of its loops (every kernel entry is
+    # orthonormal)
+    def corrupt(conn, i, j, delta):
+        rows = [list(row) for row in conn._rows]
+        rows[i - 1][j - 1] = rows[i - 1][j - 1] + delta
+        return ConnectionTable(conn.manifold, tuple(map(tuple, rows)))
+
+    for name, ent in kernel_entries().items():
+        m = ent.manifold
+        n, conn = m.dim, koszul(m)
+        bad = corrupt(conn, n, n, m.basis(n))
+        assert [idx for idx, _ in metric_compat_residuals(bad)] \
+            == [(n, n, n)], name
+        assert torsion_residuals(bad) == [], name
+        bad = corrupt(conn, n - 1, n, m.basis(1))
+        assert [idx for idx, _ in torsion_residuals(bad)] == [(n - 1, n)], \
+            name
+
+
 @pytest.mark.parametrize("family, corruption", [
     # R(e3,e4)e5 + e1: the cyclic sum at (3, 4, 5)
     ("first-bianchi", {(3, 4, 5): {1: 1}}),

@@ -345,15 +345,31 @@ def test_diff_rules():
     assert parse("a*x", t).diff(x) == parse("a", t)
 
 
-def test_substitute():
+def test_bind():
     t = make_table()
-    x = t.get("x")
-    y = t.get("y")
-    e = parse("x^2-1", t)
-    assert e.substitute(x, parse("y+1", t)) == parse("y^2+2*y", t)
-    with pytest.raises(PoleError):
-        parse("1/x", t).substitute(x, Expr.zero())
-    assert parse("x+y", t).substitute(y, Expr.integer(2)) == parse("x+2", t)
+    one = Fraction(1)
+    assert parse("x+y", t).bind({"y": Fraction(2)}) == parse("x+2", t)
+    # one pass: the quotient is made canonical once, all bindings applied
+    e = parse("(x^2-1)/(x*y+a)", t)
+    assert e.bind({"x": Fraction(1, 2), "a": one}) == parse("-3/(2*y+4)", t)
+    assert e.bind({"y": one}) == parse("(x^2-1)/(x+a)", t)
+    assert e.bind({"q": one}) is e
+    assert e.bind({"x": one}).is_zero()
+    assert e.bind({"x": Fraction(2), "y": one, "a": one}) == 1
+    with pytest.raises(PoleError) as info:
+        parse("1/x", t).bind({"x": Fraction(0)})
+    assert str(info.value) \
+        == "substituting x makes the denominator of 1/x identically zero"
+    # a 0/0 point is a pole whatever the order of the bindings: a chain of
+    # single substitutions would cancel y-1 or x-1 first and return 2 or
+    # -2/a
+    e = parse("2*(y-x)/(y-1+(x-1)*a)", t)
+    for values in ({"x": one, "y": one}, {"y": one, "x": one}):
+        with pytest.raises(PoleError) as info:
+            e.bind(values)
+        assert str(info.value) == (
+            "substituting x, y makes the denominator of "
+            "(-2*x+2*y)/(a*x-a+y-1) identically zero")
 
 
 def test_arithmetic_coercion():

@@ -2,9 +2,10 @@
 
 Every operation on canonical Exprs must agree with ``sympy.cancel`` and
 return a canonical result: coprime numerator and denominator, denominator
-monic.  `Poly.eval` is checked against term-by-term evaluation, and `Poly`
-results against the normalising constructor.  sympy and
-hypothesis are test-only; the package does not need them.
+monic.  `Poly.bind` is checked against term-by-term evaluation, binding at
+once against binding in two steps, and `Poly` results against the
+normalising constructor.  sympy and hypothesis are test-only; the package
+does not need them.
 """
 
 import itertools
@@ -17,7 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from contact_tensor.expr import (KIND_COORDINATE, KIND_PARAMETER, Expr, Poly,
-                                 SymbolTable, parse, poly_gcd,
+                                 PoleError, SymbolTable, parse, poly_gcd,
                                  sum_of_products)
 from contact_tensor.frame import VectorField
 
@@ -280,7 +281,7 @@ def polys_with_a_point(draw):
 @hypothesis.given(polys_with_a_point())
 @hypothesis.example((Poly({(("x", 5),): Fraction(1, 3), (): 2}),
                      {"x": Fraction(-3, 2)}))
-def test_poly_eval_matches_term_by_term_evaluation(case):
+def test_poly_bind_matches_term_by_term_evaluation(case):
     poly, point = case
     total = Fraction(0)
     for m, c in poly.terms.items():
@@ -288,8 +289,46 @@ def test_poly_eval_matches_term_by_term_evaluation(case):
         for name, e in m:
             v *= point[name] ** e
         total += v
-    value = poly.eval(point)
-    assert type(value) is Fraction and value == total
+    value = poly.bind(point)
+    assert value.is_constant() and value.constant_value() == total
+
+
+_POINT_VALUES = st.sampled_from((Fraction(0), Fraction(1), Fraction(-1),
+                                 Fraction(2), Fraction(1, 2)))
+
+
+@st.composite
+def disjoint_bindings(draw):
+    """Two bindings over disjoint sets of the names x, y and a; a name may
+    also stay unbound."""
+    a, b = {}, {}
+    for name in NAMES:
+        side = draw(st.sampled_from((a, b, None)))
+        if side is not None:
+            side[name] = draw(_POINT_VALUES)
+    return a, b
+
+
+@SETTINGS
+@hypothesis.given(operands(), disjoint_bindings())
+# 0/0 at x = y = 1: binding x alone cancels y-1, binding y alone x-1
+@hypothesis.example(("(y-x)/(y-1+(x-1)*a)", "1"),
+                    ({"x": Fraction(1)}, {"y": Fraction(1)}))
+def test_binding_at_once_equals_binding_in_two_steps(pair, bindings):
+    a, b = bindings
+    e = parse(pair[0], table())
+    for p in (e.num, e.den):
+        assert p.bind(a).bind(b) == p.bind(a | b)
+    try:
+        once = e.bind(a | b)
+    except PoleError:
+        assert not e.den.bind(a | b)
+        return
+    assert e.den.bind(a | b) and once == e.bind(a).bind(b)
+    point = {sympy.Symbol(n): sympy.Rational(v.numerator, v.denominator)
+             for n, v in (a | b).items()}
+    assert_matches(once, to_sympy(e.num).subs(point)
+                   / to_sympy(e.den).subs(point))
 
 
 _THIRDS = st.sampled_from((Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3),

@@ -459,6 +459,26 @@ def test_cli_sweep_hostile_manifest_is_an_input_error(hostile, message,
     assert "Traceback" not in err
 
 
+def test_cli_set_order_does_not_change_a_pole(tmp_path, capsys):
+    # [e2,e3] is 0/0 at lambda = mu = 1: binding lambda first would cancel
+    # mu-1 and report 2*e1, binding mu first would cancel lambda-1
+    doc = export_entry(build("kmu"))
+    doc["symbols"].append({"name": "a", "kind": "parameter"})
+    doc["brackets"][2]["components"][0] = "2*(mu-lambda)/(mu-1+(lambda-1)*a)"
+    path = tmp_path / "zero-over-zero.json"
+    path.write_text(manifest_to_json(doc))
+    pole = ("substituting lambda, mu makes the denominator of "
+            "(-2*lambda+2*mu)/(a*lambda-a+mu-1) identically zero\n")
+    for flags in (["lambda=1", "mu=1"], ["mu=1", "lambda=1"]):
+        args = ["report", str(path)]
+        for flag in flags:
+            args += ["--set", flag]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == "error: " + pole
+    assert cli.main(["sweep", str(path), "--lambda", "1", "--mu", "1"]) == 1
+    assert capsys.readouterr().err == "error: lambda=1, mu=1: " + pole
+
+
 def test_cli_sweep_without_nullity_solution_leaves_kappa_empty(tmp_path,
                                                               capsys):
     # a phi that breaks the contact metric axioms skips the nullity solver
@@ -603,6 +623,14 @@ def _abstract_3d(**fields):
 
 # x times an integer of 8,000 digits, built from literals under the limit
 _LONG_X = "x*" + "9" * 4000 + "*" + "9" * 4000
+_LONG_FOUND = ("found coordinate 'x' in an expression with a number past "
+               "the int/str digit limit")
+_LONG_XI = ("error: xi[0]: must be parameter-only in abstract mode, "
+            f"{_LONG_FOUND}\n")
+_LONG_METRIC = [[_LONG_X, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+_LONG_METRIC_ERROR = ("error: metric: metric entry g(e1,e1) must be "
+                      f"parameter-only, {_LONG_FOUND}\n")
+_NAME_ERROR = "error: name: expected a non-empty string\n"
 
 
 def _chart_3d(frame):
@@ -714,17 +742,19 @@ def _chart_3d(frame):
      "error: xi[0]: must be parameter-only in abstract mode, found "
      "coordinate 'x' in x\n"),
     # an error text that quotes a coordinate-dependent entry whose
-    # coefficient is past the digit limit
-    *(pytest.param(
-        _abstract_3d(**{key: value}),
-        f"error: a number in the result has more than {_DIGIT_LIMIT} "
-        "digits, the interpreter's int/str conversion limit\n",
-        marks=needs_digit_limit) for key, value in (
-            ("xi", [_LONG_X, "0", "0"]),
-            ("metric", [[_LONG_X, "0", "0"], ["0", "1", "0"],
-                        ["0", "0", "1"]]),
-            ("brackets", [{"i": 1, "j": 2,
-                           "components": ["0", "0", _LONG_X]}]))),
+    # coefficient is past the digit limit names it by a placeholder, and
+    # the other errors of the manifest still print
+    *(pytest.param(_abstract_3d(**fields), message, marks=needs_digit_limit)
+      for fields, message in (
+          ({"xi": [_LONG_X, "0", "0"]}, _LONG_XI),
+          ({"metric": _LONG_METRIC}, _LONG_METRIC_ERROR),
+          ({"brackets": [{"i": 1, "j": 2,
+                          "components": ["0", "0", _LONG_X]}]},
+           "error: brackets: structure constant of [e1,e2] must be "
+           f"parameter-only, {_LONG_FOUND}\n"),
+          ({"xi": [_LONG_X, "0", "0"], "name": ""}, _NAME_ERROR + _LONG_XI),
+          ({"metric": _LONG_METRIC, "name": ""},
+           _NAME_ERROR + _LONG_METRIC_ERROR))),
 ], ids=["singular-metric", "singular-chart", "coordinate-phi", "coordinate-xi",
         "deep-parens", "huge-exponent", "dimension-17", "dimension-101",
         "asymmetric-metric", "coordinate-metric", "superscript-digit",
@@ -736,7 +766,8 @@ def _chart_3d(frame):
         "brackets-not-a-list", "bracket-not-an-object",
         "coordinate-bracket", "singular-metric-and-coordinate-xi",
         "long-coordinate-xi", "long-coordinate-metric",
-        "long-coordinate-bracket"])
+        "long-coordinate-bracket", "long-coordinate-xi-and-name",
+        "long-coordinate-metric-and-name"])
 def test_cli_report_hostile_manifest_is_an_input_error(doc, message,
                                                        tmp_path, capsys):
     path = tmp_path / "hostile.json"
