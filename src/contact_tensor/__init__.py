@@ -10,7 +10,7 @@ from .classify import (ClassificationReport, ClassifyError, KappaMuVerdict,
                        is_locally_symmetric, is_sasakian, phi_symmetry,
                        solve_kappa_mu, solve_phi_recurrence)
 from .contact import (ContactError, ContactStructure, HEigenstructure,
-                      HOperator, h_eigenstructure)
+                      h_eigenstructure)
 from .curvature import (ConnectionTable, CurvatureTables, koszul,
                         nabla_structure_tensors, riemann)
 from .expr import (Expr, ExprError, ExprParseError, PoleError, Symbol,
@@ -37,7 +37,6 @@ __all__ = [
     "FrameError",
     "FrameManifold",
     "HEigenstructure",
-    "HOperator",
     "JacobiReport",
     "KIND_COORDINATE",
     "KIND_PARAMETER",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .contact import ContactStructure, HOperator
+from .contact import ContactStructure
 from .curvature import CurvatureTables, ricci_operator_of
 from .expr import Expr, PoleError
 from .frame import FrameManifold, VectorField, coordinates_in
@@ -240,8 +240,9 @@ def _kappa_le_one(kappa: Expr) -> bool | None:
 
 
 def solve_kappa_mu(curv: CurvatureTables, structure: ContactStructure,
-                   h: HOperator) -> KappaMuVerdict:
-    """Solve the nullity condition for (kappa, mu) exactly.
+                   h: tuple[VectorField, ...]) -> KappaMuVerdict:
+    """Solve the nullity condition for (kappa, mu) exactly, with h given
+    as its frame images h[i] = h(e_(i+1)).
 
     One linear equation per pair i < j and frame component; the solution
     set is tracked incrementally, so the first violated equation is the
@@ -252,14 +253,13 @@ def solve_kappa_mu(curv: CurvatureTables, structure: ContactStructure,
 
 
 def _solve_kappa_mu(curv: CurvatureTables, structure: ContactStructure,
-                    h: HOperator, sides) -> KappaMuVerdict:
+                    h: tuple[VectorField, ...], sides) -> KappaMuVerdict:
     m = curv.manifold
     eta = structure.eta
     xi_idx = _basis_index(m, structure.xi)
     solver = _AffineSolver()
     for i, j, lhs, a_vec in sides:
-        b_vec = (h.apply(m.basis(i)).scale(eta[j])
-                 - h.apply(m.basis(j)).scale(eta[i]))
+        b_vec = h[i - 1].scale(eta[j]) - h[j - 1].scale(eta[i])
         for l in range(1, m.dim + 1):
             if not solver.feed(a_vec[l], b_vec[l], lhs[l], (i, j, l)):
                 return KappaMuVerdict(
@@ -273,19 +273,17 @@ def _solve_kappa_mu(curv: CurvatureTables, structure: ContactStructure,
         return KappaMuVerdict(status="consistent", kappa=kappa, mu=mu,
                               constant_flag=const, kappa_le_one=le_one)
     if solver.state == "line":
+        # a != 0 here, so kappa is always solved for: the e_i component
+        # of a_vec is eta(e_j), so with xi != 0 some equation has a' != 0,
+        # and fed after a line (0, b, c), b != 0, it gives det = -a'*b != 0
+        # and a point; with xi = 0 every a and b is 0, and the plane stays
         a, b, c = solver.line
-        kappa = mu = relation = None
-        if b.is_zero():
-            kappa = c / a
-        elif a.is_zero():
-            mu = c / b
-        else:
-            kappa = c / a          # particular solution with mu = 0
+        kappa, mu, relation = c / a, None, None
+        if not b.is_zero():        # particular solution with mu = 0
             mu = Expr.zero()
             relation = f"({a})*kappa + ({b})*mu = ({c})"
         const = (_is_parameter_only(m, kappa) and _is_parameter_only(m, mu))
-        le_one = (_kappa_le_one(kappa)
-                  if const and kappa is not None else None)
+        le_one = _kappa_le_one(kappa) if const else None
         return KappaMuVerdict(status="underdetermined", kappa=kappa, mu=mu,
                               relation=relation, constant_flag=const,
                               kappa_le_one=le_one)

@@ -40,19 +40,6 @@ class ContactMetricReport:
 
 
 @dataclass(frozen=True)
-class HOperator:
-    """The tensor h = (1/2) Lie_xi phi, stored as frame images."""
-
-    rows: tuple[VectorField, ...]
-
-    def apply(self, x: VectorField) -> VectorField:
-        return VectorField.combination(x, self.rows)
-
-    def is_zero(self) -> bool:
-        return all(row.is_zero() for row in self.rows)
-
-
-@dataclass(frozen=True)
 class HEigenstructure:
     """Eigenvalue lambda and the frame partition D(lambda), D(-lambda), D(0)."""
 
@@ -68,9 +55,9 @@ class ContactStructure:
     phi is supplied as frame images: phi_rows[i] = phi(e_(i+1)).  eta is
     the lowered xi, eta[i] = g(e_i, xi), never taken from input, and
     eta(X) is g(X, xi).  The constructor also builds phi_square_rows, the
-    images phi^2(e_(i+1)), and h: `h` is the HOperator, or None when h
-    fails its invariants, and then `h_error` is the ContactError that says
-    which.  Nothing is set after construction.
+    images phi^2(e_(i+1)), and h as the frame images h[i] = h(e_(i+1)),
+    or None when h fails its invariants, and then `h_error` is the
+    ContactError that says which.  Nothing is set after construction.
     """
 
     def __init__(self, manifold: FrameManifold, phi_rows, xi: VectorField):
@@ -107,8 +94,13 @@ class ContactStructure:
         """All almost contact metric axiom violations, exhaustively.
 
         Checked on frame fields: eta(xi) = 1, phi^2 = -id + eta (x) xi,
-        phi(xi) = 0, eta o phi = 0, and the compatibility
-        g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y).
+        phi(xi) = 0 and g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y).  The
+        first two imply phi(xi) = 0 and eta o phi = 0 (Blair, Riemannian
+        Geometry of Contact and Symplectic Manifolds, Thm 4.1): phi^3 X
+        taken both ways gives eta(phi X) xi = eta(X) phi xi, so phi xi =
+        eta(phi xi) xi and 0 = phi^2 xi = eta(phi xi)^2 xi; thus phi xi
+        = 0 and eta o phi = 0.  Only phi(xi) = 0 is checked, as it names
+        the commonest mistake.
         """
         m = self.manifold
         dim = m.dim
@@ -127,9 +119,6 @@ class ContactStructure:
                 out.append(Violation("phi^2 = -id + eta(x)xi", (i,),
                                      [str(c) for c in lhs.components],
                                      [str(c) for c in rhs.components]))
-            val = m.g(self.phi_rows[i - 1], self.xi)
-            if not val.is_zero():
-                out.append(Violation("eta o phi = 0", (i,), str(val), "0"))
         for i in range(1, dim + 1):
             for j in range(i, dim + 1):
                 lhs = m.g(self.phi_rows[i - 1], self.phi_rows[j - 1])
@@ -164,9 +153,9 @@ class ContactStructure:
 
     # -- the h operator -----------------------------------------------------
 
-    def compute_h(self) -> HOperator:
-        """h X = (1/2)([xi, phi X] - phi [xi, X]) on the frame fields,
-        derived afresh; the constructor stores it as `h`.
+    def compute_h(self) -> tuple[VectorField, ...]:
+        """The frame images h(e_i) of h X = (1/2)([xi, phi X] - phi [xi, X]),
+        derived afresh; the constructor stores them as `h`.
 
         The defining invariants h(xi) = 0, h phi = -phi h, tr h = 0 and
         self-adjointness are verified; a failure means the input structure
@@ -174,28 +163,27 @@ class ContactStructure:
         """
         m = self.manifold
         dim = m.dim
-        rows = []
-        for i in range(1, dim + 1):
-            lie = m.bracket(self.xi, self.phi_rows[i - 1])
-            lie = lie - self.apply_phi(m.bracket(self.xi, m.basis(i)))
-            rows.append(lie.scale(Expr.rational(1, 2)))
-        h = HOperator(tuple(rows))
+        half = Expr.rational(1, 2)
+        h = tuple((m.bracket(self.xi, self.phi_rows[i - 1])
+                   - self.apply_phi(m.bracket(self.xi, m.basis(i))))
+                  .scale(half) for i in range(1, dim + 1))
         problems = []
-        if not h.apply(self.xi).is_zero():
+        if not VectorField.combination(self.xi, h).is_zero():
             problems.append("h(xi) != 0")
         for i in range(1, dim + 1):
-            anti = h.apply(self.phi_rows[i - 1]) + self.apply_phi(rows[i - 1])
+            anti = (VectorField.combination(self.phi_rows[i - 1], h)
+                    + self.apply_phi(h[i - 1]))
             if not anti.is_zero():
                 problems.append(f"(h phi + phi h)(e{i}) != 0")
         tr = Expr.zero()
         for i in range(dim):
-            tr = tr + rows[i][i + 1]
+            tr = tr + h[i][i + 1]
         if not tr.is_zero():
             problems.append(f"tr h = {tr} != 0")
         for i in range(1, dim + 1):
             for j in range(i + 1, dim + 1):
                 ei, ej = m.basis(i), m.basis(j)
-                if m.g(rows[i - 1], ej) != m.g(ei, rows[j - 1]):
+                if m.g(h[i - 1], ej) != m.g(ei, h[j - 1]):
                     problems.append(f"h is not self-adjoint at (e{i},e{j})")
         if problems:
             raise ContactError("h operator invariants fail, the structure "
@@ -203,8 +191,9 @@ class ContactStructure:
         return h
 
 
-def h_eigenstructure(h: HOperator) -> HEigenstructure:
-    """Eigenvalue partition of a frame-diagonal h.
+def h_eigenstructure(h: tuple[VectorField, ...]) -> HEigenstructure:
+    """Eigenvalue partition of a frame-diagonal h, given as its frame
+    images h[i] = h(e_(i+1)).
 
     The frame must already diagonalize h; otherwise the caller has to
     re-express the frame in an h-eigenbasis first and this raises.  The
@@ -212,13 +201,13 @@ def h_eigenstructure(h: HOperator) -> HEigenstructure:
     coefficient is positive, so numeric frames yield the positive root and
     a symbolic lambda is preferred over -lambda.
     """
-    dim = len(h.rows)
-    for i, row in enumerate(h.rows, 1):
+    dim = len(h)
+    for i, row in enumerate(h, 1):
         if any(j != i for j in row.terms):
             raise ContactError(
                 "h is not diagonal in this frame; re-express the frame "
                 "in an h-eigenbasis before asking for the eigenstructure")
-    diag = [row[i] for i, row in enumerate(h.rows, 1)]
+    diag = [row[i] for i, row in enumerate(h, 1)]
     values = [d for d in diag if not d.is_zero()]
     if not values:
         return HEigenstructure(Expr.zero(), (), (),
@@ -250,7 +239,6 @@ __all__ = [
     "ContactMetricReport",
     "ContactStructure",
     "HEigenstructure",
-    "HOperator",
     "Violation",
     "h_eigenstructure",
 ]

@@ -336,9 +336,7 @@ def poly_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
         return out
 
     def div(p, q):
-        # p/q, where q divides p exactly
-        if p.__class__ is int:
-            return p // q
+        # p/q for lists, where q divides p exactly
         dq, lq, ints = len(q) - 1, q[-1], q[-1].__class__ is int
         r, out = p[:], [None] * (len(p) - dq)
         for k in range(len(p) - 1, dq - 1, -1):

@@ -216,12 +216,12 @@ class FrameManifold:
         self.chart_frame = chart_frame
         self._coordinate_names = frozenset(
             s.name for s in symbols.coordinates())
-        self._metric_inverse = tuple(VectorField.make(row) for row in invert(
-            [list(row.components) for row in metric], "metric"))
+        self._metric_inverse = tuple(map(VectorField.make, invert(
+            [list(row.components) for row in metric], "metric")))
         if mode == MODE_CHART:
-            self._chart_inverse = invert(
-                [[row[a] for a in range(1, dim + 1)] for row in chart_frame],
-                "chart frame matrix")
+            self._chart_inverse = tuple(map(VectorField.make, invert(
+                [list(row.components) for row in chart_frame],
+                "chart frame matrix")))
             structure = self.brackets_from_chart()
         self._brackets = structure
 
@@ -321,8 +321,9 @@ class FrameManifold:
             return VectorField.zero(v.dim)
         return v.map(lambda c: self.directional_derivative(i, c))
 
-    def chart_inverse(self):
-        """Inverse of the chart coefficient matrix (rows = frame fields)."""
+    def chart_inverse(self) -> tuple[VectorField, ...]:
+        """Rows of the inverse chart coefficient matrix as sparse vector
+        fields: row a expands the a-th coordinate partial in the frame."""
         if self.mode != MODE_CHART:
             raise FrameError("chart_inverse is defined in chart mode only")
         return self._chart_inverse
@@ -333,8 +334,7 @@ class FrameManifold:
         constructor stores them once.  Chart mode only."""
         if self.mode != MODE_CHART:
             raise FrameError("brackets_from_chart requires chart mode")
-        inv_rows = [VectorField.make(row) for row in self.chart_inverse()]
-        rows = self.chart_frame
+        rows, inv_rows = self.chart_frame, self.chart_inverse()
         table: dict[tuple[int, int], VectorField] = {}
         for i in range(1, self.dim + 1):
             for j in range(i + 1, self.dim + 1):
@@ -346,8 +346,6 @@ class FrameManifold:
 
     def bracket_basis(self, i: int, j: int) -> VectorField:
         """[e_i, e_j] as a frame vector field (antisymmetric in i, j)."""
-        if i == j:
-            return VectorField.zero(self.dim)
         if i < j:
             return self._brackets.get((i, j), VectorField.zero(self.dim))
         return -self._brackets.get((j, i), VectorField.zero(self.dim))

@@ -105,7 +105,7 @@ def build_report(entry: CatalogEntry) -> dict:
         if s.h is None:
             diagnostics.append(f"h operator: {s.h_error}")
         else:
-            structure_section["h"] = _json(s.h.rows)
+            structure_section["h"] = _json(s.h)
             try:
                 structure_section["h_eigen"] = _json(h_eigenstructure(s.h))
             except ContactError:

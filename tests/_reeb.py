@@ -6,6 +6,7 @@ and read the h that the structure built at construction.
 
 from contact_tensor.curvature import CurvatureTables, nabla_structure_tensors
 from contact_tensor.expr import Expr
+from contact_tensor.frame import VectorField
 
 
 def reeb_curvature_identity_residuals(curv: CurvatureTables,
@@ -21,7 +22,7 @@ def reeb_curvature_identity_residuals(curv: CurvatureTables,
     h = structure.h
 
     def phih(v):
-        return structure.apply_phi(h.apply(v))
+        return structure.apply_phi(VectorField.combination(v, h))
 
     def d_phih(k, j):
         # (nabla_{e_k} (phi h)) e_j
@@ -56,7 +57,7 @@ def h_direction_phi_derivative_residuals(curv: CurvatureTables,
     out = []
     for i in range(1, dim + 1):
         x = m.basis(i)
-        hx = h.apply(x)
+        hx = VectorField.combination(x, h)
         for j in range(1, dim + 1):
             y = m.basis(j)
             lhs = (conn.covariant_derivative(hx, phi(y))

@@ -27,7 +27,7 @@ from contact_tensor.classify import (
     solve_kappa_mu,
     solve_phi_recurrence,
 )
-from contact_tensor.contact import ContactStructure, HOperator
+from contact_tensor.contact import ContactStructure
 from contact_tensor.curvature import koszul, ricci_operator_of, riemann
 from contact_tensor.expr import (
     Expr,
@@ -290,7 +290,8 @@ def test_h_squared_law():
         h = st.compute_h()
         for i in range(1, 4):
             ei = m.basis(i)
-            lhs = h.apply(h.apply(ei))
+            lhs = VectorField.combination(
+                VectorField.combination(ei, h), h)
             rhs = st.apply_phi(st.apply_phi(ei)).scale(kappa - 1)
             assert lhs == rhs, (name, i)
 
@@ -381,8 +382,8 @@ def test_mixed_line_solution():
     ent = build("sphere")
     m = ent.manifold
     curv = riemann(m, koszul(m))
-    fake_h = HOperator((VectorField.zero(3), VectorField.basis(3, 2),
-                        VectorField.basis(3, 3)))
+    fake_h = (VectorField.zero(3), VectorField.basis(3, 2),
+              VectorField.basis(3, 3))
     km = solve_kappa_mu(curv, ent.structure, fake_h)
     assert km.status == "underdetermined"
     assert km.kappa == Expr.one()
@@ -440,30 +441,14 @@ def test_non_constant_solution_is_flagged():
     st = rotation_structure(m, xi_index=3, plane=(1, 2))
     table = {(1, 3, 3): VectorField.make((parse("2*x^2", t), 0, 0))}
     curv = _StubCurvature(m, table)
-    fake_h = HOperator((VectorField.basis(3, 1),
-                        -VectorField.basis(3, 2), VectorField.zero(3)))
+    fake_h = (VectorField.basis(3, 1),
+              -VectorField.basis(3, 2), VectorField.zero(3))
     km = solve_kappa_mu(curv, st, fake_h)
     assert km.status == "consistent"
     assert km.kappa == parse("x^2", t)
     assert km.mu == parse("x^2", t)
     assert km.constant_flag is False
     assert km.kappa_le_one is None
-
-
-def test_solution_line_without_kappa_fixes_mu_alone():
-    # the equation 0*kappa + mu = 2 fixes mu and leaves kappa free.  The
-    # sides are hand-built: in eta(e_j)e_i - eta(e_i)e_j the e_i component
-    # is eta(e_j), so a nonzero eta gives some equation a kappa term
-    m = identity_chart()
-    st = rotation_structure(m, xi_index=3, plane=(1, 2))
-    fake_h = HOperator((VectorField.basis(3, 1), -VectorField.basis(3, 2),
-                        VectorField.zero(3)))
-    sides = [(1, 3, VectorField.make((2, 0, 0)), VectorField.zero(3))]
-    km = classify._solve_kappa_mu(_StubCurvature(m, {}), st, fake_h, sides)
-    assert km.status == "underdetermined"
-    assert km.kappa is None and km.relation is None
-    assert km.mu == Expr.integer(2)
-    assert km.constant_flag is True and km.kappa_le_one is None
 
 
 def test_non_constant_nullity_solution_gets_a_diagnostic():
@@ -493,8 +478,8 @@ def test_render_text_prints_the_nullity_relation():
     # the mixed line of test_mixed_line_solution, put into a report
     ent = build("sphere")
     m = ent.manifold
-    fake_h = HOperator((VectorField.zero(3), VectorField.basis(3, 2),
-                        VectorField.basis(3, 3)))
+    fake_h = (VectorField.zero(3), VectorField.basis(3, 2),
+              VectorField.basis(3, 3))
     km = solve_kappa_mu(riemann(m, koszul(m)), ent.structure, fake_h)
     report = build_report(ent)
     report["classification"]["kappa_mu"].update(
@@ -512,7 +497,7 @@ def test_unconstrained_system():
     st = ContactStructure(m, (VectorField.zero(3),) * 3,
                           VectorField.zero(3))
     km = solve_kappa_mu(_StubCurvature(m, {}), st,
-                        HOperator((VectorField.zero(3),) * 3))
+                        (VectorField.zero(3),) * 3)
     assert km.status == "underdetermined"
     assert km.kappa is None and km.mu is None
     assert km.relation is None
@@ -604,6 +589,36 @@ def test_implication_chain_guard():
     with pytest.raises(SelfCheckError) as info:
         _check_implication_chain(forged)
     assert "flat holds but locally symmetric does not" in str(info.value)
+
+
+@pytest.mark.parametrize("phi_sym, local_phi_sym, broken", [
+    (False, True, "locally symmetric holds but phi-symmetric does not"),
+    (True, False, "phi-symmetric holds but locally phi-symmetric does not"),
+], ids=["phi-symmetric", "locally-phi-symmetric"])
+def test_implication_chain_guard_checks_the_phi_links(phi_sym, local_phi_sym,
+                                                      broken):
+    # a forged report whose only broken link is a phi one
+    forged = ClassificationReport(
+        contact_valid=None, sasakian=None, kappa_mu=None, flat=False,
+        constant_curvature=None, locally_symmetric=SymmetryVerdict(True),
+        phi_symmetric=SymmetryVerdict(phi_sym),
+        locally_phi_symmetric=SymmetryVerdict(local_phi_sym),
+        phi_recurrent=None, locally_phi_recurrent=None)
+    with pytest.raises(SelfCheckError) as info:
+        _check_implication_chain(forged)
+    assert broken in str(info.value)
+
+
+def test_almost_contact_violation_is_the_first_diagnostic():
+    # the sphere with phi(e1) = e2, phi(e2) = -e1 and xi = e1: phi moves xi
+    m = sphere_brackets(None)
+    phi = (VectorField.basis(3, 2), -VectorField.basis(3, 1),
+           VectorField.zero(3))
+    st = ContactStructure(m, phi, VectorField.basis(3, 1))
+    rep = classify_structure(riemann(m, koszul(m)), st)
+    assert rep.contact_valid is False
+    assert rep.diagnostics[0] == ("almost contact axioms violated: phi(xi) "
+                                  "= 0 fails at (): ['0', '1', '0'] != 0")
 
 
 def test_scope_validation():

@@ -285,11 +285,13 @@ def test_structure_derivatives_reeb_and_eta():
         der = nabla_structure_tensors(conn, st)
         for i in range(1, 4):
             ei = m.basis(i)
-            want = -(st.apply_phi(ei) + st.apply_phi(h.apply(ei)))
+            want = -(st.apply_phi(ei)
+                     + st.apply_phi(VectorField.combination(ei, h)))
             assert der.nabla_xi[i - 1] == want, (name, i)
             for j in range(1, 4):
                 ej = m.basis(j)
-                want_eta = m.g(ei + h.apply(ei), st.apply_phi(ej))
+                want_eta = m.g(ei + VectorField.combination(ei, h),
+                               st.apply_phi(ej))
                 assert der.nabla_eta[i - 1][j - 1] == want_eta, (name, i, j)
 
 
@@ -643,6 +645,16 @@ def test_reduced_checks_see_a_corrupted_riemann_entry(family, corruption):
     else:
         assert _family(riemann_symmetry_residuals(curv), family) != []
         assert _family(full_riemann_symmetry(curv), family) != []
+
+
+def test_symmetry_check_sees_a_stored_entry_that_breaks_first_pair():
+    # the stored R(e2,e1)e3 moved by e1, so it is not -R(e1,e2)e3
+    curv = _h5_tables()
+    bad = copy.copy(curv)
+    bad._riemann = dict(curv._riemann)
+    bad._riemann[2, 1, 3] = curv.riemann(2, 1, 3) + VectorField.basis(5, 1)
+    assert _family(riemann_symmetry_residuals(bad), "first-pair") \
+        == [(("first-pair", 1, 2, 3), VectorField.basis(5, 1))]
 
 
 def test_reduced_second_bianchi_sees_a_corrupted_nabla_r_entry():

@@ -384,6 +384,32 @@ def test_arithmetic_coercion():
         x / Expr.zero()
 
 
+def test_symbol_rejects_an_unknown_kind_and_an_invalid_name():
+    with pytest.raises(ExprError, match="unknown symbol kind"):
+        Symbol("x", "constant")
+    with pytest.raises(ExprError, match="invalid symbol name"):
+        Symbol("x-y", KIND_PARAMETER)
+
+
+def test_poly_guards():
+    t = make_table()
+    x, one = parse("x", t).num, parse("1", t).num
+    with pytest.raises(ExprError, match="no leading term"):
+        Poly({}).leading()
+    assert (one == 1) is False       # a Poly equals only a Poly
+    with pytest.raises(ExprError, match="negative power"):
+        x ** -1
+
+
+def test_constant_value_and_sum_reject_other_operands():
+    t = make_table()
+    x = parse("x", t)
+    with pytest.raises(ExprError, match="is not a constant"):
+        x.constant_value()
+    with pytest.raises(TypeError):
+        x + object()
+
+
 def random_expr(rng, t, depth=3):
     if depth == 0 or rng.random() < 0.3:
         pick = rng.random()

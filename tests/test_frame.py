@@ -82,6 +82,24 @@ def test_constructor_rejects_bad_input():
         FrameManifold.chart(3, tc, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
+def test_constructor_rejects_misshapen_frame_and_metric():
+    tc = SymbolTable()
+    for n in ("x", "y", "z"):
+        tc.add(n, KIND_COORDINATE)
+    with pytest.raises(FrameError, match="chart frame must have 3 rows"):
+        FrameManifold.chart(3, tc, ((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(FrameError, match="metric must be a 3x3 matrix"):
+        FrameManifold.abstract(3, SymbolTable(), {}, metric=((1, 0), (0, 1)))
+
+
+def test_chart_queries_refuse_abstract_mode():
+    m = abstract_heisenberg()
+    with pytest.raises(FrameError, match="chart mode only"):
+        m.chart_inverse()
+    with pytest.raises(FrameError, match="requires chart mode"):
+        m.brackets_from_chart()
+
+
 def test_metric_must_be_symmetric():
     t = SymbolTable()
     bad = ((1, 2, 0), (0, 1, 0), (0, 0, 1))
@@ -121,7 +139,7 @@ def test_chart_inverse_is_exact():
         for j in range(3):
             acc = Expr.zero()
             for k in range(3):
-                acc = acc + rows[i].components[k] * inv[k][j]
+                acc = acc + rows[i].components[k] * inv[k][j + 1]
             assert acc == (Expr.one() if i == j else Expr.zero())
 
 

@@ -98,3 +98,8 @@ def test_invert_singular_raises_with_context():
 def test_non_square_rejected():
     with pytest.raises(ExprError):
         determinant([[E(1), E(2)]])
+
+
+def test_invert_rejects_a_non_square_matrix():
+    with pytest.raises(ExprError, match="invert needs a square matrix"):
+        invert([[E(1), E(2)]])

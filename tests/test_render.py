@@ -61,3 +61,11 @@ def test_render_text_colors_a_failed_self_check_red():
     report["self_check"]["torsion_free"] = False
     assert render_text(report, color=True).endswith(
         "\x1b[31mself-check: FAILED: torsion_free\x1b[0m\n")
+
+
+def test_render_text_prints_the_recurrence_form():
+    # kmu at lambda = 1, mu = 0 is flat, so it is trivially phi-recurrent
+    # and the text report names the form A
+    report = build_report(build("kmu").substitute({"lambda": 1, "mu": 0}))
+    lines = render_text(report).splitlines()
+    assert "  phi-recurrent            trivially_recurrent, A = e^1" in lines
