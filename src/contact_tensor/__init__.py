@@ -6,7 +6,7 @@ from .catalog import CatalogEntry, CatalogError, build, entry_ids
 from .classify import (ClassificationReport, ClassifyError, KappaMuVerdict,
                        RecurrenceVerdict, SasakianVerdict, SelfCheckError,
                        SymmetryVerdict, check_3d_decomposition,
-                       classify_structure, constant_curvature, is_flat,
+                       classify_structure, constant_curvature,
                        is_locally_symmetric, is_sasakian, phi_symmetry,
                        solve_kappa_mu, solve_phi_recurrence)
 from .contact import (ContactError, ContactStructure, HEigenstructure,
@@ -59,7 +59,6 @@ __all__ = [
     "export_entry",
     "h_eigenstructure",
     "ingest_manifest",
-    "is_flat",
     "is_locally_symmetric",
     "is_sasakian",
     "koszul",

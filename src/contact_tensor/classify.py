@@ -97,13 +97,6 @@ class ClassificationReport:
     diagnostics: tuple[str, ...] = ()
 
 
-def _basis_index(m, v: VectorField) -> int | None:
-    for idx in range(1, m.dim + 1):
-        if v == VectorField.basis(m.dim, idx):
-            return idx
-    return None
-
-
 def _phi_square(structure: ContactStructure, v: VectorField) -> VectorField:
     return VectorField.combination(v, structure.phi_square_rows)
 
@@ -200,10 +193,6 @@ class _AffineSolver:
         return False
 
 
-def _is_parameter_only(m, e: Expr | None) -> bool:
-    return e is None or not coordinates_in(e, m.symbols)
-
-
 def _kappa_above_one(kappa: Expr) -> dict[str, int] | None:
     """The first binding where kappa > 1, or None.  It tries all parameters
     0 and, with one parameter, +B and -B for B a power of two past every
@@ -255,8 +244,8 @@ def solve_kappa_mu(curv: CurvatureTables, structure: ContactStructure,
 def _solve_kappa_mu(curv: CurvatureTables, structure: ContactStructure,
                     h: tuple[VectorField, ...], sides) -> KappaMuVerdict:
     m = curv.manifold
-    eta = structure.eta
-    xi_idx = _basis_index(m, structure.xi)
+    eta, xi = structure.eta, structure.xi.terms
+    xi_idx = next((k for k in xi if xi == {k: Expr.one()}), None)
     solver = _AffineSolver()
     for i, j, lhs, a_vec in sides:
         b_vec = h[i - 1].scale(eta[j]) - h[j - 1].scale(eta[i])
@@ -266,56 +255,45 @@ def _solve_kappa_mu(curv: CurvatureTables, structure: ContactStructure,
                     status="inconsistent",
                     witness=(i, j, xi_idx) if xi_idx else (i, j),
                     witness_component=l)
+    if solver.state == "plane":
+        # no equation constrained anything
+        return KappaMuVerdict(status="underdetermined", constant_flag=True)
+    relation = None
     if solver.state == "point":
         kappa, mu = solver.point
-        const = (_is_parameter_only(m, kappa) and _is_parameter_only(m, mu))
-        le_one = _kappa_le_one(kappa) if const else None
-        return KappaMuVerdict(status="consistent", kappa=kappa, mu=mu,
-                              constant_flag=const, kappa_le_one=le_one)
-    if solver.state == "line":
+    else:
         # a != 0 here, so kappa is always solved for: the e_i component
         # of a_vec is eta(e_j), so with xi != 0 some equation has a' != 0,
         # and fed after a line (0, b, c), b != 0, it gives det = -a'*b != 0
         # and a point; with xi = 0 every a and b is 0, and the plane stays
         a, b, c = solver.line
-        kappa, mu, relation = c / a, None, None
+        kappa, mu = c / a, None
         if not b.is_zero():        # particular solution with mu = 0
             mu = Expr.zero()
             relation = f"({a})*kappa + ({b})*mu = ({c})"
-        const = (_is_parameter_only(m, kappa) and _is_parameter_only(m, mu))
-        le_one = _kappa_le_one(kappa) if const else None
-        return KappaMuVerdict(status="underdetermined", kappa=kappa, mu=mu,
-                              relation=relation, constant_flag=const,
-                              kappa_le_one=le_one)
-    # no equation constrained anything
-    return KappaMuVerdict(status="underdetermined", constant_flag=True)
-
-
-def is_flat(curv: CurvatureTables) -> bool:
-    return curv.is_flat()
+    const = not any(coordinates_in(e, m.symbols)
+                    for e in (kappa, mu) if e is not None)
+    return KappaMuVerdict(
+        status="consistent" if solver.state == "point" else "underdetermined",
+        kappa=kappa, mu=mu, relation=relation, constant_flag=const,
+        kappa_le_one=_kappa_le_one(kappa) if const else None)
 
 
 def constant_curvature(curv: CurvatureTables) -> Expr | None:
     """Return c if R(X,Y)Z = c (g(Y,Z)X - g(X,Z)Y) holds, else None.
 
-    Both sides are antisymmetric in (X, Y), so the pairs i < j decide it.
+    Contracting the right side over its first slot gives the scalar
+    curvature r = n(n-1)c, so c = r/(n(n-1)) is the only candidate.  Both
+    sides are antisymmetric in (X, Y), so the pairs i < j decide it.
     """
     m = curv.manifold
-    cand = None
+    c = curv.scalar / (m.dim * (m.dim - 1))
     for i, j, k in _slots(range(1, m.dim + 1)):
         shape = (m.basis(i).scale(m.metric_entry(j, k))
                  - m.basis(j).scale(m.metric_entry(i, k)))
-        actual = curv.riemann(i, j, k)
-        for l in range(1, m.dim + 1):
-            s, a = shape[l], actual[l]
-            if s.is_zero():
-                if not a.is_zero():
-                    return None
-            elif cand is None:
-                cand = a / s
-            elif not (a - cand * s).is_zero():
-                return None
-    return cand if cand is not None else Expr.zero()
+        if curv.riemann(i, j, k) != shape.scale(c):
+            return None
+    return c
 
 
 def is_locally_symmetric(curv: CurvatureTables) -> SymmetryVerdict:
@@ -466,7 +444,7 @@ def classify_structure(curv: CurvatureTables,
     skipped and reported as None with a diagnostic.
     """
     diagnostics: list[str] = []
-    flat = is_flat(curv)
+    flat = curv.is_flat()
     const = constant_curvature(curv)
     loc_sym = is_locally_symmetric(curv)
     contact_valid = sasakian = kappa_mu = None
@@ -538,7 +516,6 @@ __all__ = [
     "check_3d_decomposition",
     "classify_structure",
     "constant_curvature",
-    "is_flat",
     "is_locally_symmetric",
     "is_sasakian",
     "phi_symmetry",

@@ -71,13 +71,16 @@ def _parse_rational(raw: str, flag: str) -> Fraction:
 
 
 def _parse_set(values: list[str]) -> dict[str, Fraction]:
-    bindings: dict[str, Fraction] = {}
+    raws: dict[str, str] = {}
     for item in values:
         name, sep, raw = item.partition("=")
         if not sep or not name:
             raise CliError(f"--set expects name=value, got {item!r}")
-        bindings[name] = _parse_rational(raw, f"--set {name}")
-    return bindings
+        if name in raws:
+            raise CliError(f"--set {name} is given more than once")
+        raws[name] = raw
+    return {name: _parse_rational(raw, f"--set {name}")
+            for name, raw in raws.items()}
 
 
 def _apply_set(entry: CatalogEntry, bindings: dict[str, Fraction]) -> CatalogEntry:

@@ -189,7 +189,7 @@ class CurvatureTables:
         return total
 
     def is_flat(self) -> bool:
-        return all(r.is_zero() for r in self._riemann.values())
+        return not self.riemann_support
 
     def nabla_r(self, w: int, i: int, j: int, k: int) -> VectorField:
         """(nabla_{e_w} R)(e_i, e_j) e_k, read from the table:

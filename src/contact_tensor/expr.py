@@ -898,11 +898,9 @@ class _Parser:
             if abs(k) > _MAX_EXPONENT:
                 raise ExprParseError("exponent larger than "
                                      f"{_MAX_EXPONENT}", pos)
-            if k < 0 and e.is_zero():
-                raise ExprParseError("negative power of zero", pos)
             try:
                 e = e ** k
-            except ExprError as exc:  # past _MAX_POWER_PRODUCTS
+            except ExprError as exc:  # 0^-k, or past _MAX_POWER_PRODUCTS
                 raise ExprParseError(str(exc), pos) from None
         return e
 

@@ -38,7 +38,7 @@ from contact_tensor.expr import (
 )
 from contact_tensor.cli import SWEEP_LAMBDA_DEFAULT, SWEEP_MU_DEFAULT
 from contact_tensor.frame import FrameManifold, VectorField
-from contact_tensor.manifest import CatalogEntry
+from contact_tensor.manifest import CatalogEntry, export_entry
 from contact_tensor.report import build_report, render_text
 
 from _frames import (NON_IDENTITY_METRICS, cayley_example41_manifest,
@@ -885,3 +885,114 @@ def test_reconstruction_over_i_lt_j_matches_the_full_check():
         bad[0][2] = bad[2][0] = bad[0][2] + Expr.one()
         assert reconstruction_holds(m, curv.riemann, bad) is False
         assert ref_reconstruction_holds(m, curv.riemann, bad) is False
+
+
+# reference form of constant_curvature: the ratio search that takes its
+# candidate from the first nonzero shape component, kept to test the
+# candidate read from the stored scalar curvature against
+
+def ref_constant_curvature(curv):
+    m = curv.manifold
+    cand = None
+    for i, j in itertools.combinations(range(1, m.dim + 1), 2):
+        for k in range(1, m.dim + 1):
+            shape = (m.basis(i).scale(m.metric_entry(j, k))
+                     - m.basis(j).scale(m.metric_entry(i, k)))
+            actual = curv.riemann(i, j, k)
+            for l in range(1, m.dim + 1):
+                s, a = shape[l], actual[l]
+                if s.is_zero():
+                    if not a.is_zero():
+                        return None
+                elif cand is None:
+                    cand = a / s
+                elif not (a - cand * s).is_zero():
+                    return None
+    return cand if cand is not None else Expr.zero()
+
+
+def test_constant_curvature_matches_the_ratio_search():
+    ents = [build(i) for i in entry_ids()]
+    ents += [entry(heisenberg_manifest(n)) for n in (2, 3)]
+    kmu = build("kmu")
+    ents += [kmu.substitute({"lambda": lam, "mu": mu})
+             for lam in _grid(SWEEP_LAMBDA_DEFAULT)
+             for mu in _grid(SWEEP_MU_DEFAULT)]
+    ents += [entry(deformed_kmu_manifest()), entry(chart_manifest("x+2"))]
+    ms = ([e.manifold for e in ents]
+          + [sphere_brackets(g) for g in NON_IDENTITY_METRICS.values()])
+    assert len(ms) == 5 + 2 + 16 + 2 + 3
+    seen = []
+    for m in ms:
+        curv = riemann(m, koszul(m))
+        want = ref_constant_curvature(curv)
+        assert constant_curvature(curv) == want
+        seen.append(None if want is None else str(want))
+    # the inputs reach flat, two positive and absent constant curvatures
+    assert set(seen) == {"0", "1", "1/2", None}
+
+
+class _StubTables:
+    """manifold, scalar and riemann, all that constant_curvature reads:
+    R = c(g(Y,Z)X - g(X,Z)Y) on the identity metric in dimension 3, with
+    an extra e_3 component on R(e_1,e_2)e_3 when broken.  The Ricci trace
+    reads component l of R(e_l, e_j)e_k, so it never reads that one, and
+    the scalar stays n(n-1)c = 6c."""
+
+    def __init__(self, c, broken):
+        self.manifold = build("sphere").manifold
+        self.c, self.broken = Expr.integer(c), broken
+        self.scalar = Expr.integer(6 * c)
+
+    def riemann(self, i, j, k):
+        m = self.manifold
+        r = (m.basis(i).scale(m.metric_entry(j, k))
+             - m.basis(j).scale(m.metric_entry(i, k))).scale(self.c)
+        sign = {(1, 2, 3): 1, (2, 1, 3): -1}.get((i, j, k), 0)
+        return r + m.basis(3).scale(sign) if self.broken else r
+
+
+@pytest.mark.parametrize("c", [1, -2])
+def test_constant_curvature_checks_components_the_trace_never_reads(c):
+    for broken in (False, True):
+        stub = _StubTables(c, broken)
+        idx = range(1, 4)
+        trace = sum((stub.riemann(l, j, j)[l] for l in idx for j in idx
+                     if l != j), Expr.zero())
+        assert trace == stub.scalar
+        want = None if broken else stub.c
+        assert ref_constant_curvature(stub) == want
+        assert constant_curvature(stub) == want
+
+
+def _example41_with(**fields):
+    doc = export_entry(build("example41"))
+    doc.update(fields)
+    return entry(doc)
+
+
+@pytest.mark.parametrize("fields, witness, contact_valid", [
+    ({}, (1, 2, 3), True),
+    # xi = 2e_3 has one frame component, and it is not 1
+    (dict(metric=[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1/4"]],
+          xi=["0", "0", "2"]),
+     (1, 2), False),
+    # e_2 and e_3 turned by (3/5, 4/5): f2 = (3e2 - 4e3)/5 and
+    # f3 = (4e2 + 3e3)/5, so xi = e3 = -(4/5)f2 + (3/5)f3
+    (dict(frame=[["0", "2/x", "0"],
+                 ["6/5", "-12*z/(5*x)", "(3*x*y-4)/5"],
+                 ["8/5", "-16*z/(5*x)", "(4*x*y+3)/5"]],
+          phi=[["0", "3/5", "4/5"], ["-3/5", "0", "0"], ["-4/5", "0", "0"]],
+          xi=["0", "-4/5", "3/5"]),
+     (1, 2), True),
+], ids=["example41", "xi-2e3", "turned"])
+def test_nullity_witness_names_xi_only_when_it_is_a_frame_field(
+        fields, witness, contact_valid):
+    ent = _example41_with(**fields)
+    curv = riemann(ent.manifold, koszul(ent.manifold))
+    rep = classify_structure(curv, ent.structure)
+    assert (rep.kappa_mu.status, rep.kappa_mu.witness,
+            rep.kappa_mu.witness_component) == ("inconsistent", witness, 2)
+    assert solve_kappa_mu(curv, ent.structure, ent.structure.h) \
+        == rep.kappa_mu
+    assert rep.contact_valid is contact_valid

@@ -410,6 +410,43 @@ def test_constant_value_and_sum_reject_other_operands():
         x + object()
 
 
+def test_symbol_table_get_refuses_an_undeclared_name():
+    with pytest.raises(ExprError, match="unknown symbol 'q'"):
+        make_table().get("q")
+
+
+def test_negative_power_of_zero_is_refused():
+    with pytest.raises(ExprError, match="negative power of zero"):
+        Expr.zero() ** -1
+    # the parser reports the power's error at the exponent's position
+    with pytest.raises(ExprParseError) as info:
+        parse("0^-1", make_table())
+    assert str(info.value) == "negative power of zero at position 3"
+
+
+def test_parse_refuses_a_token_after_a_complete_expression():
+    with pytest.raises(ExprParseError) as info:
+        parse("x)", make_table())
+    assert str(info.value) == "unexpected ')' at position 1"
+
+
+@pytest.mark.parametrize("op, want", [
+    (lambda e, o: e - o, TypeError), (lambda e, o: o - e, TypeError),
+    (lambda e, o: e * o, TypeError), (lambda e, o: e / o, TypeError),
+    (lambda e, o: o / e, TypeError), (lambda e, o: e ** 1.5, TypeError),
+    (lambda e, o: e == o, False),
+], ids=["sub", "rsub", "mul", "truediv", "rtruediv", "pow", "eq"])
+def test_a_foreign_operand_is_not_an_expression(op, want):
+    # each operator returns NotImplemented: Python then raises its own
+    # TypeError, or falls back to identity for ==
+    e, o = parse("x", make_table()), object()
+    if want is TypeError:
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(e, o)
+    else:
+        assert op(e, o) is want
+
+
 def random_expr(rng, t, depth=3):
     if depth == 0 or rng.random() < 0.3:
         pick = rng.random()

@@ -62,6 +62,11 @@ def test_vector_field_helpers():
     assert str(m.g(combo, xi)) == "6"
 
 
+def test_vector_field_refuses_a_component_that_is_not_an_expression():
+    with pytest.raises(FrameError, match="expected an expression, got"):
+        VectorField.make([object()])
+
+
 def test_constructor_rejects_bad_input():
     t = SymbolTable()
     with pytest.raises(FrameError):

@@ -319,6 +319,25 @@ def test_cli_set_errors(tmp_path, capsys):
                 "conversion limit\n")
 
 
+@pytest.mark.parametrize("command", ["report", "demo"])
+def test_cli_set_repeated_name_is_a_usage_error(command, tmp_path, capsys):
+    # keeping the last value would make the report depend on the order of
+    # the flags (lambda=1/2 then 1 gave kappa 3/4, the reverse gave 0); the
+    # repeat is named before any value is read, so a bad value does not
+    # make the error text depend on the order either
+    target = write_manifest(tmp_path, "kmu") if command == "report" else "kmu"
+    errs = []
+    for first, last in (("1/2", "1"), ("1", "1/2"), ("abc", "1"),
+                        ("1", "abc")):
+        assert cli.main([command, target, "--set", "mu=0",
+                         "--set", f"lambda={first}",
+                         "--set", f"lambda={last}"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        errs.append(out.err)
+    assert errs == ["error: --set lambda is given more than once\n"] * 4
+
+
 def test_cli_main_called_again_answers_as_a_fresh_call(tmp_path, capsys):
     # main builds its parser once per process: a later call must not see
     # an earlier call's arguments, so the --set bindings of the first
