@@ -262,17 +262,19 @@ def torsion_residuals(conn: ConnectionTable) -> list:
 def metric_compat_residuals(conn: ConnectionTable) -> list:
     """e_i g(e_j, e_k) - g(nabla_i e_j, e_k) - g(e_j, nabla_i e_k) over
     j <= k.  Frame construction keeps the metric parameter-only, so the
-    derivative term is zero and is not computed."""
+    derivative term is zero and is not computed.  With low[i, j][k] =
+    g(nabla_i e_j, e_k), the residual is -(low[i, j][k] + low[i, k][j]),
+    so only the (i, j, k) where one of the two is nonzero are visited."""
     m = conn.manifold
+    idx = range(1, m.dim + 1)
+    low = {(i, j): m.lower(conn.nabla_basis(i, j)) for i in idx for j in idx}
+    keys = {(i, min(j, k), max(j, k))
+            for (i, j), v in low.items() for k in v.terms}
     out = []
-    for i in range(1, m.dim + 1):
-        for j in range(1, m.dim + 1):
-            for k in range(j, m.dim + 1):
-                ej, ek = m.basis(j), m.basis(k)
-                res = (-m.g(conn.nabla_basis(i, j), ek)
-                       - m.g(ej, conn.nabla_basis(i, k)))
-                if not res.is_zero():
-                    out.append(((i, j, k), res))
+    for i, j, k in sorted(keys):
+        res = -(low[i, j][k] + low[i, k][j])
+        if not res.is_zero():
+            out.append(((i, j, k), res))
     return out
 
 
@@ -288,28 +290,37 @@ def riemann_symmetry_residuals(curv: CurvatureTables) -> list:
     i = j, k = l or (i, j) = (k, l)) or +- a kept one: with k > l it is
     minus the one at (i, j, l, k), and swapping the pairs negates it.  So
     the list is empty exactly when the check over all dim^4 tuples is.
+
+    Each residual sums two stored entries, so only the index sets with a
+    nonzero entry in the stored table are visited, in the loops' order.
     """
-    m = curv.manifold
-    idx = range(1, m.dim + 1)
-    pairs = list(combinations(idx, 2))
+    m, stored, none = curv.manifold, curv._riemann, curv._zero
+    # lowered[i, j, k][l] = R(e_i, e_j, e_k, e_l), for i < j
+    lowered = {key: m.lower(r) for key, r in stored.items()
+               if key[0] < key[1] and r.terms}
+    # (i, j, k, 0) for first-pair, (i, j, k, l) with l >= k for second-pair
+    pair_keys = {(min(i, j), max(i, j), k, 0)
+                 for (i, j, k), r in stored.items() if r.terms}
+    swaps = set()
+    for (i, j, k), v in lowered.items():
+        for l in v.terms:
+            pair_keys.add((i, j, min(k, l), max(k, l)))
+            if k < l and (i, j) != (k, l):
+                swaps.add(min((i, j), (k, l)) + max((i, j), (k, l)))
     out = []
-    # lowered[i, j, k][l] = R(e_i, e_j, e_k, e_l)
-    lowered = {(i, j, k): m.lower(curv.riemann(i, j, k))
-               for i, j in pairs for k in idx}
-    for i, j in pairs:
-        for k in idx:
+    for i, j, k, l in sorted(pair_keys):
+        if not l:
             res = curv.riemann(i, j, k) + curv.riemann(j, i, k)
             if not res.is_zero():
                 out.append((("first-pair", i, j, k), res))
-            for l in range(k, m.dim + 1):
-                r = lowered[i, j, k][l] + lowered[i, j, l][k]
-                if not r.is_zero():
-                    out.append((("second-pair", i, j, k, l), r))
-    for a, (i, j) in enumerate(pairs):
-        for k, l in pairs[a + 1:]:
-            r = lowered[i, j, k][l] - lowered[k, l, i][j]
-            if not r.is_zero():
-                out.append((("interchange", i, j, k, l), r))
+            continue
+        r = lowered.get((i, j, k), none)[l] + lowered.get((i, j, l), none)[k]
+        if not r.is_zero():
+            out.append((("second-pair", i, j, k, l), r))
+    for i, j, k, l in sorted(swaps):
+        r = lowered.get((i, j, k), none)[l] - lowered.get((k, l, i), none)[j]
+        if not r.is_zero():
+            out.append((("interchange", i, j, k, l), r))
     return out
 
 

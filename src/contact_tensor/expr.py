@@ -13,6 +13,7 @@ Instances are immutable and safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,6 +104,7 @@ class SymbolTable:
 Mono = tuple
 
 _M_ONE: Mono = ()
+_CONSTANT_KEYS = frozenset((_M_ONE,))
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
@@ -152,7 +154,7 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(m == _M_ONE for m in self.terms)
+        return self.terms.keys() <= _CONSTANT_KEYS
 
     def constant_value(self) -> Fraction:
         # valid only when is_constant()
@@ -481,10 +483,11 @@ class Expr:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.terms
 
     def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den == _P_ONE
+        return self.num.is_constant() and (self.den is _P_ONE
+                                           or self.den == _P_ONE)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -508,8 +511,8 @@ class Expr:
         if not self.num.terms:
             return other
         a, b, c, d = self.num, self.den, other.num, other.den
-        if b == _P_ONE and d == _P_ONE:
-            return Expr(a + c, _P_ONE)
+        if (b is _P_ONE or b == _P_ONE) and (d is _P_ONE or d == _P_ONE):
+            return Expr(_poly_op(a, c, operator.add), _P_ONE)
         # Henrici: with g = gcd(b, d), b = g*b1 and d = g*d1, the sum
         # a/b + c/d = (a*d1 + c*b1)/(g*b1*d1) is coprime to b1 and d1, so
         # only a factor of g can cancel
@@ -531,8 +534,9 @@ class Expr:
             return NotImplemented
         if not other.num.terms:
             return self
-        if self.den == _P_ONE and other.den == _P_ONE:
-            return Expr(self.num - other.num, _P_ONE)
+        b, d = self.den, other.den
+        if (b is _P_ONE or b == _P_ONE) and (d is _P_ONE or d == _P_ONE):
+            return Expr(_poly_op(self.num, other.num, operator.sub), _P_ONE)
         return self + (-other)
 
     def __rsub__(self, other) -> "Expr":
@@ -547,8 +551,9 @@ class Expr:
             return NotImplemented
         if not self.num.terms or not other.num.terms:
             return _E_ZERO
-        if self.den == _P_ONE and other.den == _P_ONE:
-            return Expr(self.num * other.num, _P_ONE)
+        b, d = self.den, other.den
+        if (b is _P_ONE or b == _P_ONE) and (d is _P_ONE or d == _P_ONE):
+            return Expr(_poly_op(self.num, other.num, operator.mul), _P_ONE)
         # Henrici: cancelling across canonical operands leaves a coprime product
         a, d = _cancel(self.num, other.den)
         c, b = _cancel(other.num, self.den)
@@ -563,7 +568,10 @@ class Expr:
         if other.is_zero():
             raise ExprError("division by an identically zero expression")
         if other.is_constant():     # what the product below gives
-            return Expr(self.num.scale(1 / other.constant_value()), self.den)
+            v = other.num.terms[_M_ONE]
+            if v == 1 or v == -1:
+                return self if v == 1 else -self
+            return Expr(self.num.scale(1 / Fraction(v)), self.den)
         return self * Expr(*_monic(other.den, other.num))
 
     def __rtruediv__(self, other) -> "Expr":
@@ -588,7 +596,8 @@ class Expr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num.terms == other.num.terms and self.den == other.den
+        return self.num.terms == other.num.terms and (
+            self.den is other.den or self.den == other.den)
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
@@ -643,7 +652,7 @@ class Expr:
 
     def __str__(self) -> str:
         ns = _poly_str(self.num)
-        if self.den == _P_ONE:
+        if self.den is _P_ONE or self.den == _P_ONE:
             return ns
         if len(self.num.terms) > 1:
             ns = f"({ns})"
@@ -654,6 +663,14 @@ class Expr:
 
     def __repr__(self) -> str:
         return f"Expr({self})"
+
+
+def _poly_op(p: Poly, q: Poly, op) -> Poly:
+    # op(p, q) for op add, sub or mul: one coefficient operation on constants
+    x, y = p.terms, q.terms
+    if len(x) == 1 == len(y) and _M_ONE in x and _M_ONE in y:
+        return _normalised({_M_ONE: op(x[_M_ONE], y[_M_ONE])}, (_M_ONE,))
+    return op(p, q)
 
 
 def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -682,10 +699,12 @@ def sum_of_products(pairs) -> Expr:
     total = _E_ZERO
     for c, a in pairs:
         b, d = c.den, a.den
-        if b == _P_ONE and d == _P_ONE:
+        b_one = b is _P_ONE or b == _P_ONE
+        d_one = d is _P_ONE or d == _P_ONE
+        if b_one and d_one:
             out = ones
         else:
-            den = d if b == _P_ONE else b if d == _P_ONE else b * d
+            den = d if b_one else b if d_one else b * d
             if len(den.variables()) > 1:
                 total = total + c * a
                 continue
@@ -719,6 +738,8 @@ _E_ONE = Expr(_P_ONE, _P_ONE)
 def _poly_str(p: Poly) -> str:
     if p.is_zero():
         return "0"
+    if len(p.terms) == 1 and _M_ONE in p.terms:
+        return str(p.terms[_M_ONE])
     parts: list[str] = []
     for m, c in p.sorted_terms():
         mag = -c if c < 0 else c
@@ -930,8 +951,10 @@ def parse(text: str, table: SymbolTable) -> Expr:
 
     Grammar: integers, rationals via division, declared symbols, + - * /,
     ^ with integer exponents, parentheses.  Errors carry the offset of the
-    offending token.
+    offending token.  A bare integer such as "0" or "1" skips the parser.
     """
+    if text.isdecimal():
+        return Expr.integer(_int_literal(text, 0))
     return _Parser(_tokenize(text), table).parse()
 
 

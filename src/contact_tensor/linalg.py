@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from .expr import Expr, ExprError
 
+_ZERO, _ONE = Expr.zero(), Expr.one()
+
 Matrix = list
 
 
@@ -19,13 +21,6 @@ class SingularMatrixError(ExprError):
     def __init__(self, context: str):
         super().__init__(f"{context}: determinant is identically zero")
         self.context = context
-
-
-def _pivot(rows, col: int, start: int) -> int:
-    for r in range(start, len(rows)):
-        if not rows[r][col].is_zero():
-            return r
-    return -1
 
 
 def determinant(matrix) -> Expr:
@@ -39,7 +34,7 @@ def determinant(matrix) -> Expr:
     sign = 1
     prev = Expr.one()
     for k in range(n - 1):
-        p = _pivot(rows, k, k)
+        p = next((r for r in range(k, n) if not rows[r][k].is_zero()), -1)
         if p < 0:
             return Expr.zero()
         if p != k:
@@ -56,26 +51,36 @@ def determinant(matrix) -> Expr:
 
 
 def invert(matrix, context: str = "matrix") -> Matrix:
-    """Exact inverse; raises SingularMatrixError when none exists."""
+    """Exact inverse; raises SingularMatrixError when none exists.  Runs
+    on sparse rows (column -> nonzero entry) of the matrix beside the
+    identity; a pivot row is divided only when its pivot is not 1."""
     n = len(matrix)
-    rows = [list(row) + [Expr.one() if i == j else Expr.zero() for j in range(n)]
-            for i, row in enumerate(matrix)]
-    if any(len(row) != 2 * n for row in rows):
+    if any(len(row) != n for row in matrix):
         raise ExprError("invert needs a square matrix")
+    rows = [{j: e for j, e in enumerate(row) if not e.is_zero()}
+            for row in matrix]
+    for i, row in enumerate(rows):
+        row[n + i] = _ONE
     for k in range(n):
-        p = _pivot(rows, k, k)
+        p = next((r for r in range(k, n) if k in rows[r]), -1)
         if p < 0:
             raise SingularMatrixError(context)
-        if p != k:
-            rows[k], rows[p] = rows[p], rows[k]
+        rows[k], rows[p] = rows[p], rows[k]
         pivot = rows[k][k]
-        rows[k] = [entry / pivot for entry in rows[k]]
-        for i in range(n):
-            if i == k or rows[i][k].is_zero():
+        if pivot != _ONE:
+            rows[k] = {j: e / pivot for j, e in rows[k].items()}
+        pivot_row = rows[k]
+        for i, row in enumerate(rows):
+            factor = row.get(k)
+            if i == k or factor is None:
                 continue
-            factor = rows[i][k]
-            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
-    return [row[n:] for row in rows]
+            for j, b in pivot_row.items():
+                e = row[j] - factor * b if j in row else -(factor * b)
+                if e.is_zero():
+                    del row[j]
+                else:
+                    row[j] = e
+    return [[row.get(j, _ZERO) for j in range(n, 2 * n)] for row in rows]
 
 
 __all__ = ["SingularMatrixError", "determinant", "invert"]

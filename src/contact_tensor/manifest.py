@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from .contact import ContactStructure
 from .expr import (Expr, ExprError, ExprParseError, KIND_COORDINATE,
@@ -95,27 +96,18 @@ def _encode(value, indent: str) -> str:
     """json.dumps(value, indent=2) at the given indent."""
     cls = value.__class__
     if cls is dict:
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = []
-        for key, v in value.items():
-            if key.__class__ is not str:
-                raise TypeError(f"keys must be str, not "
-                                f"{type(key).__name__}")
-            c = v.__class__
-            items.append(_STR(key) + ": " + (
-                _STR(v) if c is str else int.__repr__(v) if c is int
-                else _encode(v, inner)))
-        return ("{\n" + inner + (",\n" + inner).join(items)
-                + "\n" + indent + "}")
+        return _table((value,), indent) if value else "{}"
     if cls is list or cls is tuple:
         if not value:
             return "[]"
         inner = indent + "  "
-        return ("[\n" + inner + (",\n" + inner).join(
-            [_STR(v) if v.__class__ is str else _encode(v, inner)
-             for v in value]) + "\n" + indent + "]")
+        sep = ",\n" + inner
+        try:    # _STR raises TypeError unless the item is a str
+            body = sep.join(map(_STR, value))
+        except TypeError:
+            body = _table(value, inner) or sep.join(
+                [_encode(v, inner) for v in value])
+        return "[\n" + inner + body + "\n" + indent + "]"
     if cls is str:
         return _STR(value)
     if value is None:
@@ -127,6 +119,38 @@ def _encode(value, indent: str) -> str:
     if cls is int:
         return int.__repr__(value)
     raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+
+
+def _table(rows, indent: str) -> str | None:
+    """The rows at the given indent, joined, when all are dicts with one
+    nonempty key tuple, else None.  One %-template writes every row: a
+    column of ints (not bools) is formatted in place, and any other
+    column's values are encoded once per object, for this call only."""
+    if set(map(type, rows)) != {dict}:
+        return None
+    shapes = set(map(tuple, rows))
+    keys = shapes.pop()
+    if shapes or not keys:
+        return None
+    for key in keys:
+        if key.__class__ is not str:
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+    inner, width = indent + "  ", len(keys)
+    flat = list(chain.from_iterable(map(dict.values, rows)))
+    fields = []
+    for col, key in enumerate(keys):
+        column = flat[col::width]
+        ints = set(map(type, column)) == {int}
+        if not ints:
+            # every id names a live object of the document during this call
+            texts = {i: _encode(v, inner)
+                     for i, v in dict(zip(map(id, column), column)).items()}
+            flat[col::width] = map(texts.__getitem__, map(id, column))
+        fields.append(_STR(key).replace("%", "%%") + (": %d" if ints
+                                                      else ": %s"))
+    template = ("{\n" + inner + (",\n" + inner).join(fields) + "\n"
+                + indent + "}")
+    return (",\n" + indent).join([template] * len(rows)) % tuple(flat)
 
 
 def to_json(doc: dict) -> str:

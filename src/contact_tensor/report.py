@@ -26,7 +26,10 @@ from .manifest import export_entry, to_json
 REPORT_SCHEMA_VERSION = 1
 
 
-def _vf(v: VectorField) -> list[str]:
+def _vf(v: VectorField, zero: list[str] | None = None) -> list[str]:
+    # the zero field gives `zero` when passed: one report, one zero row
+    if zero is not None and not v.terms:
+        return zero
     out = ["0"] * v.dim
     for k, c in v.terms.items():
         out[k - 1] = str(c)
@@ -113,6 +116,7 @@ def build_report(entry: CatalogEntry) -> dict:
 
     pairs = [(i, j) for i in range(1, m.dim + 1)
              for j in range(i + 1, m.dim + 1)]
+    zero = ["0"] * m.dim
     verdicts = _json(classification)
     del verdicts["diagnostics"]  # already in the top-level list
     return {
@@ -120,23 +124,23 @@ def build_report(entry: CatalogEntry) -> dict:
         "name": entry.id,
         "manifest": export_entry(entry),
         "brackets": [
-            {"i": i, "j": j, "components": _vf(m.bracket_basis(i, j))}
+            {"i": i, "j": j, "components": _vf(m.bracket_basis(i, j), zero)}
             for i, j in pairs],
         "structure": structure_section,
         "connection": [
-            {"i": i, "j": j, "components": _vf(conn.nabla_basis(i, j))}
+            {"i": i, "j": j, "components": _vf(conn.nabla_basis(i, j), zero)}
             for i in range(1, m.dim + 1) for j in range(1, m.dim + 1)],
         "curvature": {
             "riemann": [
                 {"i": i, "j": j, "k": k,
-                 "components": _vf(curv.riemann(i, j, k))}
+                 "components": _vf(curv.riemann(i, j, k), zero)}
                 for i, j in pairs for k in range(1, m.dim + 1)],
             "ricci": _json(curv.ricci),
             "ricci_operator": _json(curv.ricci_operator),
             "scalar": str(curv.scalar),
             "nabla_riemann": [
                 {"w": w, "i": i, "j": j, "k": k,
-                 "components": _vf(curv.nabla_r(w, i, j, k))}
+                 "components": _vf(curv.nabla_r(w, i, j, k), zero)}
                 for w in range(1, m.dim + 1)
                 for i, j in pairs for k in range(1, m.dim + 1)],
         },

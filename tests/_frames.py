@@ -12,8 +12,11 @@
 - the sphere's cyclic brackets under a non-identity metric.
 - a rotation structure phi(e_a) = e_b, phi(e_b) = -e_a, xi = e_k on any
   frame manifold.
+- brackets that break the Jacobi identity: a fixed 3-dimensional table
+  and seeded random 5-dimensional ones.
 """
 
+import random
 from fractions import Fraction
 
 from contact_tensor.catalog import build
@@ -110,3 +113,20 @@ def sphere_brackets(metric):
     return FrameManifold.abstract(
         3, SymbolTable(),
         {(1, 2): (0, 0, 2), (1, 3): (0, -2, 0), (2, 3): (2, 0, 0)}, metric)
+
+
+def jacobi_failing_frame():
+    """[e1,e2] = e3, [e1,e3] = e1, [e2,e3] = e1: the cyclic sum at
+    (1, 2, 3) is not zero."""
+    return FrameManifold.abstract(3, SymbolTable(), {
+        (1, 2): (0, 0, 1), (1, 3): (1, 0, 0), (2, 3): (1, 0, 0)})
+
+
+def random_brackets(seed, dim=5):
+    """Seeded constant structure constants, about a third of them
+    nonzero, which break the Jacobi identity on most triples."""
+    rng = random.Random(seed)
+    return FrameManifold.abstract(dim, SymbolTable(), {
+        (i, j): tuple(rng.choice((0, 0, 1, -2, Fraction(1, 2)))
+                      for _ in range(dim))
+        for i in range(1, dim + 1) for j in range(i + 1, dim + 1)})

@@ -31,13 +31,15 @@ from contact_tensor.frame import (
     MODE_CHART,
     FrameError,
     FrameManifold,
+    JacobiViolation,
     VectorField,
 )
 from contact_tensor.report import build_report, render_json
 
-from _frames import (NON_IDENTITY_METRICS, chart_manifest,
-                     deformed_kmu_manifest, entry, heisenberg_manifest,
-                     sphere_brackets)
+from _frames import (NON_IDENTITY_METRICS, cayley_example41_manifest,
+                     chart_manifest, deformed_kmu_manifest, entry,
+                     heisenberg_manifest, jacobi_failing_frame,
+                     random_brackets, sphere_brackets)
 from _oracles import (
     bracket_constants,
     christoffel,
@@ -625,20 +627,36 @@ def test_residual_checks_see_a_bad_entry_at_the_last_index():
             name
 
 
-@pytest.mark.parametrize("family, corruption", [
+# id -> (the residual family it breaks, the entries (i, j, k) it moves)
+RIEMANN_CORRUPTIONS = {
     # R(e3,e4)e5 + e1: the cyclic sum at (3, 4, 5)
-    ("first-bianchi", {(3, 4, 5): {1: 1}}),
+    "first-bianchi": ("first-bianchi", {(3, 4, 5): {1: 1}}),
     # R(e1,e2)e3 + e3: g(R(e1,e2)e3, e3) != 0, seen only at k = l
-    ("second-pair", {(1, 2, 3): {3: 1}}),
+    "second-pair": ("second-pair", {(1, 2, 3): {3: 1}}),
     # R(e1,e2)e1 + e3 and R(e1,e2)e3 - e1: both pairs stay antisymmetric,
     # the interchange of (1, 2) and (1, 3) breaks
-    ("interchange", {(1, 2, 1): {3: 1}, (1, 2, 3): {1: -1}}),
-], ids=["first-bianchi", "second-pair", "interchange"])
-def test_reduced_checks_see_a_corrupted_riemann_entry(family, corruption):
+    "interchange": ("interchange", {(1, 2, 1): {3: 1}, (1, 2, 3): {1: -1}}),
+    # R(e2,e3)e1 + e2 and R(e2,e3)e2 - e1: the interchange of (1, 2) and
+    # (2, 3) breaks through the later pair's entry alone
+    "interchange-later-pair": ("interchange", {(2, 3, 1): {2: 1},
+                                               (2, 3, 2): {1: -1}}),
+}
+
+
+def _h5_corrupted(corruption):
+    """H^5's tables with the entries named by a RIEMANN_CORRUPTIONS value
+    moved; the riemann_support of H^5 is kept, as is."""
     curv = _h5_tables()
     for (i, j, k), change in corruption.items():
         delta = VectorField.make([change.get(a, 0) for a in range(1, 6)])
         curv = _corrupt_riemann(curv, i, j, k, delta)
+    return curv
+
+
+@pytest.mark.parametrize("case", list(RIEMANN_CORRUPTIONS))
+def test_reduced_checks_see_a_corrupted_riemann_entry(case):
+    family, corruption = RIEMANN_CORRUPTIONS[case]
+    curv = _h5_corrupted(corruption)
     if family == "first-bianchi":
         assert first_bianchi_residuals(curv) != []
         assert full_first_bianchi(curv) != []
@@ -822,3 +840,96 @@ def test_nabla_r_vanishes_outside_its_support(name):
     assert is_locally_symmetric(curv) == ref_locally_symmetric(curv)
     assert second_bianchi_residuals(curv) \
         == ref_second_bianchi_residuals(curv)
+
+
+# ---------------------------------------------------------------------------
+# the dense loops of the metric and Jacobi checks, over every index tuple,
+# kept as oracles, with ref_riemann_symmetry_residuals, for the walks that
+# visit only the tuples where a stored entry is nonzero
+
+def dense_metric_compat_residuals(conn):
+    m = conn.manifold
+    out = []
+    for i in range(1, m.dim + 1):
+        for j in range(1, m.dim + 1):
+            for k in range(j, m.dim + 1):
+                ej, ek = m.basis(j), m.basis(k)
+                res = (-m.g(conn.nabla_basis(i, j), ek)
+                       - m.g(ej, conn.nabla_basis(i, k)))
+                if not res.is_zero():
+                    out.append(((i, j, k), res))
+    return out
+
+
+def dense_jacobi_violations(m):
+    out = []
+    for i, j, k in itertools.combinations(range(1, m.dim + 1), 3):
+        ei, ej, ek = m.basis(i), m.basis(j), m.basis(k)
+        residual = (m.bracket(ei, m.bracket(ej, ek))
+                    + m.bracket(ej, m.bracket(ek, ei))
+                    + m.bracket(ek, m.bracket(ei, ej)))
+        if not residual.is_zero():
+            out.append(JacobiViolation((i, j, k), residual))
+    return out
+
+
+def _bump_connection(conn, i, j, delta):
+    rows = [list(row) for row in conn._rows]
+    rows[i - 1][j - 1] = rows[i - 1][j - 1] + delta
+    return ConnectionTable(conn.manifold, tuple(map(tuple, rows)))
+
+
+def oracle_inputs():
+    """The kernel entries, the lowering inputs, the chart frame x+y+1 and
+    example41 under a Cayley rotation, whose brackets are not constant in
+    the frame, so the Jacobi sums have nonzero derivative terms."""
+    out = {name: ent.manifold for name, ent in kernel_entries().items()}
+    out.update(lowering_inputs())
+    out["chart-xy"] = chart_frame_xy().manifold
+    out["example41-cayley"] = entry(cayley_example41_manifest()).manifold
+    return out
+
+
+@pytest.mark.parametrize("name", list(oracle_inputs()))
+def test_residual_walks_match_the_dense_loops(name):
+    m = oracle_inputs()[name]
+    n, conn = m.dim, koszul(m)
+    curv = riemann(m, conn)
+    # the valid tables, then the connection corruptions of the metric
+    # and torsion tests and the Riemann corruptions of the lowering test
+    bad_conns = [conn, _bump_connection(conn, 1, 2, m.basis(3)),
+                 _bump_connection(conn, n, n, m.basis(n)),
+                 _bump_connection(conn, n - 1, n, m.basis(1))]
+    for c in bad_conns:
+        assert metric_compat_residuals(c) == dense_metric_compat_residuals(c)
+    assert any(metric_compat_residuals(c) for c in bad_conns)
+    bad_curvs = [curv] + [_corrupt_riemann(curv, 1, 2, k, m.basis(3))
+                          for k in (3, 1)]
+    for c in bad_curvs:
+        assert riemann_symmetry_residuals(c) \
+            == ref_riemann_symmetry_residuals(c)
+    assert m.check_jacobi().violations == ()
+    assert dense_jacobi_violations(m) == []
+
+
+def test_symmetry_walk_matches_the_dense_loop_on_corrupted_h5_tables():
+    # the corruptions edit the stored entries and keep riemann_support,
+    # so the walk must read the stored table
+    curv = _h5_tables()
+    stored_only = copy.copy(curv)
+    stored_only._riemann = dict(curv._riemann)
+    stored_only._riemann[2, 1, 3] = (curv.riemann(2, 1, 3)
+                                     + VectorField.basis(5, 1))
+    cases = [_h5_corrupted(c) for _, c in RIEMANN_CORRUPTIONS.values()]
+    for curv in cases + [stored_only]:
+        assert curv.riemann_support == _h5_tables().riemann_support
+        assert riemann_symmetry_residuals(curv) \
+            == ref_riemann_symmetry_residuals(curv)
+        assert riemann_symmetry_residuals(curv)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_jacobi_walk_matches_the_dense_loop_on_failing_frames(seed):
+    for m in (jacobi_failing_frame(), random_brackets(seed)):
+        violations = m.check_jacobi().violations
+        assert violations and list(violations) == dense_jacobi_violations(m)

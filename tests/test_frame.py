@@ -25,7 +25,7 @@ from contact_tensor.frame import (
 from contact_tensor.linalg import SingularMatrixError
 from contact_tensor.report import build_report
 
-from _frames import heisenberg_manifest
+from _frames import heisenberg_manifest, jacobi_failing_frame
 
 
 def chart_3d():
@@ -245,12 +245,7 @@ def test_bracket_antisymmetry_random_fields():
 def test_jacobi_identity():
     assert chart_3d().check_jacobi().ok
     assert abstract_heisenberg().check_jacobi().ok
-    t = SymbolTable()
-    bad = FrameManifold.abstract(3, t, {
-        (1, 2): (0, 0, 1),
-        (1, 3): (1, 0, 0),
-        (2, 3): (1, 0, 0),
-    })
+    bad = jacobi_failing_frame()
     report = bad.check_jacobi()
     assert not report.ok
     assert report.violations[0].triple == (1, 2, 3)
