@@ -95,7 +95,8 @@ class CurvatureTables:
     i > j negates the i < j entry on read.  i = j is the zero field.
     riemann_support and nabla_r_support are the sorted keys (i, j, k) and
     (w, i, j, k), i < j, whose field is nonzero; every other key reads
-    the zero field.  All tables are built eagerly and never mutated.
+    the zero field.  All tables are built eagerly and never mutated; both
+    kernels share one derivative memo, which the constructor drops.
     """
 
     def __init__(self, manifold: FrameManifold, connection: ConnectionTable):
@@ -104,9 +105,10 @@ class CurvatureTables:
         dim = manifold.dim
         self._zero = VectorField.zero(dim)
         self._riemann: dict[tuple[int, int, int], VectorField] = {}
+        derived: dict[tuple[int, Expr], Expr] = {}
         for i, j in combinations(range(1, dim + 1), 2):
             for k in range(1, dim + 1):
-                r = self._riemann_basis(i, j, k)
+                r = self._riemann_basis(i, j, k, derived)
                 self._riemann[i, j, k] = r
                 self._riemann[j, i, k] = -r
         self.riemann_support = tuple(key for key, r in self._riemann.items()
@@ -116,10 +118,10 @@ class CurvatureTables:
             for j in range(1, dim + 1))
         self.ricci_operator, self.scalar = ricci_operator_of(manifold,
                                                              self.ricci)
-        self._nabla_r = self._nabla_r_table()
+        self._nabla_r = self._nabla_r_table(derived)
         self.nabla_r_support = tuple(sorted(self._nabla_r))
 
-    def _nabla_r_table(self) -> dict[tuple[int, int, int, int], VectorField]:
+    def _nabla_r_table(self, derived) -> dict:
         # the kernel of nabla_r, one pass per direction w: each stored
         # nonzero R_abc = R(e_a, e_b)e_c, both orders of (a, b), is
         # scattered into the keys (w, i, j, k), i < j, whose terms read
@@ -140,7 +142,7 @@ class CurvatureTables:
             for (a, b, c), r in nonzero:
                 if a < b:
                     own = [(v, conn.nabla_basis(w, l)) for l, v in r.items()]
-                    own.append((_ONE, m.derivative(w, r)))
+                    own.append((_ONE, m.derivative(w, r, derived)))
                     if any(f.terms for _, f in own):
                         pairs.setdefault((w, a, b, c), []).extend(own)
                     for x, g in col.get(c, ()):
@@ -157,11 +159,12 @@ class CurvatureTables:
                     table[key] = out
         return table
 
-    def _riemann_basis(self, i: int, j: int, k: int) -> VectorField:
+    def _riemann_basis(self, i: int, j: int, k: int, derived) -> VectorField:
         # nabla_i nabla_j e_k - nabla_j nabla_i e_k - sum_l c^l_ij nabla_l e_k
         m, conn = self.manifold, self.connection
         jk, ik = conn.nabla_basis(j, k), conn.nabla_basis(i, k)
-        pairs = [(_ONE, m.derivative(i, jk)), (_ONE, -m.derivative(j, ik))]
+        pairs = [(_ONE, m.derivative(i, jk, derived)),
+                 (_ONE, -m.derivative(j, ik, derived))]
         pairs += [(c, conn.nabla_basis(i, l)) for l, c in jk.items()]
         pairs += [(-c, conn.nabla_basis(j, l)) for l, c in ik.items()]
         pairs += [(-c, conn.nabla_basis(l, k))
@@ -206,7 +209,7 @@ def ricci_operator_of(manifold: FrameManifold,
                       ricci) -> tuple[tuple[VectorField, ...], Expr]:
     """Rows Q e_i of the Ricci operator, g(Q X, Y) = S(X, Y), and the
     scalar curvature r = tr Q, from a Ricci matrix S."""
-    q_rows = tuple(manifold.raise_index(row) for row in ricci)
+    q_rows = tuple(manifold.raise_index(VectorField.make(r)) for r in ricci)
     scalar = sum((q[i] for i, q in enumerate(q_rows, 1)), Expr.zero())
     return q_rows, scalar
 

@@ -104,6 +104,7 @@ class SymbolTable:
 Mono = tuple
 
 _M_ONE: Mono = ()
+_DENOMINATOR = operator.attrgetter("denominator")
 _CONSTANT_KEYS = frozenset((_M_ONE,))
 
 
@@ -112,6 +113,11 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
         return b
     if not b:
         return a
+    if len(a) == 1 == len(b):     # no dict and no sort for one variable each
+        (na, ea), (nb, eb) = a[0], b[0]
+        if na == nb:
+            return ((na, ea + eb),)
+        return a + b if na < nb else b + a
     exps = dict(a)
     for name, e in b:
         exps[name] = exps.get(name, 0) + e
@@ -200,9 +206,10 @@ class Poly:
         return _normalised(out, other.terms)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if other == _P_ONE:     # a Poly is never mutated, so it can be shared
+        # a Poly is never mutated, so it can be shared
+        if other.terms == _P_ONE.terms:
             return self
-        if self == _P_ONE:
+        if self.terms == _P_ONE.terms:
             return other
         if len(self.terms) == 1 == len(other.terms):
             ((ma, ca),), ((mb, cb),) = self.terms.items(), other.terms.items()
@@ -233,16 +240,11 @@ class Poly:
     def diff(self, name: str) -> "Poly":
         out: dict[Mono, int | Fraction] = {}
         for m, c in self.terms.items():
-            exps = dict(m)
-            e = exps.get(name, 0)
-            if not e:
-                continue
-            if e == 1:
-                exps.pop(name)
-            else:
-                exps[name] = e - 1
-            # distinct monomials stay distinct, so no two terms collide
-            out[tuple(sorted(exps.items()))] = c * e
+            for k, (n, e) in enumerate(m):
+                if n == name:   # sorted names, and no two terms collide
+                    rest = m[k + 1:] if e == 1 else ((n, e - 1),) + m[k + 1:]
+                    out[m[:k] + rest] = c * e
+                    break
         return Poly(out)
 
     def bind(self, values: dict[str, Fraction]) -> "Poly":
@@ -289,7 +291,8 @@ def poly_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     """(h, f/h, g/h) for a gcd h of f and g, unique up to a rational unit.
 
     A zero or equal operand is returned as h, and a constant h returns f
-    and g themselves.  Otherwise f and g are read once into dense lists
+    and g themselves; in one variable, one evaluation may certify that h
+    is constant first.  Otherwise f and g are read once into dense lists
     over Z, denominators cleared: indexed by degree in the alphabetically
     first variable, with entries such lists in the next variable, down to
     ints in the last.  The zero is ``[]`` at a list level and ``0`` at the
@@ -307,6 +310,17 @@ def poly_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     if f.is_constant() or g.is_constant():
         return _P_ONE, f, g
     *outer, last = names = sorted(f.variables() | g.variables())
+    if not outer:
+        # GCDHEU's evaluation lemma (Char, Geddes & Gonnet, J. Symb. Comp.
+        # 7, 1989), with a and b primitive over Z and xi = 2*min(|a|, |b|)
+        # + 2 in the max-norm: a common factor h has its roots within xi/2
+        # (Cauchy), so |h(xi)| > xi/2 unless h is constant, and h(xi)
+        # divides the gcd of a(xi) and b(xi), nonzero as xi is past them
+        (ea, a), (eb, b) = _ints(f), _ints(g)
+        xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+        if 2 * math.gcd(sum(map(operator.mul, a, [xi ** e for e in ea])),
+                        sum(map(operator.mul, b, [xi ** e for e in eb]))) < xi:
+            return _P_ONE, f, g
 
     # entries p and q at one level; an int level is worked inline
     def add(p, q, s):
@@ -438,6 +452,18 @@ def poly_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
             sparse(div(b, h), u, db))
 
 
+def _ints(p: Poly) -> tuple[list[int], list[int]]:
+    # exponents and coefficients of the primitive integer multiple of a
+    # polynomial in one variable
+    out = list(p.terms.values())
+    den = math.lcm(*map(_DENOMINATOR, out))
+    if den != 1:
+        out = [c.numerator * (den // c.denominator) for c in out]
+    k = math.gcd(*out)
+    return ([m[0][1] if m else 0 for m in p.terms],
+            out if k == 1 else [c // k for c in out])
+
+
 # ---------------------------------------------------------------------------
 # rational functions
 
@@ -515,8 +541,8 @@ class Expr:
             return Expr(_poly_op(a, c, operator.add), _P_ONE)
         # Henrici: with g = gcd(b, d), b = g*b1 and d = g*d1, the sum
         # a/b + c/d = (a*d1 + c*b1)/(g*b1*d1) is coprime to b1 and d1, so
-        # only a factor of g can cancel
-        g, b1, d1 = poly_gcd(b, d)
+        # only a factor of g can cancel; b = d is g = b, with no gcd
+        g, b1, d1 = (b, _P_ONE, _P_ONE) if b == d else poly_gcd(b, d)
         n = a * d1 + c * b1
         if not n.terms:
             return _E_ZERO
@@ -605,16 +631,27 @@ class Expr:
     # -- calculus -----------------------------------------------------------
 
     def diff(self, sym: Symbol) -> "Expr":
-        """Partial derivative; parameters are constants, so they give 0."""
+        """Partial derivative; parameters are constants, so they give 0.
+
+        A d free of x = sym gives n'/d, cancelled.  A d in x alone, with
+        g = gcd(d, d') (1 for a constant d'), d = g*d1 and d' = g*e, gives
+        (n'*d1 - n*e)/(d*d1), monic as d and g are, in lowest terms: d1 is
+        the squarefree part of d, and a prime factor of d1 divides neither
+        n (n/d is canonical) nor e (characteristic 0), so not the
+        numerator; every factor of g divides d1.  Any other d takes
+        (n' - (n/d)*d')/d through the canonical operations, each gcd
+        against a factor of d, never d^2.
+        """
         if sym.kind != KIND_COORDINATE:
             return _E_ZERO
-        # (n/d)' = (n' - (n/d)*d')/d through the canonical operations: each
-        # gcd runs against d or a factor of d, never against d^2
-        dn, dd = self.num.diff(sym.name), self.den.diff(sym.name)
-        if not dn.terms and not dd.terms:
-            return _E_ZERO
-        return (Expr(dn, _P_ONE) - self * Expr(dd, _P_ONE)) \
-            / Expr(self.den, _P_ONE)
+        n, d = self.num, self.den
+        dn, dd = n.diff(sym.name), d.diff(sym.name)
+        if not dd.terms:
+            return Expr(*_monic(*_cancel(dn, d))) if dn.terms else _E_ZERO
+        if d.variables() == {sym.name}:
+            _, d1, e = (_P_ONE, d, dd) if dd.is_constant() else poly_gcd(d, dd)
+            return Expr(dn * d1 - n * e, d * d1)
+        return (Expr(dn, _P_ONE) - self * Expr(dd, _P_ONE)) / Expr(d, _P_ONE)
 
     def eval(self, bindings: dict) -> Fraction:
         """Evaluate at rational bindings; every variable must be bound."""

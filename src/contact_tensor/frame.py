@@ -203,7 +203,9 @@ class FrameManifold:
     manifold); it defaults to the identity, the orthonormal-frame case.
     It is held as sparse rows, metric_rows[i-1] = g(e_i, .), and its
     inverse as sparse rows.  The metric is inverted first, so a singular
-    metric is named before a singular chart frame matrix.
+    metric is named before a singular chart frame matrix.  When every row
+    is its basis field, `lower` and `raise_index` return their field
+    without arithmetic.
     """
 
     def __init__(self, mode, dim, symbols, metric, structure, chart_frame):
@@ -218,6 +220,8 @@ class FrameManifold:
             s.name for s in symbols.coordinates())
         self._metric_inverse = tuple(map(VectorField.make, invert(
             [list(row.components) for row in metric], "metric")))
+        self._identity_metric = all(row.terms == {i: _ONE}
+                                    for i, row in enumerate(metric, 1))
         if mode == MODE_CHART:
             self._chart_inverse = tuple(map(VectorField.make, invert(
                 [list(row.components) for row in chart_frame],
@@ -277,12 +281,17 @@ class FrameManifold:
         return self._metric_inverse
 
     def lower(self, v: VectorField) -> VectorField:
-        """The covector g(v, .) as the field of its frame values."""
+        """The covector g(v, .) as the field of its frame values: v itself
+        under the identity metric, since a VectorField is never mutated."""
+        if self._identity_metric:
+            return v
         return VectorField.combination(v, self.metric_rows)
 
     def raise_index(self, lowered) -> VectorField:
         """The vector field w with g(w, e_k) = lowered[k] for every k;
         lowered is a VectorField or a sequence of the dim values."""
+        if self._identity_metric and isinstance(lowered, VectorField):
+            return lowered
         return VectorField.combination(lowered, self.metric_inverse())
 
     def g(self, x: VectorField, y: VectorField) -> Expr:
@@ -314,12 +323,23 @@ class FrameManifold:
             total = total + fa * f.diff(coords[a - 1])
         return total
 
-    def derivative(self, i: int, v: VectorField) -> VectorField:
+    def derivative(self, i: int, v: VectorField, memo=None) -> VectorField:
         """e_i applied to each frame component of v: the zero field at once
-        in abstract mode with no coordinate, where all are parameter-only."""
+        in abstract mode with no coordinate, where all are parameter-only.
+        `memo`, a dict the caller owns, keeps e_i(c) by (i, c) across
+        calls, and gives e_i(-c) as -e_i(c)."""
         if self.mode == MODE_ABSTRACT and not self._coordinate_names:
             return VectorField.zero(v.dim)
-        return v.map(lambda c: self.directional_derivative(i, c))
+        memo = {} if memo is None else memo
+
+        def derived(c):
+            d = memo.get((i, c))
+            if d is None:
+                d = memo.get((i, -c))
+                d = memo[i, c] = (self.directional_derivative(i, c)
+                                  if d is None else -d)
+            return d
+        return v.map(derived)
 
     def chart_inverse(self) -> tuple[VectorField, ...]:
         """Rows of the inverse chart coefficient matrix as sparse vector

@@ -423,6 +423,35 @@ def test_product_denominator_chart_frame_report_is_pinned():
         "12fa2881d8e3c8c64daf00ab570961bc49918323aa5147afc37d7896ac827fd4")
 
 
+# sha256 of the report JSON of the one-coordinate chart frames: the two the
+# kernel tests use and every frame that chart seeds 1-5 of the benchmark
+# draw.  The benchmark's own chart oracle reads only the connection at
+# points, so a wrong R or nabla R entry on these frames shows here
+UNIVARIATE_CHART_DIGESTS = {
+    "x+2": "ab83c05c2577fd04afa6f6069d0c33cc218abbec5e0426c17228e47c2c048eed",
+    "x^2+x+3":
+        "81b7ce15f7683f7ef9d07a21ec606ea39374002b9847d5135b78d64275624dd9",
+    "x+1": "d4a6844cdfecf474bda932c645c1f3deb047479c62419be9f52023de51937946",
+    "x+3": "bd605f3c594f549f56bbbcd0993d821d5f0b4f47352be03d9de1a37784133ca9",
+    "x^2+2*x+3":
+        "bb3eddf29f69d32d226a03dd281c5cd5af714090f6c287c5a08686175ebe846f",
+    "x^2+1*x+3":
+        "81b7ce15f7683f7ef9d07a21ec606ea39374002b9847d5135b78d64275624dd9",
+    "x^2+1*x+1":
+        "3493688839b1efd8f56367893383d73dba6c8a613ebf97d1bc67b965fe5451d9",
+}
+
+
+@pytest.mark.parametrize("p", sorted(UNIVARIATE_CHART_DIGESTS))
+def test_univariate_chart_frame_report_is_pinned(p):
+    report = build_report(entry(chart_manifest(p)))
+    checks = report["self_check"]
+    assert checks and all(v is True for v in checks.values())
+    out = render_json(report)
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == UNIVARIATE_CHART_DIGESTS[p]
+
+
 # ---------------------------------------------------------------------------
 # reference forms of the kernels (one VectorField per term) and of the
 # identity checks (every index tuple), kept to test the fused kernels and

@@ -9,6 +9,7 @@ does not need them.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -260,6 +261,125 @@ def test_univariate_poly_gcd_matches_sympy_gcd(pair):
     f, g = (parse(s, t).num for s in pair)
     assert f.variables() == g.variables() == {"x"}
     assert_gcd_matches(f, g)
+
+
+def x_poly(cs) -> str:
+    # the polynomial sum c_e x^e of a coefficient list, as text
+    return "+".join(f"({c})*x^{e}" for e, c in enumerate(cs)) or "0"
+
+
+# nonconstant polynomials in x alone of degree 1 or 2
+_X_FACTORS = st.lists(st.integers(-3, 3), min_size=2, max_size=3).filter(
+    lambda cs: cs[-1] != 0)
+
+
+@st.composite
+def univariate_denominator_fractions(draw):
+    """n/(p^j * q^k) with p and q in x alone, j in 1..3 and k in 0..2, and
+    n in x, y and z: the denominators whose derivative takes one gcd."""
+    n = draw(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1),
+                                       st.integers(0, 1)),
+                             _COEFFS, max_size=3))
+    n = "+".join(f"({c})*x^{i}*y^{j}*z^{k}" for (i, j, k), c in n.items())
+    p, q = x_poly(draw(_X_FACTORS)), x_poly(draw(_X_FACTORS))
+    j, k = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    return f"({n or 0})/(({p})^{j}*({q})^{k})"
+
+
+def xyz_table():
+    t = SymbolTable()
+    for name in "xyz":
+        t.add(name, KIND_COORDINATE)
+    return t
+
+
+@SETTINGS
+@hypothesis.given(univariate_denominator_fractions())
+@hypothesis.example("(x*y+z)/((x+1)^2*(x^2+x+3)^3)")
+@hypothesis.example("(x^2+3*x+3)/(x^2+2*x+3)")     # d' = 2x+2, g = 1
+@hypothesis.example("1/(x+2)")                     # a constant d'
+def test_derivative_over_a_univariate_denominator_matches_sympy(s):
+    t = xyz_table()
+    e = parse(s, t)
+    for name in "xyz":
+        assert_matches(e.diff(t.get(name)), sympy.diff(sym(s), name))
+
+
+def test_derivative_over_a_two_variable_denominator_matches_sympy():
+    # a denominator in x and y takes (n' - (n/d)*d')/d through the
+    # canonical operations, not the one-gcd quotient rule
+    t = xyz_table()
+    s = "(x*z+y)/((x+y)^2*(x+1))"
+    e = parse(s, t)
+    assert e.den.variables() == {"x", "y"}
+    for name in "xyz":
+        assert_matches(e.diff(t.get(name)), sympy.diff(sym(s), name))
+
+
+_SCALES = st.sampled_from((1, -1, 6, -4, Fraction(2, 3), Fraction(-5, 4)))
+
+
+@st.composite
+def scaled_univariate_gcd_operands(draw):
+    """h*p and h*q in x alone, each scaled by a unit from _SCALES, so an
+    operand may be non-primitive, lead with a negative coefficient or
+    hold Fraction coefficients; h has degree 0..2 with Fraction
+    coefficients, so about a third of the pairs are coprime."""
+    h = draw(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=1,
+                      max_size=3).filter(lambda cs: cs[-1] != 0))
+    p, q = draw(_X_FACTORS), draw(_X_FACTORS)
+    t = table()
+    return tuple(parse(f"({draw(_SCALES)})*({x_poly(h)})*({x_poly(cs)})",
+                       t).num for cs in (p, q))
+
+
+@SETTINGS
+@hypothesis.given(scaled_univariate_gcd_operands())
+def test_scaled_univariate_poly_gcd_matches_sympy_gcd(pair):
+    f, g = pair
+    assert f.variables() == g.variables() == {"x"}
+    assert_gcd_matches(f, g)
+
+
+def certificate(f: Poly, g: Poly) -> tuple[int, int]:
+    """xi and gamma = gcd(a(xi), b(xi)) of the coprimality certificate,
+    for a and b the primitive integer multiples of f and g in x."""
+    def primitive(p):
+        cs = {(m[0][1] if m else 0): Fraction(c) for m, c in p.terms.items()}
+        den = math.lcm(*(c.denominator for c in cs.values()))
+        ints = {e: int(c * den) for e, c in cs.items()}
+        k = math.gcd(*ints.values())
+        return {e: c // k for e, c in ints.items()}
+    a, b = primitive(f), primitive(g)
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
+    return xi, math.gcd(sum(c * xi ** e for e, c in a.items()),
+                        sum(c * xi ** e for e, c in b.items()))
+
+
+@pytest.mark.parametrize("pair, xi, gamma, gcd", [
+    # a coprime pair from the chart workload's x^2+2*x+3 frame on which the
+    # certificate declines (2*gamma > xi), so the remainder sequence runs
+    (("2*x^4+8*x^3+10*x^2+8*x-6", "x^4+4*x^3+10*x^2+12*x+9"), 12, 9, "1"),
+    # the boundary 2*gamma = xi, where the certificate declines as well
+    (("-2*x^2-3*x-3", "2*x^2+x"), 6, 3, "1"),
+    # one it takes: 2*gamma < xi
+    (("x^2+2*x+3", "2*x+2"), 4, 1, "1"),
+    # the common root 3 sits at the Cauchy bound 1 + |a| = 4 = xi/2; an xi
+    # of |a| + 2 = 5 would give gamma = 2 < 5/2 and a false certificate
+    (("(x-3)*(x+1)", "(x-3)*(x+2)"), 8, 5, "x-3"),
+])
+def test_certificate_on_declined_boundary_and_taken_pairs(pair, xi, gamma,
+                                                          gcd):
+    t = table()
+    f, g = (parse(s, t).num for s in pair)
+    assert certificate(f, g) == (xi, gamma)
+    h, f1, g1 = poly_gcd(f, g)
+    assert h == parse(gcd, t).num
+    assert sympy.gcd(to_sympy(f), to_sympy(g)) == to_sympy(h)
+    if gcd == "1":
+        assert f1 is f and g1 is g
+    else:
+        assert h * f1 == f and h * g1 == g
 
 
 _RATIONALS = st.fractions(-5, 5, max_denominator=6)

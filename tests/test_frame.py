@@ -1,5 +1,6 @@
 """Frame manifolds: brackets, chart calculus, validation."""
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -25,7 +26,8 @@ from contact_tensor.frame import (
 from contact_tensor.linalg import SingularMatrixError
 from contact_tensor.report import build_report
 
-from _frames import heisenberg_manifest, jacobi_failing_frame
+from _frames import (NON_IDENTITY_METRICS, entry, heisenberg_manifest,
+                     jacobi_failing_frame, sphere_brackets)
 
 
 def chart_3d():
@@ -328,6 +330,70 @@ def test_raise_index_inverts_lowering():
         w = m.raise_index(lowered)
         for k in range(1, 4):
             assert m.g(w, m.basis(k)) == lowered[k - 1]
+
+
+def test_identity_metric_lowers_and_raises_without_arithmetic(monkeypatch):
+    # every metric row of H^5 is its basis field, so lower and raise_index
+    # return the field they are given and never combine rows
+    m = entry(heisenberg_manifest(2)).manifold
+
+    def refuse(coeffs, vectors):
+        raise AssertionError("VectorField.combination under the identity")
+    monkeypatch.setattr(VectorField, "combination", staticmethod(refuse))
+    for i in range(1, 6):
+        for j in range(1, 6):
+            v = m.bracket_basis(i, j)
+            assert m.lower(v) is v
+            assert m.raise_index(v) is v
+    curv = riemann(m, koszul(m))
+    assert curv.scalar == Expr.integer(-4)
+
+
+def _tables_text(m):
+    # the connection, Riemann, nabla R, Ricci and scalar tables, every
+    # entry in index order
+    conn = koszul(m)
+    curv = riemann(m, conn)
+    idx = range(1, m.dim + 1)
+    out = [str(conn.gamma(i, j, k)) for i in idx for j in idx for k in idx]
+    out += [str(c) for i in idx for j in idx for k in idx
+            for c in curv.riemann(i, j, k).components]
+    out += [str(c) for w in idx for i in idx for j in idx for k in idx
+            for c in curv.nabla_r(w, i, j, k).components]
+    out += [str(c) for row in curv.ricci for c in row] + [str(curv.scalar)]
+    return " ".join(out)
+
+
+# sha256 of _tables_text of the sphere's brackets under each non-identity
+# metric, recorded when every lowering and raising went through
+# VectorField.combination
+NON_IDENTITY_TABLE_DIGESTS = {
+    "scaled":
+        "b2a6b0f4f701db69f210170177154e9b8c55175de641cfb28cf8e2b7e15eb5c8",
+    "berger":
+        "52f243ef7b043bd548546e6616b731809031118a6a7aff155d6a59d258329a63",
+    "non-diagonal":
+        "eab4258c75c54b92d763137d6e317a11d80d29b7626c5912d4e2ab29b46efd5a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_IDENTITY_METRICS))
+def test_non_identity_metric_combines_rows(name, monkeypatch):
+    m = sphere_brackets(NON_IDENTITY_METRICS[name])
+    calls = Counter()
+    combination = VectorField.combination
+
+    def counted(coeffs, vectors):
+        calls[vectors is m.metric_rows] += 1
+        return combination(coeffs, vectors)
+    monkeypatch.setattr(VectorField, "combination", staticmethod(counted))
+    v = m.basis(2)
+    assert m.lower(v) is not v and m.lower(v) == m.metric_rows[1]
+    text = _tables_text(m)
+    # the Koszul table lowers by the metric rows and raises by the inverse
+    assert calls[True] > 1 and calls[False] > 0
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == NON_IDENTITY_TABLE_DIGESTS[name]
 
 
 def test_combination_of_zero_coefficients_is_zero_field():
