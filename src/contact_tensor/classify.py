@@ -285,9 +285,12 @@ def constant_curvature(curv: CurvatureTables) -> Expr | None:
     Contracting the right side over its first slot gives the scalar
     curvature r = n(n-1)c, so c = r/(n(n-1)) is the only candidate.  Both
     sides are antisymmetric in (X, Y), so the pairs i < j decide it.
+    With c = 0 the right side vanishes, so an empty riemann_support does.
     """
     m = curv.manifold
     c = curv.scalar / (m.dim * (m.dim - 1))
+    if c.is_zero():
+        return None if curv.riemann_support else c
     for i, j, k in _slots(range(1, m.dim + 1)):
         shape = (m.basis(i).scale(m.metric_entry(j, k))
                  - m.basis(j).scale(m.metric_entry(i, k)))
@@ -410,13 +413,14 @@ def reconstruction_holds(manifold: FrameManifold, riemann_basis,
     q_rows, scalar = ricci_operator_of(m, ricci)
     half_r = Expr.rational(1, 2) * scalar
     for i, j, k in _slots(range(1, 4)):
-        gjk = m.metric_entry(j, k)
-        gik = m.metric_entry(i, k)
-        recon = VectorField.accumulate(3, [
-            (gjk, q_rows[i - 1]), (-gik, q_rows[j - 1]),
-            (ricci[j - 1][k - 1] - half_r * gjk, m.basis(i)),
-            (half_r * gik - ricci[i - 1][k - 1], m.basis(j))])
-        if not (riemann_basis(i, j, k) - recon).is_zero():
+        gjk, gik = m.metric_entry(j, k), m.metric_entry(i, k)
+        pairs = [(ricci[j - 1][k - 1], m.basis(i)),
+                 (-ricci[i - 1][k - 1], m.basis(j))]
+        if gjk:
+            pairs += [(gjk, q_rows[i - 1]), (-half_r * gjk, m.basis(i))]
+        if gik:
+            pairs += [(-gik, q_rows[j - 1]), (half_r * gik, m.basis(j))]
+        if riemann_basis(i, j, k) != VectorField.accumulate(3, pairs):
             return False
     return True
 

@@ -59,23 +59,23 @@ class ConnectionTable:
 
 def koszul(manifold: FrameManifold) -> ConnectionTable:
     """Levi-Civita connection of the frame metric via the Koszul formula,
-    read from the table of lowered brackets g([e_i, e_j], e_k)."""
+    read from the lowered brackets low[a, b][c] = g([e_a, e_b], e_c): only
+    the (i, j, k) where a nonzero low[a, b][c] is one of the three terms,
+    (a, b, c), (c, a, b) or (a, c, b), are visited, in the dense order."""
     m = manifold
     idx = range(1, m.dim + 1)
     half = Expr.rational(1, 2)
+    zero = VectorField.zero(m.dim)
     low = {(i, j): m.lower(m.bracket_basis(i, j)) for i in idx for j in idx}
-    rows = []
-    for i in idx:
-        row = []
-        for j in idx:
-            rhs = {}  # rhs[k] = g(nabla_{e_i} e_j, e_k)
-            for k in idx:
-                val = low[i, j][k] - low[j, k][i] - low[i, k][j]
-                if not val.is_zero():
-                    rhs[k] = half * val
-            row.append(m.raise_index(VectorField(m.dim, rhs)))
-        rows.append(tuple(row))
-    return ConnectionTable(m, tuple(rows))
+    rhs = {}  # rhs[i, j][k] = g(nabla_{e_i} e_j, e_k)
+    for i, j, k in sorted({key for (a, b), v in low.items() for c in v.terms
+                           for key in ((a, b, c), (c, a, b), (a, c, b))}):
+        val = low[i, j][k] - low[j, k][i] - low[i, k][j]
+        if not val.is_zero():
+            rhs.setdefault((i, j), {})[k] = half * val
+    return ConnectionTable(m, tuple(
+        tuple(m.raise_index(VectorField(m.dim, rhs[i, j])) if (i, j) in rhs
+              else zero for j in idx) for i in idx))
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,8 @@ class CurvatureTables:
     i > j negates the i < j entry on read.  i = j is the zero field.
     riemann_support and nabla_r_support are the sorted keys (i, j, k) and
     (w, i, j, k), i < j, whose field is nonzero; every other key reads
-    the zero field.  All tables are built eagerly and never mutated; both
+    the zero field.  nabla_r_table maps each key of nabla_r_support to
+    its field.  All tables are built eagerly and never mutated; both
     kernels share one derivative memo, which the constructor drops.
     """
 
@@ -110,7 +111,7 @@ class CurvatureTables:
             for k in range(1, dim + 1):
                 r = self._riemann_basis(i, j, k, derived)
                 self._riemann[i, j, k] = r
-                self._riemann[j, i, k] = -r
+                self._riemann[j, i, k] = -r if r.terms else r
         self.riemann_support = tuple(key for key, r in self._riemann.items()
                                      if key[0] < key[1] and r.terms)
         self.ricci = tuple(
@@ -118,17 +119,18 @@ class CurvatureTables:
             for j in range(1, dim + 1))
         self.ricci_operator, self.scalar = ricci_operator_of(manifold,
                                                              self.ricci)
-        self._nabla_r = self._nabla_r_table(derived)
-        self.nabla_r_support = tuple(sorted(self._nabla_r))
+        self.nabla_r_table = self._nabla_r_kernel(derived)
+        self.nabla_r_support = tuple(sorted(self.nabla_r_table))
 
-    def _nabla_r_table(self, derived) -> dict:
+    def _nabla_r_kernel(self, derived) -> dict:
         # the kernel of nabla_r, one pass per direction w: each stored
         # nonzero R_abc = R(e_a, e_b)e_c, both orders of (a, b), is
         # scattered into the keys (w, i, j, k), i < j, whose terms read
         # it, with col[l] = [(x, -Gamma^l_wx)]: (w, a, b, c) takes
         # nabla_w of R_abc, (w, x, b, c) and (w, a, x, c) the R-of-nabla
         # terms of the first two slots, (w, a, b, x) that of the third;
-        # a key is opened only for a term with a nonzero field
+        # a key is opened only for a term with a nonzero field, and no
+        # derivative pair is added on a frame that never differentiates
         m, conn = self.manifold, self.connection
         idx = range(1, m.dim + 1)
         nonzero = [(key, r) for key, r in self._riemann.items() if r.terms]
@@ -142,7 +144,8 @@ class CurvatureTables:
             for (a, b, c), r in nonzero:
                 if a < b:
                     own = [(v, conn.nabla_basis(w, l)) for l, v in r.items()]
-                    own.append((_ONE, m.derivative(w, r, derived)))
+                    if m.differentiates:
+                        own.append((_ONE, m.derivative(w, r, derived)))
                     if any(f.terms for _, f in own):
                         pairs.setdefault((w, a, b, c), []).extend(own)
                     for x, g in col.get(c, ()):
@@ -160,15 +163,20 @@ class CurvatureTables:
         return table
 
     def _riemann_basis(self, i: int, j: int, k: int, derived) -> VectorField:
-        # nabla_i nabla_j e_k - nabla_j nabla_i e_k - sum_l c^l_ij nabla_l e_k
+        # nabla_i nabla_j e_k - nabla_j nabla_i e_k - sum_l c^l_ij nabla_l e_k;
+        # zero when nabla_j e_k, nabla_i e_k and [e_i, e_j] all vanish
         m, conn = self.manifold, self.connection
         jk, ik = conn.nabla_basis(j, k), conn.nabla_basis(i, k)
-        pairs = [(_ONE, m.derivative(i, jk, derived)),
-                 (_ONE, -m.derivative(j, ik, derived))]
+        bracket = m.bracket_basis(i, j)
+        if not (jk.terms or ik.terms or bracket.terms):
+            return self._zero
+        pairs = ([(_ONE, m.derivative(i, jk, derived)),
+                  (_ONE, -m.derivative(j, ik, derived))]
+                 if m.differentiates else [])
         pairs += [(c, conn.nabla_basis(i, l)) for l, c in jk.items()]
         pairs += [(-c, conn.nabla_basis(j, l)) for l, c in ik.items()]
         pairs += [(-c, conn.nabla_basis(l, k))
-                  for l, c in m.bracket_basis(i, j).items()]
+                  for l, c in bracket.items()]
         return VectorField.accumulate(m.dim, pairs)
 
     def riemann(self, i: int, j: int, k: int) -> VectorField:
@@ -201,8 +209,8 @@ class CurvatureTables:
         - R(e_i, nabla_w e_j)e_k - R(e_i,e_j)(nabla_w e_k).
         """
         if i > j:
-            return -self._nabla_r.get((w, j, i, k), self._zero)
-        return self._nabla_r.get((w, i, j, k), self._zero)
+            return -self.nabla_r_table.get((w, j, i, k), self._zero)
+        return self.nabla_r_table.get((w, i, j, k), self._zero)
 
 
 def ricci_operator_of(manifold: FrameManifold,

@@ -145,16 +145,13 @@ class Poly:
     """Sparse distributed polynomial over the rationals; an integral
     coefficient is held as ``int``, any other as ``Fraction``."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: dict[Mono, int | Fraction]):
         self.terms = {m: c if c.__class__ is int or c.denominator != 1
                       else c.numerator
                       for m, c in terms.items() if c}
-
-    @staticmethod
-    def const(c) -> "Poly":
-        return Poly({_M_ONE: c})
+        self._hash = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -188,7 +185,9 @@ class Poly:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        if self._hash is None:      # on first use: a Poly is never mutated
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
@@ -279,12 +278,12 @@ def _normalised(terms: dict[Mono, int | Fraction], changed=()) -> Poly:
         elif c.__class__ is not int and c.denominator == 1:
             terms[m] = c.numerator
     p = object.__new__(Poly)
-    p.terms = terms
+    p.terms, p._hash = terms, None
     return p
 
 
 _P_ZERO = Poly({})
-_P_ONE = Poly.const(1)
+_P_ONE = Poly({_M_ONE: 1})
 
 
 def poly_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
@@ -473,14 +472,19 @@ class Expr:
 
     Construct through the classmethods or `parse`.  Every operation builds
     its canonical result from canonical operands and the constructor only
-    stores it, so equal Exprs denote the same rational function.
+    stores it, so equal Exprs denote the same rational function.  A
+    constant denominator is always the shared polynomial 1, and `value` is
+    a constant's rational value (else None), so two constants take one
+    coefficient operation in the arithmetic and `==`.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "value")
 
     def __init__(self, num: Poly, den: Poly):
         self.num = num
         self.den = den
+        self.value = (num.terms.get(_M_ONE, 0) if den is _P_ONE
+                      and num.terms.keys() <= _CONSTANT_KEYS else None)
 
     # -- constructors -------------------------------------------------------
 
@@ -494,12 +498,11 @@ class Expr:
 
     @staticmethod
     def integer(n: int) -> "Expr":
-        return Expr(Poly.const(n), _P_ONE)
+        return _constant(n)
 
     @staticmethod
     def rational(p, q=1) -> "Expr":
-        return Expr(Poly.const(Fraction(p, q) if q != 1 else Fraction(p)),
-                    _P_ONE)
+        return _constant(Fraction(p, q) if q != 1 else Fraction(p))
 
     @staticmethod
     def symbol(sym) -> "Expr":
@@ -512,13 +515,12 @@ class Expr:
         return not self.num.terms
 
     def is_constant(self) -> bool:
-        return self.num.is_constant() and (self.den is _P_ONE
-                                           or self.den == _P_ONE)
+        return self.value is not None
 
     def constant_value(self) -> Fraction:
-        if not self.is_constant():
+        if self.value is None:
             raise ExprError(f"{self} is not a constant")
-        return self.num.constant_value()
+        return Fraction(self.value)
 
     def variables(self) -> frozenset[str]:
         return frozenset(self.num.variables() | self.den.variables())
@@ -529,16 +531,19 @@ class Expr:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "Expr":
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Expr and (
+                other := _coerce(other)) is NotImplemented:
             return NotImplemented
         if not other.num.terms:
             return self
         if not self.num.terms:
             return other
+        x, y = self.value, other.value
+        if x is not None and y is not None:
+            return _constant(x + y)
         a, b, c, d = self.num, self.den, other.num, other.den
-        if (b is _P_ONE or b == _P_ONE) and (d is _P_ONE or d == _P_ONE):
-            return Expr(_poly_op(a, c, operator.add), _P_ONE)
+        if b is _P_ONE and d is _P_ONE:
+            return Expr(a + c, _P_ONE)
         # Henrici: with g = gcd(b, d), b = g*b1 and d = g*d1, the sum
         # a/b + c/d = (a*d1 + c*b1)/(g*b1*d1) is coprime to b1 and d1, so
         # only a factor of g can cancel; b = d is g = b, with no gcd
@@ -552,17 +557,20 @@ class Expr:
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr(-self.num, self.den)
+        x = self.value
+        return Expr(-self.num, self.den) if x is None else _constant(-x)
 
     def __sub__(self, other) -> "Expr":
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Expr and (
+                other := _coerce(other)) is NotImplemented:
             return NotImplemented
         if not other.num.terms:
             return self
-        b, d = self.den, other.den
-        if (b is _P_ONE or b == _P_ONE) and (d is _P_ONE or d == _P_ONE):
-            return Expr(_poly_op(self.num, other.num, operator.sub), _P_ONE)
+        x, y = self.value, other.value
+        if x is not None and y is not None:
+            return _constant(x - y)
+        if self.den is _P_ONE and other.den is _P_ONE:
+            return Expr(self.num - other.num, _P_ONE)
         return self + (-other)
 
     def __rsub__(self, other) -> "Expr":
@@ -572,14 +580,16 @@ class Expr:
         return other - self
 
     def __mul__(self, other) -> "Expr":
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Expr and (
+                other := _coerce(other)) is NotImplemented:
             return NotImplemented
         if not self.num.terms or not other.num.terms:
             return _E_ZERO
-        b, d = self.den, other.den
-        if (b is _P_ONE or b == _P_ONE) and (d is _P_ONE or d == _P_ONE):
-            return Expr(_poly_op(self.num, other.num, operator.mul), _P_ONE)
+        x, y = self.value, other.value
+        if x is not None and y is not None:
+            return _constant(x * y)
+        if self.den is _P_ONE and other.den is _P_ONE:
+            return Expr(self.num * other.num, _P_ONE)
         # Henrici: cancelling across canonical operands leaves a coprime product
         a, d = _cancel(self.num, other.den)
         c, b = _cancel(other.num, self.den)
@@ -588,13 +598,15 @@ class Expr:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Expr":
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Expr and (
+                other := _coerce(other)) is NotImplemented:
             return NotImplemented
         if other.is_zero():
             raise ExprError("division by an identically zero expression")
-        if other.is_constant():     # what the product below gives
-            v = other.num.terms[_M_ONE]
+        v = other.value
+        if v is not None:           # what the product below gives
+            if self.value is not None:
+                return _constant(Fraction(self.value) / v)
             if v == 1 or v == -1:
                 return self if v == 1 else -self
             return Expr(self.num.scale(1 / Fraction(v)), self.den)
@@ -619,9 +631,12 @@ class Expr:
         return Expr(self.num ** k, self.den ** k)
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Expr and (
+                other := _coerce(other)) is NotImplemented:
             return NotImplemented
+        x, y = self.value, other.value
+        if x is not None and y is not None:
+            return x == y
         return self.num.terms == other.num.terms and (
             self.den is other.den or self.den == other.den)
 
@@ -688,8 +703,10 @@ class Expr:
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
+        if self.value is not None:
+            return str(self.value)
         ns = _poly_str(self.num)
-        if self.den is _P_ONE or self.den == _P_ONE:
+        if self.den is _P_ONE:
             return ns
         if len(self.num.terms) > 1:
             ns = f"({ns})"
@@ -702,12 +719,14 @@ class Expr:
         return f"Expr({self})"
 
 
-def _poly_op(p: Poly, q: Poly, op) -> Poly:
-    # op(p, q) for op add, sub or mul: one coefficient operation on constants
-    x, y = p.terms, q.terms
-    if len(x) == 1 == len(y) and _M_ONE in x and _M_ONE in y:
-        return _normalised({_M_ONE: op(x[_M_ONE], y[_M_ONE])}, (_M_ONE,))
-    return op(p, q)
+def _constant(v) -> Expr:
+    # the canonical Expr of the rational v, built directly
+    if v.__class__ is not int and v.denominator == 1:
+        v = v.numerator
+    p, e = object.__new__(Poly), object.__new__(Expr)
+    p.terms, p._hash = {_M_ONE: v} if v else {}, None
+    e.num, e.den, e.value = p, _P_ONE, v
+    return e
 
 
 def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -718,30 +737,35 @@ def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 
 def _monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    # num/den scaled so that den has leading coefficient 1
+    # num/den scaled so that den has leading coefficient 1; a constant den
+    # is then the shared _P_ONE
     lc = den.leading()[1]
     if lc != 1:
         inv = Fraction(1, lc)
         num, den = num.scale(inv), den.scale(inv)
-    return num, den
+    return num, _P_ONE if den.is_constant() else den
 
 
 def sum_of_products(pairs) -> Expr:
-    """sum c * a over (c, a) pairs of Exprs, canonical.  Products over a
-    denominator in at most one variable are summed uncancelled, one
-    monomial dict per denominator, and each sum is cancelled once; any
-    other product is the canonical `c * a` (see `VectorField.accumulate`)."""
+    """sum c * a over (c, a) pairs of Exprs, canonical.  Products of two
+    constants are summed as one rational k, built directly when alone.
+    Other products over a denominator in at most one variable are summed
+    uncancelled, one monomial dict per denominator, and each sum is
+    cancelled once; any other product is the canonical `c * a` (see
+    `VectorField.accumulate`)."""
     ones: dict[Mono, int | Fraction] = {}
     groups: dict[Poly, dict[Mono, int | Fraction]] = {_P_ONE: ones}
-    total = _E_ZERO
+    total, k = _E_ZERO, 0
     for c, a in pairs:
+        x, y = c.value, a.value
+        if x is not None and y is not None:
+            k += x * y
+            continue
         b, d = c.den, a.den
-        b_one = b is _P_ONE or b == _P_ONE
-        d_one = d is _P_ONE or d == _P_ONE
-        if b_one and d_one:
+        if b is _P_ONE and d is _P_ONE:
             out = ones
         else:
-            den = d if b_one else b if d_one else b * d
+            den = d if b is _P_ONE else b if d is _P_ONE else b * d
             if len(den.variables()) > 1:
                 total = total + c * a
                 continue
@@ -750,6 +774,9 @@ def sum_of_products(pairs) -> Expr:
             for ma, ca in a.num.terms.items():
                 m, v = _mono_mul(mc, ma), cc * ca
                 out[m] = out[m] + v if m in out else v
+    if not ones and len(groups) == 1:
+        return total + _constant(k) if total.num.terms else _constant(k)
+    ones[_M_ONE] = ones.get(_M_ONE, 0) + k
     for den, out in groups.items():
         num = Poly(out)
         if num.terms:
@@ -758,10 +785,8 @@ def sum_of_products(pairs) -> Expr:
 
 
 def _coerce(value) -> "Expr":
-    if value.__class__ is Expr:
-        return value
     if isinstance(value, (int, Fraction)):
-        return Expr(Poly.const(value), _P_ONE)
+        return _constant(value)
     return NotImplemented
 
 
@@ -775,8 +800,6 @@ _E_ONE = Expr(_P_ONE, _P_ONE)
 def _poly_str(p: Poly) -> str:
     if p.is_zero():
         return "0"
-    if len(p.terms) == 1 and _M_ONE in p.terms:
-        return str(p.terms[_M_ONE])
     parts: list[str] = []
     for m, c in p.sorted_terms():
         mag = -c if c < 0 else c

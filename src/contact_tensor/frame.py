@@ -218,6 +218,8 @@ class FrameManifold:
         self.chart_frame = chart_frame
         self._coordinate_names = frozenset(
             s.name for s in symbols.coordinates())
+        # False when every frame derivative is zero: abstract, no coordinate
+        self.differentiates = mode == MODE_CHART or bool(self._coordinate_names)
         self._metric_inverse = tuple(map(VectorField.make, invert(
             [list(row.components) for row in metric], "metric")))
         self._identity_metric = all(row.terms == {i: _ONE}
@@ -328,7 +330,7 @@ class FrameManifold:
         in abstract mode with no coordinate, where all are parameter-only.
         `memo`, a dict the caller owns, keeps e_i(c) by (i, c) across
         calls, and gives e_i(-c) as -e_i(c)."""
-        if self.mode == MODE_ABSTRACT and not self._coordinate_names:
+        if not self.differentiates:
             return VectorField.zero(v.dim)
         memo = {} if memo is None else memo
 

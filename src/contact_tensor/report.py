@@ -117,6 +117,7 @@ def build_report(entry: CatalogEntry) -> dict:
     pairs = [(i, j) for i in range(1, m.dim + 1)
              for j in range(i + 1, m.dim + 1)]
     zero = ["0"] * m.dim
+    nabla_r = curv.nabla_r_table
     verdicts = _json(classification)
     del verdicts["diagnostics"]  # already in the top-level list
     return {
@@ -140,7 +141,8 @@ def build_report(entry: CatalogEntry) -> dict:
             "scalar": str(curv.scalar),
             "nabla_riemann": [
                 {"w": w, "i": i, "j": j, "k": k,
-                 "components": _vf(curv.nabla_r(w, i, j, k), zero)}
+                 "components": _vf(nabla_r[w, i, j, k])
+                 if (w, i, j, k) in nabla_r else zero}
                 for w in range(1, m.dim + 1)
                 for i, j in pairs for k in range(1, m.dim + 1)],
         },

@@ -933,16 +933,20 @@ def test_constant_curvature_matches_the_ratio_search():
 
 
 class _StubTables:
-    """manifold, scalar and riemann, all that constant_curvature reads:
-    R = c(g(Y,Z)X - g(X,Z)Y) on the identity metric in dimension 3, with
-    an extra e_3 component on R(e_1,e_2)e_3 when broken.  The Ricci trace
-    reads component l of R(e_l, e_j)e_k, so it never reads that one, and
-    the scalar stays n(n-1)c = 6c."""
+    """manifold, scalar, riemann and riemann_support, all that
+    constant_curvature reads: R = c(g(Y,Z)X - g(X,Z)Y) on the identity
+    metric in dimension 3, with an extra e_3 component on R(e_1,e_2)e_3
+    when broken.  The Ricci trace reads component l of R(e_l, e_j)e_k, so
+    it never reads that one, and the scalar stays n(n-1)c = 6c; with
+    c = 0 and broken, R(e_1,e_2)e_3 = e_3 is the one nonzero entry."""
 
     def __init__(self, c, broken):
         self.manifold = build("sphere").manifold
         self.c, self.broken = Expr.integer(c), broken
         self.scalar = Expr.integer(6 * c)
+        self.riemann_support = tuple(
+            (i, j, k) for i, j in itertools.combinations(range(1, 4), 2)
+            for k in range(1, 4) if not self.riemann(i, j, k).is_zero())
 
     def riemann(self, i, j, k):
         m = self.manifold
@@ -952,7 +956,7 @@ class _StubTables:
         return r + m.basis(3).scale(sign) if self.broken else r
 
 
-@pytest.mark.parametrize("c", [1, -2])
+@pytest.mark.parametrize("c", [1, -2, 0])
 def test_constant_curvature_checks_components_the_trace_never_reads(c):
     for broken in (False, True):
         stub = _StubTables(c, broken)

@@ -87,7 +87,7 @@ def assert_matches(e, expected):
     assert sympy.gcd(num, den).is_number
     assert e.den.leading()[1] == 1
     if e.is_zero():
-        assert e.den == Poly.const(1)
+        assert e.den is Expr.one().den
 
 
 def sym(s: str):
@@ -493,7 +493,7 @@ def test_results_are_normalised_and_differences_are_direct(polys_pq, pair):
     for r in (p + q, p - q, q - p, -p, p * q, p * p,
               p.scale(Fraction(3, 2)), p.scale(2), q.scale(Fraction(-6))):
         assert_normalised(r)
-    one = Poly.const(1)
+    one = Expr.one().den    # a constant denominator is the shared 1
     a, b = Expr(p, one), Expr(q, one)
     t = table()
     den = parse("x+1", t)
@@ -513,3 +513,50 @@ def test_results_are_normalised_and_differences_are_direct(polys_pq, pair):
         fu = VectorField.make((u, v, 0, u, 1))
         fv = VectorField.make((v, v, u, 0, 1))
         assert (fu - fv).terms == (fu + (-fv)).terms
+
+
+# constants: 0, +-1, ints and Fractions
+RATIONALS = st.one_of(st.just(0), st.sampled_from((1, -1)),
+                      st.integers(-10**6, 10**6),
+                      st.fractions(max_denominator=30))
+
+
+def lifted(op, u, v, t):
+    """op on the constants u and v through the general path: each operand
+    carries the non-constant t, which the operation removes."""
+    if op == "+":
+        return (u + t) + (v - t)
+    if op == "-":
+        return (u + t) - (v + t)
+    if op == "*":
+        return (u * t) * (v / t)
+    if op == "/":
+        return (u * t) / (v * t)
+    return -(u + t) + t     # "neg", of u alone
+
+
+@SETTINGS
+@hypothesis.given(RATIONALS, RATIONALS)
+def test_constant_arithmetic_equals_the_general_path(p, q):
+    one = Expr.one().den
+    u, v = Expr.rational(p), Expr.rational(q)
+    want = {"+": p + q, "-": p - q, "*": p * q, "neg": -p}
+    fast = {"+": u + v, "-": u - v, "*": u * v, "neg": -u}
+    if q:
+        want["/"], fast["/"] = Fraction(p) / q, u / v
+    assert (u == v) is (p == q) and (u == q) is (p == q)
+    assert sum_of_products([(u, v), (v, u), (u, -v)]) == p * q
+    for t in (parse("x", table()), parse("1/(x+1)", table())):
+        for op, r in fast.items():
+            g, value = lifted(op, u, v, t), Fraction(want[op])
+            assert r == g and g == r and r == value
+            assert r.value == g.value == value
+            assert r.num.terms == g.num.terms
+            assert list(map(type, r.num.terms.values())) \
+                == list(map(type, g.num.terms.values()))
+            assert r.den is one and g.den is one
+            assert hash(r) == hash(g)
+            assert str(r) == str(g) == str(value)
+            if value.denominator == 1:   # an integral result holds an int
+                assert all(type(c) is int for c in r.num.terms.values())
+                assert type(r.value) is int
