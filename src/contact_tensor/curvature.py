@@ -90,14 +90,13 @@ class StructureDerivatives:
 class CurvatureTables:
     """Riemann, Ricci and scalar curvature plus the exact nabla R table.
 
-    R(e_i, e_j)e_k is computed for i < j and stored with its negated
-    i > j copy; (nabla_w R)(e_i, e_j)e_k is stored for i < j only, and
-    i > j negates the i < j entry on read.  i = j is the zero field.
-    riemann_support and nabla_r_support are the sorted keys (i, j, k) and
-    (w, i, j, k), i < j, whose field is nonzero; every other key reads
-    the zero field.  nabla_r_table maps each key of nabla_r_support to
-    its field.  All tables are built eagerly and never mutated; both
-    kernels share one derivative memo, which the constructor drops.
+    Both curvature tables keep only the nonzero fields at i < j:
+    riemann_table maps (i, j, k) to R(e_i, e_j)e_k and nabla_r_table maps
+    (w, i, j, k) to (nabla_w R)(e_i, e_j)e_k.  i > j negates the i < j
+    entry on read, and i = j or an absent key reads the zero field.
+    riemann_support and nabla_r_support are their sorted keys.  All
+    tables are built eagerly and never mutated; both kernels share one
+    derivative memo, which the constructor drops.
     """
 
     def __init__(self, manifold: FrameManifold, connection: ConnectionTable):
@@ -105,15 +104,14 @@ class CurvatureTables:
         self.connection = connection
         dim = manifold.dim
         self._zero = VectorField.zero(dim)
-        self._riemann: dict[tuple[int, int, int], VectorField] = {}
         derived: dict[tuple[int, Expr], Expr] = {}
+        self.riemann_table: dict[tuple[int, int, int], VectorField] = {}
         for i, j in combinations(range(1, dim + 1), 2):
             for k in range(1, dim + 1):
                 r = self._riemann_basis(i, j, k, derived)
-                self._riemann[i, j, k] = r
-                self._riemann[j, i, k] = -r if r.terms else r
-        self.riemann_support = tuple(key for key, r in self._riemann.items()
-                                     if key[0] < key[1] and r.terms)
+                if r.terms:
+                    self.riemann_table[i, j, k] = r
+        self.riemann_support = tuple(self.riemann_table)
         self.ricci = tuple(
             tuple(self._ricci_entry(j, k) for k in range(1, dim + 1))
             for j in range(1, dim + 1))
@@ -123,17 +121,18 @@ class CurvatureTables:
         self.nabla_r_support = tuple(sorted(self.nabla_r_table))
 
     def _nabla_r_kernel(self, derived) -> dict:
-        # the kernel of nabla_r, one pass per direction w: each stored
-        # nonzero R_abc = R(e_a, e_b)e_c, both orders of (a, b), is
-        # scattered into the keys (w, i, j, k), i < j, whose terms read
-        # it, with col[l] = [(x, -Gamma^l_wx)]: (w, a, b, c) takes
-        # nabla_w of R_abc, (w, x, b, c) and (w, a, x, c) the R-of-nabla
-        # terms of the first two slots, (w, a, b, x) that of the third;
-        # a key is opened only for a term with a nonzero field, and no
-        # derivative pair is added on a frame that never differentiates
+        # the kernel of nabla_r, one pass per direction w: each entry
+        # R_abc = R(e_a, e_b)e_c of riemann_table, both orders of (a, b),
+        # is scattered into the keys (w, i, j, k), i < j, whose terms read
+        # it, with col[l] = [(x, -Gamma^l_wx)]: (w, a, b, c) takes nabla_w
+        # of R_abc, (w, x, b, c) and (w, a, x, c) the R-of-nabla terms of
+        # the first two slots, (w, a, b, x) that of the third; a key is
+        # opened only for a term with a nonzero field, and no derivative
+        # pair is added on a frame that never differentiates
         m, conn = self.manifold, self.connection
         idx = range(1, m.dim + 1)
-        nonzero = [(key, r) for key, r in self._riemann.items() if r.terms]
+        nonzero = [e for (a, b, c), r in self.riemann_table.items()
+                   for e in (((a, b, c), r), ((b, a, c), -r))]
         table = {}
         for w in idx:
             col: dict[int, list[tuple[int, Expr]]] = {}
@@ -180,23 +179,28 @@ class CurvatureTables:
         return VectorField.accumulate(m.dim, pairs)
 
     def riemann(self, i: int, j: int, k: int) -> VectorField:
-        """R(e_i, e_j) e_k as a frame vector field."""
-        return self._zero if i == j else self._riemann[i, j, k]
+        """R(e_i, e_j) e_k as a frame vector field, read from the table."""
+        if i > j:
+            return -self.riemann_table.get((j, i, k), self._zero)
+        return self.riemann_table.get((i, j, k), self._zero)
 
     def riemann_apply(self, x: VectorField, y: VectorField,
                       z: VectorField) -> VectorField:
         """Tensor contraction R(X, Y)Z, function-linear in all slots."""
-        pairs = [(_times(_times(xi, yj), zk), self._riemann[i, j, k])
+        pairs = [(_times(_times(xi, yj), zk), self.riemann(i, j, k))
                  for i, xi in x.items() for j, yj in y.items() if i != j
                  for k, zk in z.items()]
         return VectorField.accumulate(self.manifold.dim, pairs)
 
     def _ricci_entry(self, j: int, k: int) -> Expr:
-        # trace over the first slot: sum_l component l of R(e_l, e_j) e_k
-        total = Expr.zero()
+        # trace over the first slot: sum_l component l of R(e_l, e_j) e_k,
+        # read from the i < j entry, so that no field is negated whole
+        table, total = self.riemann_table, Expr.zero()
         for l in range(1, self.manifold.dim + 1):
-            if l != j:
-                total = total + self._riemann[l, j, k][l]
+            if l < j:
+                total = total + table.get((l, j, k), self._zero)[l]
+            elif l > j:
+                total = total - table.get((j, l, k), self._zero)[l]
         return total
 
     def is_flat(self) -> bool:
@@ -290,29 +294,24 @@ def metric_compat_residuals(conn: ConnectionTable) -> list:
 
 
 def riemann_symmetry_residuals(curv: CurvatureTables) -> list:
-    """Antisymmetry in both index pairs and the pair interchange symmetry
-    of the lowered tensor R(X,Y,Z,W) = g(R(X,Y)Z, W), once per independent
-    index set: the first pair over i < j, the second pair over i < j and
-    k <= l, the interchange over pairs (i, j) < (k, l) with k < l.
+    """Antisymmetry in the second index pair and the pair interchange
+    symmetry of the lowered tensor R(X,Y,Z,W) = g(R(X,Y)Z, W), once per
+    independent index set: the second pair over i < j and k <= l, the
+    interchange over pairs (i, j) < (k, l) with k < l.  R(e_j, e_i) is
+    the i < j entry negated on read, so the first pair holds, a skipped
+    second-pair residual is zero or +- a kept one, and, given that the
+    second-pair check holds, so is a skipped interchange residual (zero
+    at i = j, k = l or (i, j) = (k, l); with k > l it is minus the one at
+    (i, j, l, k), and swapping the pairs negates it).  So the list is
+    empty exactly when the check over all dim^4 tuples is.
 
-    R is stored antisymmetric in (i, j), so a skipped first-pair or
-    second-pair residual is zero or +- a kept one.  Given that the
-    second-pair check holds, a skipped interchange residual is zero (at
-    i = j, k = l or (i, j) = (k, l)) or +- a kept one: with k > l it is
-    minus the one at (i, j, l, k), and swapping the pairs negates it.  So
-    the list is empty exactly when the check over all dim^4 tuples is.
-
-    Each residual sums two stored entries, so only the index sets with a
-    nonzero entry in the stored table are visited, in the loops' order.
+    Each residual sums two entries of riemann_table, so only the index
+    sets with a nonzero entry there are visited, in the loops' order.
     """
-    m, stored, none = curv.manifold, curv._riemann, curv._zero
+    m, none = curv.manifold, curv._zero
     # lowered[i, j, k][l] = R(e_i, e_j, e_k, e_l), for i < j
-    lowered = {key: m.lower(r) for key, r in stored.items()
-               if key[0] < key[1] and r.terms}
-    # (i, j, k, 0) for first-pair, (i, j, k, l) with l >= k for second-pair
-    pair_keys = {(min(i, j), max(i, j), k, 0)
-                 for (i, j, k), r in stored.items() if r.terms}
-    swaps = set()
+    lowered = {key: m.lower(r) for key, r in curv.riemann_table.items()}
+    pair_keys, swaps = set(), set()
     for (i, j, k), v in lowered.items():
         for l in v.terms:
             pair_keys.add((i, j, min(k, l), max(k, l)))
@@ -320,11 +319,6 @@ def riemann_symmetry_residuals(curv: CurvatureTables) -> list:
                 swaps.add(min((i, j), (k, l)) + max((i, j), (k, l)))
     out = []
     for i, j, k, l in sorted(pair_keys):
-        if not l:
-            res = curv.riemann(i, j, k) + curv.riemann(j, i, k)
-            if not res.is_zero():
-                out.append((("first-pair", i, j, k), res))
-            continue
         r = lowered.get((i, j, k), none)[l] + lowered.get((i, j, l), none)[k]
         if not r.is_zero():
             out.append((("second-pair", i, j, k, l), r))
@@ -337,7 +331,7 @@ def riemann_symmetry_residuals(curv: CurvatureTables) -> list:
 
 def first_bianchi_residuals(curv: CurvatureTables) -> list:
     """Cyclic sums R(e_i,e_j)e_k + R(e_j,e_k)e_i + R(e_k,e_i)e_j over
-    i < j < k.  R is stored antisymmetric in (i, j), so the sum alternates
+    i < j < k.  R is read antisymmetric in (i, j), so the sum alternates
     in (i, j, k): any other triple gives zero or +- a kept residual, and
     the list is empty exactly when the check over all triples is."""
     out = []

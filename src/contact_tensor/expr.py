@@ -210,10 +210,6 @@ class Poly:
             return self
         if self.terms == _P_ONE.terms:
             return other
-        if len(self.terms) == 1 == len(other.terms):
-            ((ma, ca),), ((mb, cb),) = self.terms.items(), other.terms.items()
-            m = _mono_mul(ma, mb)
-            return _normalised({m: ca * cb}, (m,))
         out: dict[Mono, int | Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
@@ -475,7 +471,7 @@ class Expr:
     stores it, so equal Exprs denote the same rational function.  A
     constant denominator is always the shared polynomial 1, and `value` is
     a constant's rational value (else None), so two constants take one
-    coefficient operation in the arithmetic and `==`.
+    coefficient operation in the arithmetic.
     """
 
     __slots__ = ("num", "den", "value")
@@ -607,8 +603,6 @@ class Expr:
         if v is not None:           # what the product below gives
             if self.value is not None:
                 return _constant(Fraction(self.value) / v)
-            if v == 1 or v == -1:
-                return self if v == 1 else -self
             return Expr(self.num.scale(1 / Fraction(v)), self.den)
         return self * Expr(*_monic(other.den, other.num))
 
@@ -628,15 +622,12 @@ class Expr:
             if self.is_zero():
                 raise ExprError("negative power of zero")
             return Expr(*_monic(self.den ** -k, self.num ** -k))
-        return Expr(self.num ** k, self.den ** k)
+        return Expr(*_monic(self.num ** k, self.den ** k))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Expr and (
                 other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        x, y = self.value, other.value
-        if x is not None and y is not None:
-            return x == y
         return self.num.terms == other.num.terms and (
             self.den is other.den or self.den == other.den)
 

@@ -143,8 +143,6 @@ class VectorField:
 
     def scale(self, c) -> "VectorField":
         c = as_expr(c)
-        if c.is_zero():
-            return VectorField.zero(self.dim)
         return self.map(lambda a: c * a)
 
     @staticmethod
@@ -374,16 +372,13 @@ class FrameManifold:
 
     def bracket(self, x: VectorField, y: VectorField) -> VectorField:
         """Lie bracket of two frame vector fields, with the Leibniz terms
-        from non-constant components."""
-        total = VectorField.zero(self.dim)
-        for i, xi in x.items():
-            total = total + self.derivative(i, y).scale(xi)
-            for j, yj in y.items():
-                if i != j:
-                    total = total + self.bracket_basis(i, j).scale(xi * yj)
-        for j, yj in y.items():
-            total = total - self.derivative(j, x).scale(yj)
-        return total
+        from non-constant components: one accumulation of x^i e_i(Y),
+        -y^j e_j(X) and x^i y^j [e_i, e_j]."""
+        pairs = [(xi, self.derivative(i, y)) for i, xi in x.items()]
+        pairs += [(-yj, self.derivative(j, x)) for j, yj in y.items()]
+        pairs += [(xi * yj, self.bracket_basis(i, j))
+                  for i, xi in x.items() for j, yj in y.items() if i != j]
+        return VectorField.accumulate(self.dim, pairs)
 
     def check_jacobi(self) -> JacobiReport:
         """Cyclic-sum test on all basis triples, derivative terms included:

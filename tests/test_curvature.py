@@ -503,9 +503,6 @@ def full_riemann_symmetry(curv):
     for i in idx:
         for j in idx:
             for k in idx:
-                res = curv.riemann(i, j, k) + curv.riemann(j, i, k)
-                if not res.is_zero():
-                    out.append((("first-pair", i, j, k), res))
                 for l in idx:
                     r = lowered[i, j, k, l] + lowered[i, j, l, k]
                     if not r.is_zero():
@@ -585,12 +582,11 @@ def test_covariant_derivative_keeps_the_abstract_mode_guard():
 
 
 def _corrupt_riemann(curv, i, j, k, delta):
-    """A copy of curv with R(e_i, e_j)e_k (i < j) moved by delta, still
-    stored antisymmetric in (i, j)."""
+    """A copy of curv with R(e_i, e_j)e_k (i < j) moved by delta in its
+    riemann_table; riemann_support is kept, as is."""
     bad = copy.copy(curv)
-    bad._riemann = dict(curv._riemann)
-    bad._riemann[i, j, k] = curv.riemann(i, j, k) + delta
-    bad._riemann[j, i, k] = -bad._riemann[i, j, k]
+    bad.riemann_table = dict(curv.riemann_table)
+    bad.riemann_table[i, j, k] = curv.riemann(i, j, k) + delta
     return bad
 
 
@@ -694,16 +690,6 @@ def test_reduced_checks_see_a_corrupted_riemann_entry(case):
         assert _family(full_riemann_symmetry(curv), family) != []
 
 
-def test_symmetry_check_sees_a_stored_entry_that_breaks_first_pair():
-    # the stored R(e2,e1)e3 moved by e1, so it is not -R(e1,e2)e3
-    curv = _h5_tables()
-    bad = copy.copy(curv)
-    bad._riemann = dict(curv._riemann)
-    bad._riemann[2, 1, 3] = curv.riemann(2, 1, 3) + VectorField.basis(5, 1)
-    assert _family(riemann_symmetry_residuals(bad), "first-pair") \
-        == [(("first-pair", 1, 2, 3), VectorField.basis(5, 1))]
-
-
 def test_reduced_second_bianchi_sees_a_corrupted_nabla_r_entry():
     # (nabla_{e3} R)(e1, e2)e1 + e1: the cyclic sum at (1, 2, 3), k = 1
     curv = _h5_tables()
@@ -800,9 +786,6 @@ def ref_riemann_symmetry_residuals(curv):
                for i, j in pairs for k in idx for l in idx}
     for i, j in pairs:
         for k in idx:
-            res = curv.riemann(i, j, k) + curv.riemann(j, i, k)
-            if not res.is_zero():
-                out.append((("first-pair", i, j, k), res))
             for l in range(k, m.dim + 1):
                 r = lowered[i, j, k, l] + lowered[i, j, l, k]
                 if not r.is_zero():
@@ -1002,19 +985,31 @@ def test_residual_walks_match_the_dense_loops(name):
 
 
 def test_symmetry_walk_matches_the_dense_loop_on_corrupted_h5_tables():
-    # the corruptions edit the stored entries and keep riemann_support,
-    # so the walk must read the stored table
-    curv = _h5_tables()
-    stored_only = copy.copy(curv)
-    stored_only._riemann = dict(curv._riemann)
-    stored_only._riemann[2, 1, 3] = (curv.riemann(2, 1, 3)
-                                     + VectorField.basis(5, 1))
-    cases = [_h5_corrupted(c) for _, c in RIEMANN_CORRUPTIONS.values()]
-    for curv in cases + [stored_only]:
+    # the corruptions edit riemann_table and keep riemann_support, so the
+    # walk must read the table
+    for curv in [_h5_corrupted(c) for _, c in RIEMANN_CORRUPTIONS.values()]:
         assert curv.riemann_support == _h5_tables().riemann_support
         assert riemann_symmetry_residuals(curv) \
             == ref_riemann_symmetry_residuals(curv)
         assert riemann_symmetry_residuals(curv)
+
+
+@pytest.mark.parametrize("name", list(SUPPORT_INPUTS))
+def test_riemann_table_holds_one_nonzero_copy_of_each_entry(name):
+    # among them the catalog, H^5, the x+y+1 frame and the deformed kmu
+    m = SUPPORT_INPUTS[name]
+    curv = riemann(m, koszul(m))
+    table = curv.riemann_table
+    assert curv.riemann_support == tuple(table) == tuple(sorted(table))
+    for (i, j, k), r in table.items():
+        assert i < j and r.terms, (i, j, k)
+        assert not any(c.is_zero() for c in r.terms.values()), (i, j, k)
+        assert curv.riemann(i, j, k) is r
+        assert curv.riemann(j, i, k) == -r, (i, j, k)
+    idx = range(1, m.dim + 1)
+    for i in idx:
+        for k in idx:
+            assert curv.riemann(i, i, k).is_zero()
 
 
 @pytest.mark.parametrize("seed", range(4))

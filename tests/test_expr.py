@@ -20,6 +20,7 @@ from contact_tensor.expr import (
     Poly,
     Symbol,
     SymbolTable,
+    _P_ONE,
     _mono_key,
     parse,
     poly_gcd,
@@ -98,6 +99,25 @@ def test_henrici_arithmetic_paths():
     assert power == p("1/(4*x^2+16*x+16)")
     assert power.den == p("x^2+4*x+4").num
     assert str(p("(x+1)/(2*y)") ** -2) == "4*y^2/(x^2+2*x+1)"
+
+
+def test_powers_build_their_own_canonical_form(monkeypatch):
+    # with every Poly product a fresh copy, never an operand, a positive
+    # power must still hold the shared denominator 1 and a constant's value
+    t = make_table()
+    cases = [(parse(text, t), text)
+             for text in ("0", "1", "-2", "3/4", "x", "2*x+4", "x*y-a")]
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__",
+                        lambda a, b: Poly(dict(mul(a, b).terms)))
+    for e, text in cases:
+        for k in (1, 2, 3):
+            power = e ** k
+            assert power.den is _P_ONE, (text, k)
+            if e.is_constant():
+                assert power.value == e.value ** k, (text, k)
+            else:
+                assert power.value is None, (text, k)
 
 
 def _reference_mono_cmp(a, b):

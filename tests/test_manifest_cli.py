@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -20,7 +22,8 @@ from contact_tensor.manifest import (
 )
 from contact_tensor.report import analyse, build_report, failed_self_checks
 
-from _frames import chart_manifest, deformed_kmu_manifest
+from _frames import (chart_manifest, deformed_kmu_manifest,
+                     heisenberg_manifest)
 
 
 # an integer literal or result longer than the interpreter's int/str digit
@@ -858,3 +861,34 @@ def test_cli_self_check_exit_code(command, tmp_path, capsys, monkeypatch):
 def test_cli_usage_error(capsys):
     assert cli.main([]) == 1
     assert cli.main(["report"]) == 1
+
+
+def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
+    # the entry point in fresh processes under two hash seeds: the nabla R
+    # kernel walks riemann_table, poly_gcd reads a set of names on the
+    # two-variable x+y+1 frame, and the derivative memo of the curvature
+    # kernels is keyed by hashed Exprs on the x^2+2*x+3 frame
+    docs = {"kmu": export_entry(build("kmu")), "h5": heisenberg_manifest(2),
+            "chart-x-y-1": chart_manifest("x+y+1"),
+            "chart-x2": chart_manifest("x^2+2*x+3")}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(manifest_to_json(doc))
+    commands = [["demo", "kmu", "--format", "json"],
+                ["demo", "example41", "--format", "json"],
+                ["sweep", "kmu.json"]]
+    commands += [["report", f"{name}.json", "--format", "json"]
+                 for name in ("h5", "chart-x-y-1", "chart-x2")]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for command in commands:    # the two seeds' processes run side by side
+        runs = [subprocess.Popen(
+            [sys.executable, "-m", "contact_tensor.cli", *command],
+            cwd=tmp_path, stdout=subprocess.PIPE,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src))
+            for seed in ("0", "1")]
+        try:
+            (a, _), (b, _) = (run.communicate(timeout=60) for run in runs)
+        finally:    # a no-op on a process that has exited
+            for run in runs:
+                run.kill()
+        assert [run.returncode for run in runs] == [0, 0], command
+        assert a and a == b, command
