@@ -19,9 +19,9 @@ so reports are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .contact import ContactStructure
 from .curvature import CurvatureTables, ricci_operator_of
@@ -40,14 +40,12 @@ class SelfCheckError(ClassifyError):
     """An internal consistency check failed; indicates an engine bug."""
 
 
-@dataclass(frozen=True)
-class SasakianVerdict:
+class SasakianVerdict(NamedTuple):
     ok: bool
     witness: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
-class KappaMuVerdict:
+class KappaMuVerdict(NamedTuple):
     """Solution state of the nullity condition.
 
     status is "consistent" (unique kappa, mu), "underdetermined" (an
@@ -67,14 +65,12 @@ class KappaMuVerdict:
     kappa_le_one: bool | None = None
 
 
-@dataclass(frozen=True)
-class SymmetryVerdict:
+class SymmetryVerdict(NamedTuple):
     ok: bool
     witness: tuple | None = None   # (w, i, j, k, l), 1-based
 
 
-@dataclass(frozen=True)
-class RecurrenceVerdict:
+class RecurrenceVerdict(NamedTuple):
     status: str                    # recurrent | not_recurrent | trivially_recurrent
     scope: str
     A: VectorField | None = None   # A(e_w) as the component at w
@@ -82,8 +78,7 @@ class RecurrenceVerdict:
     obstruction_index: tuple | None = None
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     contact_valid: bool | None
     sasakian: SasakianVerdict | None
     kappa_mu: KappaMuVerdict | None

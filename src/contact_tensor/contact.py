@@ -9,7 +9,7 @@ the whole failure surface of a bad manifest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .expr import Expr
 from .frame import FrameManifold, VectorField, parameter_values
@@ -19,8 +19,7 @@ class ContactError(Exception):
     """Raised for structurally unusable contact data."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed axiom instance: which law, at which frame indices."""
 
     law: str
@@ -33,14 +32,12 @@ class Violation:
         return f"{self.law} fails at ({where}): {self.lhs} != {self.rhs}"
 
 
-@dataclass(frozen=True)
-class ContactMetricReport:
+class ContactMetricReport(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...]
 
 
-@dataclass(frozen=True)
-class HEigenstructure:
+class HEigenstructure(NamedTuple):
     """Eigenvalue lambda and the frame partition D(lambda), D(-lambda), D(0)."""
 
     lam: Expr

@@ -16,8 +16,8 @@ staying inside exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .expr import Expr
 from .frame import FrameManifold, VectorField
@@ -78,8 +78,7 @@ def koszul(manifold: FrameManifold) -> ConnectionTable:
               else zero for j in idx) for i in idx))
 
 
-@dataclass(frozen=True)
-class StructureDerivatives:
+class StructureDerivatives(NamedTuple):
     """Covariant derivatives of the structure tensors phi, eta, xi."""
 
     nabla_phi: tuple      # [i][j] -> (nabla_{e_i} phi)(e_j) as a VectorField

@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 KIND_COORDINATE = "coordinate"
@@ -40,18 +40,19 @@ class PoleError(ExprError):
     """Raised when evaluation or binding hits a vanishing denominator."""
 
 
-@dataclass(frozen=True)
-class Symbol:
-    name: str
-    kind: str
+# a NamedTuple class body may not define __new__, so the validation lives
+# on a subclass of the functional form
+class Symbol(NamedTuple("Symbol", [("name", str), ("kind", str)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ExprError(f"unknown symbol kind {self.kind!r}")
-        if not self.name or not self.name[0].isalpha() and self.name[0] != "_":
-            raise ExprError(f"invalid symbol name {self.name!r}")
-        if not all(ch.isalnum() or ch == "_" for ch in self.name):
-            raise ExprError(f"invalid symbol name {self.name!r}")
+    def __new__(cls, name: str, kind: str):
+        if kind not in _KINDS:
+            raise ExprError(f"unknown symbol kind {kind!r}")
+        if not name or not name[0].isalpha() and name[0] != "_":
+            raise ExprError(f"invalid symbol name {name!r}")
+        if not all(ch.isalnum() or ch == "_" for ch in name):
+            raise ExprError(f"invalid symbol name {name!r}")
+        return super().__new__(cls, name, kind)
 
 
 class SymbolTable:
@@ -59,16 +60,20 @@ class SymbolTable:
 
     Names are unique; the kind decides differentiation (parameters are
     constant along the manifold, so they differentiate to zero).
+    `coordinate_names` is the frozenset of the coordinate names so far.
     """
 
     def __init__(self):
         self._by_name: dict[str, Symbol] = {}
+        self.coordinate_names: frozenset[str] = frozenset()
 
     def add(self, name: str, kind: str) -> Symbol:
         if name in self._by_name:
             raise ExprError(f"symbol {name!r} already declared")
         sym = Symbol(name, kind)
         self._by_name[name] = sym
+        if kind == KIND_COORDINATE:
+            self.coordinate_names |= {name}
         return sym
 
     def get(self, name: str) -> Symbol:
@@ -648,13 +653,14 @@ class Expr:
         (n' - (n/d)*d')/d through the canonical operations, each gcd
         against a factor of d, never d^2.
         """
-        if sym.kind != KIND_COORDINATE:
+        name, kind = sym
+        if kind != KIND_COORDINATE:
             return _E_ZERO
         n, d = self.num, self.den
-        dn, dd = n.diff(sym.name), d.diff(sym.name)
+        dn, dd = n.diff(name), d.diff(name)
         if not dd.terms:
             return Expr(*_monic(*_cancel(dn, d))) if dn.terms else _E_ZERO
-        if d.variables() == {sym.name}:
+        if d.variables() == {name}:
             _, d1, e = (_P_ONE, d, dd) if dd.is_constant() else poly_gcd(d, dd)
             return Expr(dn * d1 - n * e, d * d1)
         return (Expr(dn, _P_ONE) - self * Expr(dd, _P_ONE)) / Expr(d, _P_ONE)

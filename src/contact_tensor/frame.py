@@ -15,9 +15,9 @@ or chart frame matrix raises SingularMatrixError from the constructor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .expr import (Expr, ExprError, KIND_COORDINATE, Symbol, SymbolTable,
                    sum_of_products)
@@ -181,14 +181,12 @@ class VectorField:
             vectors[0].dim, ((as_expr(c), vectors[k - 1]) for k, c in pairs))
 
 
-@dataclass(frozen=True)
-class JacobiViolation:
+class JacobiViolation(NamedTuple):
     triple: tuple[int, int, int]
     residual: VectorField
 
 
-@dataclass(frozen=True)
-class JacobiReport:
+class JacobiReport(NamedTuple):
     ok: bool
     violations: tuple[JacobiViolation, ...]
 
@@ -214,8 +212,8 @@ class FrameManifold:
         self.symbols = symbols
         self.metric_rows = metric
         self.chart_frame = chart_frame
-        self._coordinate_names = frozenset(
-            s.name for s in symbols.coordinates())
+        self._coordinates = symbols.coordinates()
+        self._coordinate_names = symbols.coordinate_names
         # False when every frame derivative is zero: abstract, no coordinate
         self.differentiates = mode == MODE_CHART or bool(self._coordinate_names)
         self._metric_inverse = tuple(map(VectorField.make, invert(
@@ -268,7 +266,7 @@ class FrameManifold:
     # -- basic queries -------------------------------------------------------
 
     def coordinates(self) -> tuple[Symbol, ...]:
-        return self.symbols.coordinates()
+        return self._coordinates
 
     def basis(self, i: int) -> VectorField:
         return VectorField.basis(self.dim, i)
@@ -317,7 +315,7 @@ class FrameManifold:
                     f"coordinate-dependent scalar {f} cannot be "
                     "differentiated in abstract mode")
             return Expr.zero()
-        coords = self.coordinates()
+        coords = self._coordinates
         total = Expr.zero()
         for a, fa in self.chart_frame[i - 1].items():
             total = total + fa * f.diff(coords[a - 1])
@@ -430,9 +428,14 @@ def _as_vector(components, dim: int) -> VectorField:
     return vf
 
 
+_NO_NAMES: frozenset[str] = frozenset()
+
+
 def coordinates_in(e: Expr, symbols: SymbolTable) -> frozenset[str]:
     """Names of the coordinate symbols that e depends on."""
-    return e.variables() & {s.name for s in symbols.coordinates()}
+    if e.value is not None:
+        return _NO_NAMES
+    return e.variables() & symbols.coordinate_names
 
 
 def coordinate_found(e: Expr, symbols: SymbolTable) -> str | None:

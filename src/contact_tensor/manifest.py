@@ -12,8 +12,8 @@ JSON document the package emits.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .contact import ContactStructure
 from .expr import (Expr, ExprError, ExprParseError, KIND_COORDINATE,
@@ -35,8 +35,7 @@ class ManifestError(Exception):
         super().__init__("; ".join(self.errors))
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     id: str
     manifold: FrameManifold
     structure: ContactStructure | None
@@ -51,8 +50,7 @@ class CatalogEntry:
         return CatalogEntry(self.id, structure.manifold, structure)
 
 
-@dataclass(frozen=True)
-class IngestResult:
+class IngestResult(NamedTuple):
     name: str
     manifest: dict
     manifold: FrameManifold

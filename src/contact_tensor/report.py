@@ -8,7 +8,7 @@ CONTACT_TENSOR_COLOR environment variable (unset means plain).
 
 from __future__ import annotations
 
-import dataclasses
+from typing import NamedTuple
 
 from .manifest import CatalogEntry
 from .classify import (ClassificationReport, check_3d_decomposition,
@@ -40,23 +40,23 @@ _RENAMED = {"constant_flag": "constant", "lam": "lambda"}
 
 
 def _json(value):
-    """JSON form of a verdict or structure value: dataclass fields in
+    """JSON form of a verdict or structure value: record fields in
     declaration order, expressions as strings, vector fields as component
-    lists, tuples as lists."""
+    lists, other tuples as lists."""
     if isinstance(value, VectorField):
         return _vf(value)
     if isinstance(value, Expr):
         return str(value)
     if isinstance(value, tuple):
+        # a record is a tuple too: its _fields make it a dict
+        if hasattr(value, "_fields"):
+            return {_RENAMED.get(f, f): _json(v)
+                    for f, v in zip(value._fields, value)}
         return [_json(v) for v in value]
-    if dataclasses.is_dataclass(value):
-        return {_RENAMED.get(f.name, f.name): _json(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
     return value
 
 
-@dataclasses.dataclass(frozen=True)
-class Analysis:
+class Analysis(NamedTuple):
     """The computed part of a report: connection, curvature tables,
     classification, and the self checks by name (True, False, or None
     where a check does not apply)."""
